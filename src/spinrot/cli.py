@@ -76,6 +76,8 @@ def run_pipeline(cfg: RunConfig) -> dict:
         "step": sol.step,
         "n_samples": sol.n_samples,
         "adaptive_halvings": sol.n_halvings,
+        "max_error_rate": sol.max_error_rate,
+        "error_rate_tol_exceeded": bool(sol.meta.get("error_rate_tol_exceeded", False)),
         "lvn_max_residual": float(lvn_residual_samples(sol).max()),
         "lvn_max_residual_fd": float(lvn_residual_series(sol).max()),
         "per_sigma": per_sigma,

@@ -27,6 +27,7 @@ relation for the cone angle lam.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,7 @@ from .trajectory import OmegaTrajectory
 EPS_LAMBDA = 1e-6  # guard band (rad) around the cot(lambda) singularities
 
 _MAX_SAMPLES = 4_000_000
+_BLOCK = 512  # RK4 steps whose drive samples come from one vectorized call
 
 
 @dataclass(frozen=True)
@@ -87,13 +89,17 @@ class AuxiliarySolution:
                   rows, comments)
 
 
+def _guard_error(lam: float, eps_lambda: float, t: float) -> SingularityError:
+    return SingularityError(
+        f"lambda = {lam:.6g} reached the cot(lambda) guard "
+        f"(eps = {eps_lambda:g}) at t = {t:.12g}", time=t)
+
+
 def auxiliary_rhs(traj: OmegaTrajectory, t: float, lam: float, gamma: float,
                   eps_lambda: float = EPS_LAMBDA) -> tuple[float, float]:
     """Right-hand side (dlam/dt, dgamma/dt); raises inside the guard band."""
     if not (eps_lambda < lam < math.pi - eps_lambda):
-        raise SingularityError(
-            f"lambda = {lam:.6g} reached the cot(lambda) guard "
-            f"(eps = {eps_lambda:g}) at t = {t:.12g}", time=t)
+        raise _guard_error(lam, eps_lambda, t)
     th, ph = traj.angles_scalar(t)
     w0 = traj.omega0
     s_th = math.sin(th)
@@ -103,13 +109,51 @@ def auxiliary_rhs(traj: OmegaTrajectory, t: float, lam: float, gamma: float,
     return lam_dot, gamma_dot
 
 
-def _rk4_step(traj, t, lam, gam, h, eps):
-    k1l, k1g = auxiliary_rhs(traj, t, lam, gam, eps)
-    k2l, k2g = auxiliary_rhs(traj, t + 0.5 * h, lam + 0.5 * h * k1l, gam + 0.5 * h * k1g, eps)
-    k3l, k3g = auxiliary_rhs(traj, t + 0.5 * h, lam + 0.5 * h * k2l, gam + 0.5 * h * k2g, eps)
-    k4l, k4g = auxiliary_rhs(traj, t + h, lam + h * k3l, gam + h * k3g, eps)
+def _rk4_step(t, lam, gam, h, a, b, c, w0, eps):
+    """One RK4 step from (lam, gam) at t.
+
+    a, b, c are the drive's (sin th, cos th, ph) at t, t + h/2 and t + h;
+    the right-hand side is auxiliary_rhs written out, with the same
+    guard on every stage's lambda.
+    """
+    hi = math.pi - eps
+    if not eps < lam < hi:
+        raise _guard_error(lam, eps, t)
+    s, co, ph = a
+    d = ph - gam
+    k1l = w0 * s * math.sin(d)
+    k1g = w0 * (co - s * math.cos(d) * math.cos(lam) / math.sin(lam))
+    y = lam + 0.5 * h * k1l
+    if not eps < y < hi:
+        raise _guard_error(y, eps, t + 0.5 * h)
+    s, co, ph = b
+    d = ph - (gam + 0.5 * h * k1g)
+    k2l = w0 * s * math.sin(d)
+    k2g = w0 * (co - s * math.cos(d) * math.cos(y) / math.sin(y))
+    y = lam + 0.5 * h * k2l
+    if not eps < y < hi:
+        raise _guard_error(y, eps, t + 0.5 * h)
+    d = ph - (gam + 0.5 * h * k2g)
+    k3l = w0 * s * math.sin(d)
+    k3g = w0 * (co - s * math.cos(d) * math.cos(y) / math.sin(y))
+    y = lam + h * k3l
+    if not eps < y < hi:
+        raise _guard_error(y, eps, t + h)
+    s, co, ph = c
+    d = ph - (gam + h * k3g)
+    k4l = w0 * s * math.sin(d)
+    k4g = w0 * (co - s * math.cos(d) * math.cos(y) / math.sin(y))
     return (lam + (h / 6.0) * (k1l + 2.0 * k2l + 2.0 * k3l + k4l),
             gam + (h / 6.0) * (k1g + 2.0 * k2g + 2.0 * k3g + k4g))
+
+
+def _drive_stages(traj: OmegaTrajectory, times: list) -> list:
+    """Per stage-time array, an iterator of the drive's (sin th, cos th, ph) float tuples."""
+    q = np.stack(times)
+    th, ph = traj.angles(q.ravel())
+    th = np.reshape(th, q.shape)
+    s, c, p = np.sin(th).tolist(), np.cos(th).tolist(), np.reshape(ph, q.shape).tolist()
+    return [zip(*cols) for cols in zip(s, c, p)]
 
 
 def integrate_auxiliary(traj: OmegaTrajectory, lambda0: float, gamma0: float,
@@ -135,10 +179,22 @@ def integrate_auxiliary(traj: OmegaTrajectory, lambda0: float, gamma0: float,
         dense output keeps the invariant condition), the whole run is
         rerun at half the step, preserving the uniform output grid.
 
+    The drive is never evaluated per RK4 stage. The grid is walked in
+    blocks of `_BLOCK` steps; for each block one vectorized `traj.angles`
+    call samples the drive at every stage time of its steps (the same
+    floats t_k + h/2, t_k + h, ... the step arithmetic produces), and the
+    loop does only the (lambda, gamma) arithmetic on Python floats. The
+    cot guard still applies to every stage's lambda and to every accepted
+    sample. A tabulated drive checks its domain once, on [t0, t_end],
+    before the first step. The stored rates come from one vectorized
+    evaluation of the right-hand side over the grid.
+
     Raises
     ------
     SingularityError
         If lambda reaches the cot guard; the message names the time.
+    OutOfDomainError
+        If [t0, t_end] leaves a tabulated drive's domain.
     ValueError
         On non-positive step or out-of-band lambda0.
     """
@@ -155,7 +211,9 @@ def integrate_auxiliary(traj: OmegaTrajectory, lambda0: float, gamma0: float,
             np.array([ld]), np.array([gd]), step=step, adaptive=adaptive,
             eps_lambda=eps_lambda)
 
-    tol = error_rate_tol if error_rate_tol is not None else 1e-9 * traj.omega0
+    w0 = traj.omega0
+    tol = error_rate_tol if error_rate_tol is not None else 1e-9 * w0
+    traj.angles(np.array([t0, t_end]))  # a tabulated drive checks its domain here, once
     n = max(1, round(abs(t_end - t0) / step))
     halvings = 0
     while True:
@@ -163,29 +221,37 @@ def integrate_auxiliary(traj: OmegaTrajectory, lambda0: float, gamma0: float,
             raise ValueError(f"step halving exceeded {_MAX_SAMPLES} samples")
         t = np.linspace(t0, t_end, n + 1)
         h = (t_end - t0) / n
-        lam = np.empty(n + 1)
-        gam = np.empty(n + 1)
-        lam[0], gam[0] = lambda0, gamma0
+        lam = array("d", [lambda0])
+        gam = array("d", [gamma0])
+        lk, gk = lambda0, gamma0
         worst_rate = 0.0
         ok = True
-        for k in range(n):
-            tk = t[k]
-            if adaptive:
-                full = _rk4_step(traj, tk, lam[k], gam[k], h, eps_lambda)
-                hl, hg = _rk4_step(traj, tk, lam[k], gam[k], 0.5 * h, eps_lambda)
-                lam[k + 1], gam[k + 1] = _rk4_step(traj, tk + 0.5 * h, hl, hg, 0.5 * h, eps_lambda)
-                err = max(abs(full[0] - lam[k + 1]), abs(full[1] - gam[k + 1]))
-                rate = err / abs(h)
-                worst_rate = max(worst_rate, rate)
-                if rate > tol and halvings < max_halvings:
-                    ok = False
-                    break
-            else:
-                lam[k + 1], gam[k + 1] = _rk4_step(traj, tk, lam[k], gam[k], h, eps_lambda)
-            if not (eps_lambda < lam[k + 1] < math.pi - eps_lambda):
-                raise SingularityError(
-                    f"lambda = {lam[k + 1]:.6g} reached the cot(lambda) guard "
-                    f"at t = {t[k + 1]:.12g}", time=float(t[k + 1]))
+        for k0 in range(0, n, _BLOCK):
+            tb = t[k0:min(k0 + _BLOCK, n)]
+            mid = tb + 0.5 * h
+            times = [tb, mid, tb + h]
+            if adaptive:  # the half steps' own stage times
+                times += [tb + 0.25 * h, mid + 0.25 * h, mid + 0.5 * h]
+            for tk, a, m, e, *half in zip(tb.tolist(), *_drive_stages(traj, times)):
+                if adaptive:
+                    aq, mq, e2 = half
+                    full = _rk4_step(tk, lk, gk, h, a, m, e, w0, eps_lambda)
+                    hl, hg = _rk4_step(tk, lk, gk, 0.5 * h, a, aq, m, w0, eps_lambda)
+                    lk, gk = _rk4_step(tk + 0.5 * h, hl, hg, 0.5 * h, m, mq, e2, w0, eps_lambda)
+                    err = max(abs(full[0] - lk), abs(full[1] - gk))
+                    rate = err / abs(h)
+                    worst_rate = max(worst_rate, rate)
+                    if rate > tol and halvings < max_halvings:
+                        ok = False
+                        break
+                else:
+                    lk, gk = _rk4_step(tk, lk, gk, h, a, m, e, w0, eps_lambda)
+                if not (eps_lambda < lk < math.pi - eps_lambda):
+                    raise _guard_error(lk, eps_lambda, float(t[len(lam)]))
+                lam.append(lk)
+                gam.append(gk)
+            if not ok:
+                break
         if ok:
             break
         n *= 2
@@ -194,10 +260,13 @@ def integrate_auxiliary(traj: OmegaTrajectory, lambda0: float, gamma0: float,
     if adaptive and worst_rate > tol:
         meta["error_rate_tol_exceeded"] = True
 
-    lam_dot = np.empty(n + 1)
-    gam_dot = np.empty(n + 1)
-    for k in range(n + 1):
-        lam_dot[k], gam_dot[k] = auxiliary_rhs(traj, t[k], lam[k], gam[k], eps_lambda)
+    lam = np.array(lam)
+    gam = np.array(gam)
+    th, ph = traj.angles(t)
+    s_th = np.sin(th)
+    d = ph - gam
+    lam_dot = w0 * s_th * np.sin(d)
+    gam_dot = w0 * (np.cos(th) - s_th * np.cos(d) * np.cos(lam) / np.sin(lam))
     return AuxiliarySolution(
         traj, t, lam, gam, lam_dot, gam_dot, step=h, adaptive=adaptive,
         n_halvings=halvings, eps_lambda=eps_lambda, max_error_rate=worst_rate,

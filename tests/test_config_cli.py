@@ -259,6 +259,45 @@ def test_simulate_tabulated_end_to_end(tmp_path):
     assert summary["lvn_max_residual"] < 1e-10
 
 
+def _tabulated_config(tmp_path, **integrator):
+    t = np.linspace(0.0, 10.0, 201)
+    lines = ["t,theta,phi"] + [
+        f"{float(a)!r},{float(b)!r},{float(c)!r}"
+        for a, b, c in zip(t, 1.1 + 0.1 * np.sin(0.7 * t), 0.5 * t)]
+    (tmp_path / "traj.csv").write_text("\n".join(lines) + "\n")
+    cfg = demo_config(
+        trajectory={"kind": "tabulated", "omega0": 1.0, "csv_path": "traj.csv"},
+        initial_conditions="aligned", integrator=integrator)
+    del cfg["oracle"]
+    return write_config(tmp_path, cfg)
+
+
+def test_simulate_reports_adaptive_diagnostics(tmp_path):
+    path = _tabulated_config(tmp_path, step=0.2, t_end=9.0, adaptive=True)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--output-dir", str(out)]) == 0
+    summary = json.loads((out / "demo_summary.json").read_text())
+    assert summary["adaptive_halvings"] >= 1
+    assert 0.0 < summary["max_error_rate"] <= 1e-9
+    assert summary["error_rate_tol_exceeded"] is False
+
+    fixed = demo_config(integrator={"step": 0.02, "periods": 0.5})
+    out_fixed = tmp_path / "fixed"
+    assert main(["simulate", "--config", write_config(tmp_path, fixed, "fixed.json"),
+                 "--output-dir", str(out_fixed)]) == 0
+    summary = json.loads((out_fixed / "demo_summary.json").read_text())
+    assert summary["max_error_rate"] == 0.0
+    assert summary["error_rate_tol_exceeded"] is False
+
+
+def test_simulate_past_table_end_exit_code(tmp_path, capsys):
+    path = _tabulated_config(tmp_path, step=0.01, t_end=12.0)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--output-dir", str(out)]) == 3
+    assert "outside tabulated domain" in capsys.readouterr().err
+    assert not (out / "demo_summary.json").exists()
+
+
 # -- verify -------------------------------------------------------------------------
 
 def test_verify_pass(tmp_path):

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinrot.errors import NoSolutionError, SingularityError
-from spinrot.invariant import (EPS_LAMBDA, InvariantParams, integrate_auxiliary,
+from spinrot.errors import NoSolutionError, OutOfDomainError, SingularityError
+from spinrot.invariant import (EPS_LAMBDA, InvariantParams, auxiliary_rhs, integrate_auxiliary,
                                invariant_matrix, lvn_residual,
                                lvn_residual_samples, lvn_residual_series,
                                solve_precession_lambda, transform_V)
@@ -225,6 +225,109 @@ def test_transform_diagonalizes_along_run():
         assert np.linalg.norm(v.conj().T @ m @ v - S3) < 1e-11
 
 
+def test_adaptive_exhausted_budget_is_flagged():
+    traj = _precession()
+    lam0 = solve_precession_lambda(W0, OM, TH) + 0.4
+    sol = integrate_auxiliary(traj, lam0, 0.0, 5.0, 0.5, adaptive=True, max_halvings=0)
+    assert sol.n_halvings == 0
+    assert sol.meta["error_rate_tol_exceeded"] is True
+    assert sol.max_error_rate > 1e-9 * W0
+
+
+def test_tabulated_past_table_end_raises():
+    t = np.linspace(0.0, 5.0, 50)
+    traj = OmegaTrajectory.from_table(W0, t, 1.1 + 0.1 * np.sin(t), 0.5 * t)
+    with pytest.raises(OutOfDomainError):
+        integrate_auxiliary(traj, 1.0, 0.0, 6.0, 0.01)
+
+
+# -- integration: the stage-table loop against a per-stage reference -------------
+
+def _reference_rk4_step(traj, t, lam, gam, h, eps):
+    k1l, k1g = auxiliary_rhs(traj, t, lam, gam, eps)
+    k2l, k2g = auxiliary_rhs(traj, t + 0.5 * h, lam + 0.5 * h * k1l, gam + 0.5 * h * k1g, eps)
+    k3l, k3g = auxiliary_rhs(traj, t + 0.5 * h, lam + 0.5 * h * k2l, gam + 0.5 * h * k2g, eps)
+    k4l, k4g = auxiliary_rhs(traj, t + h, lam + h * k3l, gam + h * k3g, eps)
+    return (lam + (h / 6.0) * (k1l + 2.0 * k2l + 2.0 * k3l + k4l),
+            gam + (h / 6.0) * (k1g + 2.0 * k2g + 2.0 * k3g + k4g))
+
+
+def _reference_integrate(traj, lambda0, gamma0, t_end, step, *, t0=0.0,
+                         adaptive=False, max_halvings=16, eps=EPS_LAMBDA):
+    """Scalar RK4 loop that samples the drive at every stage through auxiliary_rhs."""
+    tol = 1e-9 * traj.omega0
+    n = max(1, round(abs(t_end - t0) / step))
+    halvings = 0
+    while True:
+        t = np.linspace(t0, t_end, n + 1)
+        h = (t_end - t0) / n
+        lam = np.empty(n + 1)
+        gam = np.empty(n + 1)
+        lam[0], gam[0] = lambda0, gamma0
+        worst_rate = 0.0
+        ok = True
+        for k in range(n):
+            tk = t[k]
+            if adaptive:
+                full = _reference_rk4_step(traj, tk, lam[k], gam[k], h, eps)
+                hl, hg = _reference_rk4_step(traj, tk, lam[k], gam[k], 0.5 * h, eps)
+                lam[k + 1], gam[k + 1] = _reference_rk4_step(traj, tk + 0.5 * h, hl, hg,
+                                                             0.5 * h, eps)
+                rate = max(abs(full[0] - lam[k + 1]), abs(full[1] - gam[k + 1])) / abs(h)
+                worst_rate = max(worst_rate, rate)
+                if rate > tol and halvings < max_halvings:
+                    ok = False
+                    break
+            else:
+                lam[k + 1], gam[k + 1] = _reference_rk4_step(traj, tk, lam[k], gam[k], h, eps)
+            assert eps < lam[k + 1] < math.pi - eps
+        if ok:
+            break
+        n *= 2
+        halvings += 1
+    rates = np.array([auxiliary_rhs(traj, t[k], lam[k], gam[k], eps) for k in range(n + 1)])
+    meta = {"error_rate_tol_exceeded": True} if adaptive and worst_rate > tol else {}
+    return dict(t=t, lam=lam, gamma=gam, lam_dot=rates[:, 0], gamma_dot=rates[:, 1],
+                n_halvings=halvings, max_error_rate=worst_rate, meta=meta)
+
+
+def _tabulated_500():
+    t = np.linspace(0.0, 10.0, 500)
+    return OmegaTrajectory.from_table(W0, t, 1.1 + 0.1 * np.sin(0.7 * t), 0.5 * t)
+
+
+REFERENCE_CASES = {
+    "locked-cone": (_precession, (math.pi / 2.0, 0.0, 2.0 * 2.0 * math.pi / OM, 0.01), {}),
+    "off-cone-backward": (_precession, (1.2, 0.3, 0.0, 0.01), {"t0": 6.0}),
+    "tabulated-adaptive": (_tabulated_500, (1.0, 0.2, 9.6, 0.2), {"adaptive": True}),
+    "custom": (lambda: OmegaTrajectory.custom(W0, lambda t: 1.0 + 0.2 * math.sin(t),
+                                              lambda t: 0.7 * t),
+               (1.1, 0.0, 5.0, 0.01), {}),
+    "budget-exhausted": (_precession, (math.pi / 2.0 + 0.4, 0.0, 5.0, 0.5),
+                         {"adaptive": True, "max_halvings": 0}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_stage_table_matches_per_stage_reference(case):
+    # tolerance fixed from float64 rounding: the stage-table loop takes sin/cos
+    # of the drive angle from numpy, the reference from math
+    make, args, kwargs = REFERENCE_CASES[case]
+    traj = make()
+    sol = integrate_auxiliary(traj, *args, **kwargs)
+    ref = _reference_integrate(traj, *args, **kwargs)
+    if case == "tabulated-adaptive":
+        assert ref["n_halvings"] == 4
+    assert sol.n_samples == ref["t"].size
+    assert sol.n_halvings == ref["n_halvings"]
+    assert sol.meta == ref["meta"]
+    assert sol.max_error_rate == pytest.approx(ref["max_error_rate"], rel=1e-9, abs=0.0)
+    assert np.array_equal(sol.t, ref["t"])
+    for key in ("lam", "gamma", "lam_dot", "gamma_dot"):
+        y, y_ref = getattr(sol, key), ref[key]
+        assert np.all(np.abs(y - y_ref) <= 1e-12 * np.maximum(1.0, np.abs(y_ref))), key
+
+
 # -- LvN residual -----------------------------------------------------------------
 
 def test_residual_zero_on_fixed_point():
@@ -244,7 +347,6 @@ def test_residual_zero_for_rhs_rates_anywhere():
     # invariant condition pointwise
     traj = _precession()
     rng = np.random.default_rng(2)
-    from spinrot.invariant import auxiliary_rhs
     for _ in range(25):
         lam = rng.uniform(0.2, math.pi - 0.2)
         gam = rng.uniform(-3.0, 3.0)
