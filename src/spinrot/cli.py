@@ -49,7 +49,7 @@ def _sigma_key(sigma: float) -> str:
 # -- pipeline ---------------------------------------------------------------
 
 def run_pipeline(cfg: RunConfig) -> dict:
-    """Integrate, accumulate phases, and collect summary numbers."""
+    """Integrate, accumulate phases, and collect summary numbers (no LvN residuals)."""
     lam0, gam0 = cfg.initial_conditions()
     sol = integrate_auxiliary(
         cfg.trajectory, lam0, gam0, cfg.t_end, cfg.step, adaptive=cfg.adaptive)
@@ -78,8 +78,6 @@ def run_pipeline(cfg: RunConfig) -> dict:
         "adaptive_halvings": sol.n_halvings,
         "max_error_rate": sol.max_error_rate,
         "error_rate_tol_exceeded": bool(sol.meta.get("error_rate_tol_exceeded", False)),
-        "lvn_max_residual": float(lvn_residual_samples(sol).max()),
-        "lvn_max_residual_fd": float(lvn_residual_series(sol).max()),
         "per_sigma": per_sigma,
     }
     if cfg.trajectory.kind == "constant_precession":
@@ -93,6 +91,16 @@ def run_pipeline(cfg: RunConfig) -> dict:
     return {"sol": sol, "histories": histories, "summary": summary}
 
 
+def run_simulate(cfg: RunConfig) -> dict:
+    """Pipeline plus both LvN residuals; the stored-rate one also feeds `_aux.csv`."""
+    result = run_pipeline(cfg)
+    sol = result["sol"]
+    result["lvn_residual"] = lvn_residual_samples(sol)
+    result["summary"]["lvn_max_residual"] = float(result["lvn_residual"].max())
+    result["summary"]["lvn_max_residual_fd"] = float(lvn_residual_series(sol).max())
+    return result
+
+
 def _write_simulate_artifacts(cfg: RunConfig, result: dict, out_dir: str) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
     prefix = cfg.data["output"]["prefix"]
@@ -100,7 +108,7 @@ def _write_simulate_artifacts(cfg: RunConfig, result: dict, out_dir: str) -> lis
     paths = []
 
     aux_path = os.path.join(out_dir, f"{prefix}_aux.csv")
-    result["sol"].to_csv(aux_path, comments)
+    result["sol"].to_csv(aux_path, comments, residual=result["lvn_residual"])
     paths.append(aux_path)
 
     for s, hist in result["histories"].items():
@@ -242,11 +250,12 @@ def _sweep_point(payload: tuple) -> dict:
             node[keys[-1]] = value
         cfg = resolve_run_config(data, base_dir)
         result = run_pipeline(cfg)
+        residual = float(lvn_residual_samples(result["sol"]).max())
         summary = result["summary"]
         row["omega0"] = summary["omega0"]
         row["lambda0"] = summary["lambda0"]
         row["t_end"] = summary["t_end"]
-        row["lvn_max_residual"] = summary["lvn_max_residual"]
+        row["lvn_max_residual"] = residual
         key = _sigma_key(sigma)
         if key not in summary["per_sigma"]:
             raise ConfigError(f"sweep sigma {sigma} not in config sigmas")
@@ -305,7 +314,7 @@ def cmd_simulate(args) -> int:
     data = apply_overrides(load_json_config(args.config), args.set or [])
     cfg = resolve_run_config(data, os.path.dirname(os.path.abspath(args.config)))
     out_dir = args.output_dir or cfg.data["output"]["directory"]
-    result = run_pipeline(cfg)
+    result = run_simulate(cfg)
     paths = _write_simulate_artifacts(cfg, result, out_dir)
     for p in paths:
         print(p)

@@ -80,9 +80,10 @@ class AuxiliarySolution:
             float(self.lam_dot[i]), float(self.gamma_dot[i]),
         )
 
-    def to_csv(self, path, comments: list[str] | None = None) -> None:
-        """Emit t, lambda, gamma, lambda_dot, gamma_dot, lvn_residual."""
-        res = lvn_residual_samples(self)
+    def to_csv(self, path, comments: list[str] | None = None,
+               residual: np.ndarray | None = None) -> None:
+        """Emit t, lambda, gamma, lambda_dot, gamma_dot, lvn_residual (given or computed)."""
+        res = lvn_residual_samples(self) if residual is None else residual
         rows = zip(self.t.tolist(), self.lam.tolist(), self.gamma.tolist(),
                    self.lam_dot.tolist(), self.gamma_dot.tolist(), res.tolist())
         write_csv(path, ["t", "lambda", "gamma", "lambda_dot", "gamma_dot", "lvn_residual"],

@@ -9,6 +9,8 @@ from __future__ import annotations
 import csv
 import json
 
+_FLOAT_ONLY = {float}
+
 
 def format_value(v) -> str:
     if isinstance(v, bool):
@@ -21,13 +23,28 @@ def format_value(v) -> str:
 
 
 def write_csv(path, header: list[str], rows, comments: list[str] | None = None) -> None:
+    """Write comment lines, the header and the rows as excel-dialect CSV.
+
+    A row of exact Python floats is formatted by one "%.17g" template: no such
+    float contains a delimiter, quote or line break, so the bytes are those
+    csv.writer gives. Any other row goes through csv.writer and format_value.
+    """
     with open(path, "w", newline="") as fh:
         for line in comments or []:
             fh.write(f"# {line}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
+        write = fh.write
+        templates: dict[int, str] = {}
         for row in rows:
-            writer.writerow([format_value(v) for v in row])
+            row = tuple(row)
+            if set(map(type, row)) == _FLOAT_ONLY:
+                template = templates.get(len(row))
+                if template is None:
+                    template = templates[len(row)] = ",".join(["%.17g"] * len(row)) + "\r\n"
+                write(template % row)
+            else:
+                writer.writerow([format_value(v) for v in row])
 
 
 def write_json(path, payload: dict) -> None:

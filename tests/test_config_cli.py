@@ -195,9 +195,40 @@ def test_simulate_deterministic_bytes(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["simulate", "--config", path, "--output-dir", str(out1)]) == 0
     assert main(["simulate", "--config", path, "--output-dir", str(out2)]) == 0
+    codes = [main(["verify", "--config", path, "--output-dir", str(out)])
+             for out in (out1, out2)]
+    assert codes[0] == codes[1] == 0
     for name in ("demo_aux.csv", "demo_phases_up.csv", "demo_phases_down.csv",
-                 "demo_summary.json"):
+                 "demo_summary.json", "demo_verify_up.csv", "demo_verify_down.csv",
+                 "demo_verify_report.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_residuals_computed_once_where_written(tmp_path, monkeypatch):
+    from spinrot import cli, invariant
+    calls = {"lvn_residual_samples": 0, "lvn_residual_series": 0}
+    for module in (cli, invariant):
+        for name in calls:
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+    def run(*argv):
+        calls.update(dict.fromkeys(calls, 0))
+        assert main([*argv, "--output-dir", str(tmp_path / "out")]) == 0
+        return dict(calls)
+
+    path = write_config(tmp_path, demo_config(integrator={"step": 0.02, "periods": 0.5}))
+    assert run("simulate", "--config", path) == \
+        {"lvn_residual_samples": 1, "lvn_residual_series": 1}
+    assert run("verify", "--config", path) == \
+        {"lvn_residual_samples": 0, "lvn_residual_series": 0}
+    spath = tmp_path / "sweep.json"
+    spath.write_text(json.dumps({"sweep": [{"path": "trajectory.Omega", "values": [0.1, 0.2]}]}))
+    monkeypatch.setenv("SPINROT_WORKERS", "1")
+    assert run("sweep", "--config", path, "--sweep", str(spath)) == \
+        {"lvn_residual_samples": 2, "lvn_residual_series": 0}
 
 
 def test_simulate_malformed_config(tmp_path):
