@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -34,23 +35,28 @@ METHOD_RK4 = "rk4"
 
 @dataclass
 class PropagatorRun:
-    """States of one propagation on a uniform grid, shape (N, 2)."""
+    """Kept samples of one propagation on a uniform grid.
+
+    `states` has shape (N, 2) for one initial state, with a float
+    `unitarity_defect`, and (N, m, 2) for a stack of m, with one defect per
+    state in an array of shape (m,). `step` is the spacing of `t`.
+    """
 
     method: str
     step: float
     t: np.ndarray
     states: np.ndarray
-    unitarity_defect: float
+    unitarity_defect: float | np.ndarray
 
-    def thin(self, k: int) -> "PropagatorRun":
-        """Keep every k-th sample (for comparison on a coarser grid)."""
-        if k < 1 or (self.t.size - 1) % k != 0:
-            raise ValueError(f"cannot thin {self.t.size - 1} steps by {k}")
-        return PropagatorRun(self.method, self.step * k, self.t[::k],
-                             self.states[::k], self.unitarity_defect)
+    def unstack(self) -> list["PropagatorRun"]:
+        """One single-state run per member of a stacked run, in stack order."""
+        return [PropagatorRun(self.method, self.step, self.t, self.states[:, j], float(d))
+                for j, d in enumerate(self.unitarity_defect)]
 
     def to_csv(self, path, fidelity=None, overlap_phase=None, comments=None):
         """Emit t, re/im of both amplitudes and, when given, the overlap series."""
+        if self.states.ndim != 2:
+            raise ValueError("to_csv writes one state; unstack() a stacked run first")
         cols = ["t", "re_plus", "im_plus", "re_minus", "im_minus"]
         data = [self.t, self.states[:, 0].real, self.states[:, 0].imag,
                 self.states[:, 1].real, self.states[:, 1].imag]
@@ -60,77 +66,108 @@ class PropagatorRun:
         write_csv(path, cols, zip(*[np.asarray(d).tolist() for d in data]), comments)
 
 
+def under_resolved(traj: OmegaTrajectory, step: float) -> bool:
+    """True when omega0 * step >= 0.1, i.e. under ~63 steps per Larmor period."""
+    return traj.omega0 * step >= 0.1
+
+
 def propagate(traj: OmegaTrajectory, psi0: np.ndarray, t_end: float, step: float,
-              method: str = METHOD_EXPONENTIAL, t0: float = 0.0) -> PropagatorRun:
-    """Propagate psi0 from t0 to t_end with the given step."""
+              method: str = METHOD_EXPONENTIAL, t0: float = 0.0, thin: int = 1
+              ) -> PropagatorRun:
+    """Propagate psi0 from t0 to t_end with the given step.
+
+    psi0 is one 2-spinor, shape (2,), or a stack of them, shape (m, 2). All
+    states share the grid, the step propagators and one step loop, and each
+    comes out bit-identical to its own single-state run. The first sample
+    and every `thin`-th after it are kept; `thin` must divide the step count.
+    """
     if not (step > 0.0 and math.isfinite(step)):
         raise ValueError(f"step must be positive and finite, got {step!r}")
     psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (2,):
-        raise ValueError(f"psi0 must be a 2-spinor, got shape {psi0.shape}")
-    if traj.omega0 * step >= 0.1:
+    if psi0.ndim not in (1, 2) or psi0.shape[-1] != 2 or psi0.size == 0:
+        raise ValueError(
+            f"psi0 must be a 2-spinor or a stack of them, got shape {psi0.shape}")
+    advance = {METHOD_EXPONENTIAL: _propagate_exponential,
+               METHOD_RK4: _propagate_rk4}.get(method)
+    if advance is None:
+        raise ValueError(f"unknown method {method!r}")
+    if under_resolved(traj, step):
         warnings.warn(
             f"omega0*step = {traj.omega0 * step:.3g} >= 0.1; the propagator "
             "is under-resolved", stacklevel=2)
-    if t_end == t0:
-        return PropagatorRun(method, step, np.array([t0]),
-                             psi0[None, :].copy(), 0.0)
-    n = max(1, round(abs(t_end - t0) / step))
-    t = np.linspace(t0, t_end, n + 1)
-    h = (t_end - t0) / n
-    if method == METHOD_EXPONENTIAL:
-        states, defect = _propagate_exponential(traj, psi0, t, h)
-    elif method == METHOD_RK4:
-        states, defect = _propagate_rk4(traj, psi0, t, h)
+    n = 0 if t_end == t0 else max(1, round(abs(t_end - t0) / step))
+    if thin < 1 or n % thin != 0:
+        raise ValueError(f"cannot thin {n} steps by {thin}")
+    # (c+, c-) of every state, flat: the step loops index it in pairs
+    amps = psi0.reshape(-1).tolist()
+    if n == 0:
+        t, h = np.array([t0]), step
+        kept, defects = [tuple(amps)], [0.0] * (len(amps) // 2)
     else:
-        raise ValueError(f"unknown method {method!r}")
-    return PropagatorRun(method, h, t, states, defect)
+        t = np.linspace(t0, t_end, n + 1)
+        h = (t_end - t0) / n
+        kept, defects = advance(traj, amps, t, h, thin)
+    states = np.array(kept, dtype=complex).reshape(len(kept), -1, 2)
+    if psi0.ndim == 1:
+        return PropagatorRun(method, h * thin, t[::thin], states[:, 0], defects[0])
+    return PropagatorRun(method, h * thin, t[::thin], states, np.array(defects))
 
 
-def _propagate_exponential(traj, psi0, t, h):
+def _propagate_exponential(traj, amps, t, h, thin):
     mid = t[:-1] + 0.5 * h
     u = spin_rotation_propagators(traj.omega(mid), h)
+    defect = _gram_defect(u)
+    steps = zip(u[:, 0, 0].tolist(), u[:, 0, 1].tolist(),
+                u[:, 1, 0].tolist(), u[:, 1, 1].tolist())
+    pairs = range(0, len(amps), 2)
+    kept = [tuple(amps)]
+    for _ in range((t.size - 1) // thin):
+        for u00, u01, u10, u11 in islice(steps, thin):
+            for j in pairs:
+                cp, cm = amps[j], amps[j + 1]
+                amps[j], amps[j + 1] = u00 * cp + u01 * cm, u10 * cp + u11 * cm
+        kept.append(tuple(amps))
+    return kept, [defect] * len(pairs)
+
+
+def _gram_defect(u):
     # constructed unitaries: the defect only probes rounding
     gram = np.einsum("nji,njk->nik", u.conj(), u)
     gram[:, 0, 0] -= 1.0
     gram[:, 1, 1] -= 1.0
-    defect = float(np.sqrt((np.abs(gram) ** 2).sum(axis=(1, 2))).max())
-    n = t.size - 1
-    states = np.empty((n + 1, 2), dtype=complex)
-    cp, cm = complex(psi0[0]), complex(psi0[1])
-    states[0, 0], states[0, 1] = cp, cm
-    u00, u01 = u[:, 0, 0].tolist(), u[:, 0, 1].tolist()
-    u10, u11 = u[:, 1, 0].tolist(), u[:, 1, 1].tolist()
-    for k in range(n):
-        cp, cm = u00[k] * cp + u01[k] * cm, u10[k] * cp + u11[k] * cm
-        states[k + 1, 0], states[k + 1, 1] = cp, cm
-    return states, defect
+    return float(np.sqrt((np.abs(gram) ** 2).sum(axis=(1, 2))).max())
 
 
-def _propagate_rk4(traj, psi0, t, h):
-    def rhs(tk, cp, cm):
-        # -i (w . S) psi, expanded on components
+def _propagate_rk4(traj, amps, t, h, thin):
+    def field(tk):
         wx, wy, wz = traj.omega(tk)
-        a = 0.5 * (wx - 1j * wy)
+        return wz, 0.5 * (wx - 1j * wy)
+
+    def rhs(f, cp, cm):
+        # -i (w . S) psi, expanded on components
+        wz, a = f
         return (-1j * (0.5 * wz * cp + a * cm),
                 -1j * (a.conjugate() * cp - 0.5 * wz * cm))
 
-    n = t.size - 1
-    states = np.empty((n + 1, 2), dtype=complex)
-    cp, cm = complex(psi0[0]), complex(psi0[1])
-    states[0] = (cp, cm)
-    drift = 0.0
-    for k in range(n):
-        tk = t[k]
-        k1p, k1m = rhs(tk, cp, cm)
-        k2p, k2m = rhs(tk + 0.5 * h, cp + 0.5 * h * k1p, cm + 0.5 * h * k1m)
-        k3p, k3m = rhs(tk + 0.5 * h, cp + 0.5 * h * k2p, cm + 0.5 * h * k2m)
-        k4p, k4m = rhs(tk + h, cp + h * k3p, cm + h * k3m)
-        cp = cp + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        cm = cm + (h / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
-        states[k + 1] = (cp, cm)
-        drift = max(drift, abs(math.sqrt(abs(cp) ** 2 + abs(cm) ** 2) - 1.0))
-    return states, drift
+    pairs = range(0, len(amps), 2)
+    drift = [0.0] * len(pairs)
+    kept = [tuple(amps)]
+    for k0 in range(0, t.size - 1, thin):
+        for tk in t[k0:k0 + thin]:
+            f1, f2, f4 = field(tk), field(tk + 0.5 * h), field(tk + h)
+            for j in pairs:
+                cp, cm = amps[j], amps[j + 1]
+                k1p, k1m = rhs(f1, cp, cm)
+                k2p, k2m = rhs(f2, cp + 0.5 * h * k1p, cm + 0.5 * h * k1m)
+                k3p, k3m = rhs(f2, cp + 0.5 * h * k2p, cm + 0.5 * h * k2m)
+                k4p, k4m = rhs(f4, cp + h * k3p, cm + h * k3m)
+                cp = cp + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+                cm = cm + (h / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
+                amps[j], amps[j + 1] = cp, cm
+                drift[j // 2] = max(drift[j // 2],
+                                    abs(math.sqrt(abs(cp) ** 2 + abs(cm) ** 2) - 1.0))
+        kept.append(tuple(amps))
+    return kept, drift
 
 
 def fidelity(run: PropagatorRun, lr_t: np.ndarray, lr_states: np.ndarray

@@ -113,7 +113,7 @@ def _oracle_agreement(traj, lam0, gam0, t_end, sigma, step=0.002, thin=4):
     hist = accumulate_phases(sol, traj, sigma)
     states = lr_states(sol, hist)
     n = sol.n_samples - 1
-    run = propagate(traj, states[0], t_end, t_end / (n * thin)).thin(thin)
+    run = propagate(traj, states[0], t_end, t_end / (n * thin), thin=thin)
     fid, phase = fidelity(run, sol.t, states)
     return float(fid.min()), float(np.abs(phase).max())
 

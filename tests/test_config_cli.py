@@ -371,6 +371,125 @@ def test_verify_static_field_exact(tmp_path):
     assert main(["verify", "--config", path, "--output-dir", str(out)]) == 0
 
 
+def _reference_verify(cfg):
+    """The per-sigma verify loop: one propagation per sigma and per half step."""
+    from spinrot.cli import _sigma_key, run_pipeline
+    from spinrot.oracle import PropagatorRun, fidelity, propagate
+    from spinrot.phases import lr_states
+    from spinrot.spin_algebra import basis_state, rotation_from_angles
+
+    def thinned(run, k):
+        if k < 1 or (run.t.size - 1) % k != 0:
+            raise ValueError(f"cannot thin {run.t.size - 1} steps by {k}")
+        return PropagatorRun(run.method, run.step * k, run.t[::k], run.states[::k],
+                             run.unitarity_defect)
+
+    result = run_pipeline(cfg)
+    sol = result["sol"]
+    oracle_cfg = cfg.data["oracle"]
+    thin = max(1, round(sol.step / oracle_cfg["step"]))
+    duration = float(sol.t[-1] - sol.t[0])
+    n_oracle = (sol.n_samples - 1) * thin
+    oracle_step = duration / n_oracle if n_oracle else oracle_cfg["step"]
+    tol = cfg.data["verify"]
+    report = {"config_sha256": cfg.sha256, "tolerances": tol,
+              "oracle_method": oracle_cfg["method"], "oracle_step": oracle_step,
+              "oracle_under_resolved": cfg.trajectory.omega0 * oracle_step >= 0.1,
+              "per_sigma": {}}
+    all_pass = True
+    series = {}
+    for s, hist in result["histories"].items():
+        lam0, gam0 = float(sol.lam[0]), float(sol.gamma[0])
+        psi0 = rotation_from_angles(lam0, gam0) @ basis_state(s)
+        run = thinned(propagate(cfg.trajectory, psi0, float(sol.t[-1]), oracle_step,
+                                method=oracle_cfg["method"], t0=float(sol.t[0])), thin)
+        states = lr_states(sol, hist)
+        fid, phase = fidelity(run, sol.t, states)
+        entry = {"min_fidelity": float(fid.min()),
+                 "max_overlap_phase_rad": float(np.abs(phase).max()),
+                 "unitarity_defect": run.unitarity_defect}
+        entry["pass"] = bool(
+            entry["min_fidelity"] >= tol["min_fidelity"]
+            and entry["max_overlap_phase_rad"] <= tol["max_phase_mismatch_rad"])
+        if not entry["pass"]:
+            half = thinned(propagate(cfg.trajectory, psi0, float(sol.t[-1]),
+                                     oracle_step / 2.0, method=oracle_cfg["method"],
+                                     t0=float(sol.t[0])), 2 * thin)
+            _, phase_half = fidelity(half, sol.t, states)
+            mismatch_half = float(np.abs(phase_half).max())
+            entry["phase_mismatch_at_half_step_rad"] = mismatch_half
+            if mismatch_half > 0.0:
+                entry["phase_convergence_ratio"] = entry["max_overlap_phase_rad"] / mismatch_half
+        all_pass = all_pass and entry["pass"]
+        report["per_sigma"][_sigma_key(s)] = entry
+        series[s] = (run, fid, phase)
+    report["pass"] = all_pass
+    return report, series
+
+
+_SHORT = {"step": 0.02, "periods": 0.5}
+_VERIFY_CASES = {
+    "fail": demo_config(integrator=_SHORT, oracle={
+        "enabled": True, "step": 0.02, "method": "exponential_product"}),
+    "pass": demo_config(integrator=_SHORT),
+    "rk4-pass": demo_config(integrator=_SHORT, oracle={
+        "enabled": True, "step": 0.005, "method": "rk4"}),
+    "rk4-fail": demo_config(
+        initial_conditions="aligned", integrator={"step": 0.05, "periods": 0.5},
+        oracle={"enabled": True, "step": 0.05, "method": "rk4"},
+        verify={"min_fidelity": 1.0 - 1e-8, "max_phase_mismatch_rad": 1e-8}),
+}
+
+
+@pytest.mark.parametrize("sigmas", [[0.5, -0.5], [-0.5, 0.5], [0.5]])
+@pytest.mark.parametrize("case", sorted(_VERIFY_CASES))
+def test_run_verify_matches_per_sigma_reference(case, sigmas):
+    from spinrot.cli import run_verify
+    cfg = resolve_run_config(dict(_VERIFY_CASES[case], sigmas=sigmas), ".")
+    report, series = _reference_verify(cfg)
+    result = run_verify(cfg)
+    assert result["verify_report"] == report
+    assert report["pass"] is case.endswith("pass")
+    assert list(result["verify_series"]) == list(series) == sigmas
+    for s, (run, fid, phase) in series.items():
+        got, got_fid, got_phase = result["verify_series"][s]
+        assert np.array_equal(got.t, run.t)
+        assert np.array_equal(got.states, run.states)
+        assert np.array_equal(got_fid, fid)
+        assert np.array_equal(got_phase, phase)
+
+
+@pytest.mark.parametrize("case,calls", [("pass", 1), ("fail", 2)])
+def test_verify_propagates_once_per_grid(tmp_path, monkeypatch, case, calls):
+    from spinrot import cli, oracle
+    counts = {"propagate": 0, "spin_rotation_propagators": 0}
+    for module, name in ((cli, "propagate"), (oracle, "spin_rotation_propagators")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    path = write_config(tmp_path, _VERIFY_CASES[case])
+    code = main(["verify", "--config", path, "--output-dir", str(tmp_path / "out")])
+    assert code == (0 if case == "pass" else 4)
+    assert counts == {"propagate": calls, "spin_rotation_propagators": calls}
+
+
+def test_verify_reports_under_resolved_oracle(tmp_path):
+    out = tmp_path / "out"
+    coarse = demo_config(integrator={"step": 0.2, "periods": 0.5}, oracle={
+        "enabled": True, "step": 0.2, "method": "exponential_product"})
+    with pytest.warns(UserWarning, match="under-resolved"):
+        assert main(["verify", "--config", write_config(tmp_path, coarse),
+                     "--output-dir", str(out)]) == 4
+    report = json.loads((out / "demo_verify_report.json").read_text())
+    assert report["oracle_step"] >= 0.1
+    assert report["oracle_under_resolved"] is True
+    assert main(["verify", "--config", write_config(tmp_path, demo_config()),
+                 "--output-dir", str(out)]) == 0
+    report = json.loads((out / "demo_verify_report.json").read_text())
+    assert report["oracle_under_resolved"] is False
+
+
 def test_verify_requires_oracle(tmp_path):
     cfg = demo_config()
     del cfg["oracle"]

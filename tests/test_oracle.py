@@ -9,7 +9,7 @@ from spinrot.errors import GridMismatchError
 from spinrot.invariant import integrate_auxiliary, solve_precession_lambda
 from spinrot.oracle import METHOD_EXPONENTIAL, METHOD_RK4, fidelity, propagate
 from spinrot.phases import accumulate_phases, lr_states
-from spinrot.spin_algebra import basis_state, rotation_from_angles
+from spinrot.spin_algebra import basis_state, rotation_from_angles, spin_rotation_propagators
 from spinrot.trajectory import OmegaTrajectory
 
 
@@ -104,7 +104,7 @@ def _phase_mismatch(oracle_step: float) -> float:
     states = lr_states(sol, hist)
     n = sol.n_samples - 1
     thin = max(1, round(sol.step / oracle_step))
-    run = propagate(traj, states[0], t_end, t_end / (n * thin)).thin(thin)
+    run = propagate(traj, states[0], t_end, t_end / (n * thin), thin=thin)
     _, phase = fidelity(run, sol.t, states)
     return float(np.abs(phase).max())
 
@@ -128,7 +128,7 @@ def test_oracle_validates_particular_solution():
         states = lr_states(sol, hist)
         psi0 = rotation_from_angles(lam, 0.0) @ basis_state(sigma)
         n = sol.n_samples - 1
-        run = propagate(traj, psi0, t_end, t_end / (n * 4)).thin(4)
+        run = propagate(traj, psi0, t_end, t_end / (n * 4), thin=4)
         fid, phase = fidelity(run, sol.t, states)
         assert fid.min() >= 1.0 - 1e-8
         assert np.abs(phase).max() < 1e-6
@@ -136,10 +136,92 @@ def test_oracle_validates_particular_solution():
 
 def test_thin_validation():
     traj = OmegaTrajectory.static(0.5, 1.0)
-    run = propagate(traj, basis_state(0.5), 1.0, 0.1)  # 10 steps
-    assert run.thin(5).t.size == 3
+    # 10 steps
+    assert propagate(traj, basis_state(0.5), 1.0, 0.1, thin=5).t.size == 3
     with pytest.raises(ValueError):
-        run.thin(3)
+        propagate(traj, basis_state(0.5), 1.0, 0.1, thin=3)
+    with pytest.raises(ValueError):
+        propagate(traj, basis_state(0.5), 1.0, 0.1, thin=0)
+
+
+def _reference_propagate(traj, psi0, t_end, step, method, t0):
+    """Per-state loop storing every step: a copy of the unstacked propagator."""
+    if t_end == t0:
+        return np.array([t0]), np.asarray(psi0, dtype=complex)[None, :].copy(), 0.0
+    n = max(1, round(abs(t_end - t0) / step))
+    t = np.linspace(t0, t_end, n + 1)
+    h = (t_end - t0) / n
+    states = np.empty((n + 1, 2), dtype=complex)
+    cp, cm = complex(psi0[0]), complex(psi0[1])
+    states[0, 0], states[0, 1] = cp, cm
+    if method == METHOD_EXPONENTIAL:
+        u = spin_rotation_propagators(traj.omega(t[:-1] + 0.5 * h), h)
+        gram = np.einsum("nji,njk->nik", u.conj(), u)
+        gram[:, 0, 0] -= 1.0
+        gram[:, 1, 1] -= 1.0
+        defect = float(np.sqrt((np.abs(gram) ** 2).sum(axis=(1, 2))).max())
+        u00, u01 = u[:, 0, 0].tolist(), u[:, 0, 1].tolist()
+        u10, u11 = u[:, 1, 0].tolist(), u[:, 1, 1].tolist()
+        for k in range(n):
+            cp, cm = u00[k] * cp + u01[k] * cm, u10[k] * cp + u11[k] * cm
+            states[k + 1, 0], states[k + 1, 1] = cp, cm
+        return t, states, defect
+
+    def rhs(tk, cp, cm):
+        wx, wy, wz = traj.omega(tk)
+        a = 0.5 * (wx - 1j * wy)
+        return (-1j * (0.5 * wz * cp + a * cm),
+                -1j * (a.conjugate() * cp - 0.5 * wz * cm))
+
+    drift = 0.0
+    for k in range(n):
+        tk = t[k]
+        k1p, k1m = rhs(tk, cp, cm)
+        k2p, k2m = rhs(tk + 0.5 * h, cp + 0.5 * h * k1p, cm + 0.5 * h * k1m)
+        k3p, k3m = rhs(tk + 0.5 * h, cp + 0.5 * h * k2p, cm + 0.5 * h * k2m)
+        k4p, k4m = rhs(tk + h, cp + h * k3p, cm + h * k3m)
+        cp = cp + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        cm = cm + (h / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
+        states[k + 1] = (cp, cm)
+        drift = max(drift, abs(math.sqrt(abs(cp) ** 2 + abs(cm) ** 2) - 1.0))
+    return t, states, drift
+
+
+_STACK = np.stack([rotation_from_angles(0.7, 0.3) @ basis_state(0.5),
+                   rotation_from_angles(0.7, 0.3) @ basis_state(-0.5),
+                   np.array([0.6, 0.8j])])
+
+
+@pytest.mark.parametrize("method", [METHOD_EXPONENTIAL, METHOD_RK4])
+@pytest.mark.parametrize("t0,t_end", [(0.0, 4.0), (4.0, 0.0), (1.5, 1.5)])
+@pytest.mark.parametrize("thin", [1, 4])
+@pytest.mark.parametrize("m", [1, 3])
+def test_stacked_equals_single_state_runs(method, t0, t_end, thin, m):
+    traj = OmegaTrajectory.constant_precession(1.0, 0.5, 1.0)
+    stack = _STACK[:m]
+    run = propagate(traj, stack, t_end, 0.01, method=method, t0=t0, thin=thin)
+    assert run.states.shape == (run.t.size, m, 2)
+    assert run.unitarity_defect.shape == (m,)
+    for j, member in enumerate(run.unstack()):
+        single = propagate(traj, stack[j], t_end, 0.01, method=method, t0=t0, thin=thin)
+        assert np.array_equal(single.t, run.t)
+        assert np.array_equal(single.states, run.states[:, j])
+        assert np.array_equal(single.unitarity_defect, run.unitarity_defect[j])
+        assert single.step == run.step
+        assert np.array_equal(member.states, single.states)
+        assert member.unitarity_defect == single.unitarity_defect
+        # and the single-state run is the every-step loop, thinned
+        t, states, defect = _reference_propagate(traj, stack[j], t_end, 0.01, method, t0)
+        assert np.array_equal(single.t, t[::thin])
+        assert np.array_equal(single.states, states[::thin])
+        assert single.unitarity_defect == defect
+
+
+def test_stack_shape_validation():
+    traj = OmegaTrajectory.static(1.0, 1.0)
+    for bad in (np.ones((2, 3)), np.ones((0, 2)), np.ones((1, 2, 2)), np.array(1.0)):
+        with pytest.raises(ValueError):
+            propagate(traj, bad, 1.0, 0.01)
 
 
 def test_csv_emission(tmp_path):
@@ -152,3 +234,6 @@ def test_csv_emission(tmp_path):
     assert lines[0] == "# config_sha256=abc"
     assert lines[1] == "t,re_plus,im_plus,re_minus,im_minus,fidelity,overlap_phase"
     assert len(lines) == 2 + run.t.size
+    stacked = propagate(traj, np.stack([basis_state(0.5), basis_state(-0.5)]), 1.0, 0.1)
+    with pytest.raises(ValueError, match="unstack"):
+        stacked.to_csv(tmp_path / "stacked.csv")

@@ -87,7 +87,7 @@ def test_total_phase_matches_oracle_reconstruction():
     for sigma in (0.5, -0.5):
         hists[sigma] = accumulate_phases(sol, traj, sigma)
         psi0 = rotation_from_angles(1.1, 0.0) @ basis_state(sigma)
-        run = propagate(traj, psi0, t_end, t_end / (n * 4)).thin(4)
+        run = propagate(traj, psi0, t_end, t_end / (n * 4), thin=4)
         # <sigma| V^dag(t) psi(t)> = e^{-i phi_sigma(t)}
         from spinrot.spin_algebra import rotation_stack
         v = rotation_stack(sol.lam, sol.gamma)
@@ -278,7 +278,7 @@ def test_amplitude_with_oracle_extracted_phases():
     oracle_hists = []
     for sigma, col in ((0.5, 0), (-0.5, 1)):
         psi0 = v[0] @ basis_state(sigma)
-        run = propagate(traj, psi0, t_end, t_end / (n * 8)).thin(8)
+        run = propagate(traj, psi0, t_end, t_end / (n * 8), thin=8)
         amp = np.sum(np.conj(v[:, :, col]) * run.states, axis=1)
         phases = -np.unwrap(np.angle(amp))
         oracle_hists.append(PhaseHistory(sigma, sol.t, phases, np.zeros_like(phases)))
