@@ -9,40 +9,35 @@ estimates.
 """
 
 from .constants import HBAR_EV_S
-from .errors import (ConfigError, DerivativeError, GridMismatchError,
-                     NoSolutionError, OutOfDomainError, SingularityError,
-                     SpinRotError)
-from .invariant import (AuxiliarySolution, InvariantParams, integrate_auxiliary,
-                        invariant_matrix, lvn_residual, lvn_residual_series,
-                        solve_precession_lambda, transform_V)
+from .errors import (ConfigError, GridMismatchError, NoSolutionError,
+                     OutOfDomainError, SingularityError, SpinRotError)
+from .invariant import (AuxiliarySolution, integrate_auxiliary, lvn_residual_samples,
+                        lvn_residual_series, solve_precession_lambda)
 from .oracle import PropagatorRun, fidelity, propagate
 from .phases import (PhaseHistory, PhaseRecord, accumulate_phases,
-                     assemble_state, berry_limit_check, dynamical_phase,
-                     geometric_phase, lr_states)
+                     berry_limit_check, dynamical_phase, geometric_phase,
+                     lr_states)
 from .scenario import (MoleculeModel, RotationRegime, c60_model,
                        free_rotation_correlation_time, precession_from_torque,
                        regime_presets)
 from .spectroscopy import (EnergyLevel, PerturbationModel, SpectralLine,
                            line_table, resonance_scan, spectral_shift,
                            total_phase, transition_amplitude)
-from .spin_algebra import (SIGMA_DOWN, SIGMA_UP, build_spin_operators,
-                           exp_su2)
-from .trajectory import OmegaTrajectory, effective_field, omega_at
+from .spin_algebra import SIGMA_DOWN, SIGMA_UP, exp_su2
+from .trajectory import OmegaTrajectory
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuxiliarySolution", "ConfigError", "DerivativeError", "EnergyLevel",
-    "GridMismatchError", "HBAR_EV_S", "InvariantParams", "MoleculeModel",
-    "NoSolutionError", "OmegaTrajectory", "OutOfDomainError",
-    "PerturbationModel", "PhaseHistory", "PhaseRecord", "PropagatorRun",
-    "RotationRegime", "SIGMA_DOWN", "SIGMA_UP", "SingularityError",
-    "SpectralLine", "SpinRotError", "accumulate_phases", "assemble_state",
-    "berry_limit_check", "build_spin_operators", "c60_model",
-    "dynamical_phase", "effective_field", "exp_su2", "fidelity",
+    "AuxiliarySolution", "ConfigError", "EnergyLevel", "GridMismatchError",
+    "HBAR_EV_S", "MoleculeModel", "NoSolutionError", "OmegaTrajectory",
+    "OutOfDomainError", "PerturbationModel", "PhaseHistory", "PhaseRecord",
+    "PropagatorRun", "RotationRegime", "SIGMA_DOWN", "SIGMA_UP",
+    "SingularityError", "SpectralLine", "SpinRotError", "accumulate_phases",
+    "berry_limit_check", "c60_model", "dynamical_phase", "exp_su2", "fidelity",
     "free_rotation_correlation_time", "geometric_phase", "integrate_auxiliary",
-    "invariant_matrix", "line_table", "lr_states", "lvn_residual",
-    "lvn_residual_series", "omega_at", "precession_from_torque", "propagate",
-    "regime_presets", "resonance_scan", "solve_precession_lambda",
-    "spectral_shift", "total_phase", "transform_V", "transition_amplitude",
+    "line_table", "lr_states", "lvn_residual_samples", "lvn_residual_series",
+    "precession_from_torque", "propagate", "regime_presets", "resonance_scan",
+    "solve_precession_lambda", "spectral_shift", "total_phase",
+    "transition_amplitude",
 ]

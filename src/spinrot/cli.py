@@ -19,10 +19,10 @@ import numpy as np
 
 from . import scenario as scenario_mod
 from .config import (RunConfig, apply_overrides, config_sha256,
-                     load_json_config, resolve_run_config,
+                     load_json_config, resolve_run_config, set_path,
                      validate_run_config)
-from .errors import (ConfigError, DerivativeError, NoSolutionError,
-                     OutOfDomainError, SingularityError, SpinRotError)
+from .errors import (ConfigError, NoSolutionError, OutOfDomainError,
+                     SingularityError, SpinRotError)
 from .invariant import integrate_auxiliary, lvn_residual_samples, lvn_residual_series
 from .io_utils import write_csv, write_json
 from .oracle import fidelity, propagate, under_resolved
@@ -35,7 +35,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
 
-_NUMERIC_ERRORS = (SingularityError, NoSolutionError, OutOfDomainError, DerivativeError)
+_NUMERIC_ERRORS = (SingularityError, NoSolutionError, OutOfDomainError)
 
 
 def _sigma_tag(sigma: float) -> str:
@@ -219,6 +219,8 @@ def _validate_sweep_spec(spec: dict) -> dict:
     for d in dims:
         if not isinstance(d, dict) or set(d) != {"path", "values"}:
             raise ConfigError("sweep entries must be {path, values}")
+        if not isinstance(d["path"], str):
+            raise ConfigError(f"sweep path {d['path']!r} must be a string")
         if not isinstance(d["values"], list):
             raise ConfigError(f"sweep values for {d.get('path')!r} must be a list")
     sigma = spec.get("sigma", 0.5)
@@ -247,11 +249,7 @@ def _sweep_point(payload: tuple) -> dict:
     try:
         data = json.loads(json.dumps(base_data))
         for path, value in assignments:
-            node = data
-            keys = path.split(".")
-            for k in keys[:-1]:
-                node = node.setdefault(k, {})
-            node[keys[-1]] = value
+            set_path(data, path, value, f"sweep path {path!r}")
         cfg = resolve_run_config(data, base_dir)
         result = run_pipeline(cfg)
         residual = float(lvn_residual_samples(result["sol"]).max())
@@ -279,7 +277,7 @@ def _sweep_point(payload: tuple) -> dict:
         row["status"], row["error"] = "singularity", str(exc)
     except ConfigError as exc:
         row["status"], row["error"] = "config-invalid", str(exc)
-    except (OutOfDomainError, DerivativeError, ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         row["status"], row["error"] = "error", str(exc)
     return row
 

@@ -272,17 +272,22 @@ def apply_overrides(data: dict, assignments: list[str]) -> dict:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key.path=value")
         path, _, raw = item.partition("=")
-        keys = [k for k in path.strip().split(".") if k]
-        if not keys:
-            raise ConfigError(f"override {item!r} has an empty key path")
         try:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw  # bare strings allowed
-        node = out
-        for k in keys[:-1]:
-            node = node.setdefault(k, {})
-            if not isinstance(node, dict):
-                raise ConfigError(f"override {item!r} descends into a non-object")
-        node[keys[-1]] = value
+        set_path(out, path, value, f"override {item!r}")
     return out
+
+
+def set_path(data: dict, path: str, value, what: str) -> None:
+    """Set the dotted `path` of data to value, creating missing objects; errors name `what`."""
+    keys = [k for k in path.strip().split(".") if k]
+    if not keys:
+        raise ConfigError(f"{what} has an empty key path")
+    node = data
+    for k in keys[:-1]:
+        node = node.setdefault(k, {})
+        if not isinstance(node, dict):
+            raise ConfigError(f"{what} descends into a non-object")
+    node[keys[-1]] = value

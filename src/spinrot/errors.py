@@ -13,10 +13,6 @@ class OutOfDomainError(SpinRotError, ValueError):
     """Sample time outside a tabulated trajectory's domain."""
 
 
-class DerivativeError(SpinRotError, ArithmeticError):
-    """Numeric differentiation failed (non-finite stencil value)."""
-
-
 class SingularityError(SpinRotError, ArithmeticError):
     """Invariant angle hit the cot(lambda) guard during integration."""
 

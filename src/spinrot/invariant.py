@@ -34,23 +34,12 @@ import numpy as np
 
 from .errors import NoSolutionError, SingularityError
 from .io_utils import write_csv
-from .spin_algebra import hamiltonian, rotation_from_angles
-from .trajectory import OmegaTrajectory
+from .trajectory import OmegaTrajectory, omega_from_angles
 
 EPS_LAMBDA = 1e-6  # guard band (rad) around the cot(lambda) singularities
 
 _MAX_SAMPLES = 4_000_000
 _BLOCK = 512  # RK4 steps whose drive samples come from one vectorized call
-
-
-@dataclass(frozen=True)
-class InvariantParams:
-    """Invariant angles and their rates at one instant."""
-
-    lam: float
-    gamma: float
-    lam_dot: float
-    gamma_dot: float
 
 
 @dataclass
@@ -63,6 +52,8 @@ class AuxiliarySolution:
     gamma: np.ndarray
     lam_dot: np.ndarray
     gamma_dot: np.ndarray
+    theta: np.ndarray  # the drive's angles on the grid, sampled once by the integrator
+    phi: np.ndarray
     step: float
     adaptive: bool = False
     n_halvings: int = 0
@@ -73,12 +64,6 @@ class AuxiliarySolution:
     @property
     def n_samples(self) -> int:
         return int(self.t.size)
-
-    def params_at(self, i: int) -> InvariantParams:
-        return InvariantParams(
-            float(self.lam[i]), float(self.gamma[i]),
-            float(self.lam_dot[i]), float(self.gamma_dot[i]),
-        )
 
     def to_csv(self, path, comments: list[str] | None = None,
                residual: np.ndarray | None = None) -> None:
@@ -96,26 +81,11 @@ def _guard_error(lam: float, eps_lambda: float, t: float) -> SingularityError:
         f"(eps = {eps_lambda:g}) at t = {t:.12g}", time=t)
 
 
-def auxiliary_rhs(traj: OmegaTrajectory, t: float, lam: float, gamma: float,
-                  eps_lambda: float = EPS_LAMBDA) -> tuple[float, float]:
-    """Right-hand side (dlam/dt, dgamma/dt); raises inside the guard band."""
-    if not (eps_lambda < lam < math.pi - eps_lambda):
-        raise _guard_error(lam, eps_lambda, t)
-    th, ph = traj.angles_scalar(t)
-    w0 = traj.omega0
-    s_th = math.sin(th)
-    d = ph - gamma
-    lam_dot = w0 * s_th * math.sin(d)
-    gamma_dot = w0 * (math.cos(th) - s_th * math.cos(d) * math.cos(lam) / math.sin(lam))
-    return lam_dot, gamma_dot
-
-
 def _rk4_step(t, lam, gam, h, a, b, c, w0, eps):
     """One RK4 step from (lam, gam) at t.
 
-    a, b, c are the drive's (sin th, cos th, ph) at t, t + h/2 and t + h;
-    the right-hand side is auxiliary_rhs written out, with the same
-    guard on every stage's lambda.
+    a, b, c are the drive's (sin th, cos th, ph) at t, t + h/2 and t + h.
+    Every stage's lambda must sit inside the cot guard band.
     """
     hi = math.pi - eps
     if not eps < lam < hi:
@@ -187,8 +157,9 @@ def integrate_auxiliary(traj: OmegaTrajectory, lambda0: float, gamma0: float,
     loop does only the (lambda, gamma) arithmetic on Python floats. The
     cot guard still applies to every stage's lambda and to every accepted
     sample. A tabulated drive checks its domain once, on [t0, t_end],
-    before the first step. The stored rates come from one vectorized
-    evaluation of the right-hand side over the grid.
+    before the first step. One more vectorized call samples the drive on
+    the output grid; those angles are kept on the solution, and the stored
+    rates are the right-hand side evaluated on them.
 
     Raises
     ------
@@ -205,23 +176,16 @@ def integrate_auxiliary(traj: OmegaTrajectory, lambda0: float, gamma0: float,
         raise ValueError(
             f"lambda0 = {lambda0!r} outside the integrable band "
             f"({eps_lambda:g}, pi - {eps_lambda:g})")
-    if t_end == t0:
-        ld, gd = auxiliary_rhs(traj, t0, lambda0, gamma0, eps_lambda)
-        return AuxiliarySolution(
-            traj, np.array([t0]), np.array([lambda0]), np.array([gamma0]),
-            np.array([ld]), np.array([gd]), step=step, adaptive=adaptive,
-            eps_lambda=eps_lambda)
-
     w0 = traj.omega0
     tol = error_rate_tol if error_rate_tol is not None else 1e-9 * w0
     traj.angles(np.array([t0, t_end]))  # a tabulated drive checks its domain here, once
-    n = max(1, round(abs(t_end - t0) / step))
+    n = 0 if t_end == t0 else max(1, round(abs(t_end - t0) / step))
     halvings = 0
     while True:
         if n + 1 > _MAX_SAMPLES:
             raise ValueError(f"step halving exceeded {_MAX_SAMPLES} samples")
         t = np.linspace(t0, t_end, n + 1)
-        h = (t_end - t0) / n
+        h = (t_end - t0) / n if n else step
         lam = array("d", [lambda0])
         gam = array("d", [gamma0])
         lk, gk = lambda0, gamma0
@@ -269,7 +233,7 @@ def integrate_auxiliary(traj: OmegaTrajectory, lambda0: float, gamma0: float,
     lam_dot = w0 * s_th * np.sin(d)
     gam_dot = w0 * (np.cos(th) - s_th * np.cos(d) * np.cos(lam) / np.sin(lam))
     return AuxiliarySolution(
-        traj, t, lam, gam, lam_dot, gam_dot, step=h, adaptive=adaptive,
+        traj, t, lam, gam, lam_dot, gam_dot, th, ph, step=h, adaptive=adaptive,
         n_halvings=halvings, eps_lambda=eps_lambda, max_error_rate=worst_rate,
         meta=meta)
 
@@ -301,39 +265,6 @@ def solve_precession_lambda(omega0: float, Omega: float, theta: float) -> float:
     return lam
 
 
-def invariant_matrix(lam: float, gamma: float) -> np.ndarray:
-    """I(lam, gamma); Hermitian with eigenvalues exactly +-1/2."""
-    c, s = math.cos(lam), math.sin(lam)
-    e = complex(math.cos(gamma), -math.sin(gamma))  # e^{-i gamma}
-    return np.array([[0.5 * c, 0.5 * s * e], [0.5 * s * e.conjugate(), -0.5 * c]])
-
-
-def transform_V(lam: float, gamma: float) -> np.ndarray:
-    """Diagonalizing rotation: V^dag I(lam, gamma) V = S3."""
-    return rotation_from_angles(lam, gamma)
-
-
-def d_invariant_dt(p: InvariantParams) -> np.ndarray:
-    """Analytic dI/dt from the stored angle rates."""
-    c, s = math.cos(p.lam), math.sin(p.lam)
-    e = complex(math.cos(p.gamma), -math.sin(p.gamma))
-    off = 0.5 * (c * p.lam_dot - 1j * s * p.gamma_dot) * e
-    return np.array([[-0.5 * s * p.lam_dot, off], [off.conjugate(), 0.5 * s * p.lam_dot]])
-
-
-def lvn_residual(p: InvariantParams, traj: OmegaTrajectory, t: float) -> float:
-    """Frobenius norm of dI/dt - i [I, H(t)], in rad/s.
-
-    Vanishes (to rounding) whenever p's rates equal the ODE right-hand
-    side at (p.lam, p.gamma); a nonzero value flags rates inconsistent
-    with the invariant condition.
-    """
-    im = invariant_matrix(p.lam, p.gamma)
-    h = hamiltonian(traj.omega(t))
-    r = d_invariant_dt(p) - 1j * (im @ h - h @ im)
-    return float(np.linalg.norm(r))
-
-
 def _residual_norms(lam, gamma, lam_dot, gamma_dot, omegas) -> np.ndarray:
     """Vectorized |dI/dt - i[I, H]|_F over stacked samples."""
     lam = np.asarray(lam)
@@ -360,10 +291,13 @@ def _residual_norms(lam, gamma, lam_dot, gamma_dot, omegas) -> np.ndarray:
     return np.sqrt(np.sum(np.abs(r) ** 2, axis=(1, 2)))
 
 
+def _grid_omega(sol: AuxiliarySolution) -> np.ndarray:
+    return omega_from_angles(sol.traj.omega0, sol.theta, sol.phi)
+
+
 def lvn_residual_samples(sol: AuxiliarySolution) -> np.ndarray:
     """Residual at every sample using the stored (RHS-evaluated) rates."""
-    return _residual_norms(sol.lam, sol.gamma, sol.lam_dot, sol.gamma_dot,
-                           sol.traj.omega(sol.t))
+    return _residual_norms(sol.lam, sol.gamma, sol.lam_dot, sol.gamma_dot, _grid_omega(sol))
 
 
 def _fd_derivative_uniform(y: np.ndarray, h: float) -> np.ndarray:
@@ -390,4 +324,4 @@ def lvn_residual_series(sol: AuxiliarySolution) -> np.ndarray:
     """
     lam_fd = _fd_derivative_uniform(sol.lam, sol.step)
     gam_fd = _fd_derivative_uniform(sol.gamma, sol.step)
-    return _residual_norms(sol.lam, sol.gamma, lam_fd, gam_fd, sol.traj.omega(sol.t))
+    return _residual_norms(sol.lam, sol.gamma, lam_fd, gam_fd, _grid_omega(sol))

@@ -139,9 +139,10 @@ def _gram_defect(u):
 
 
 def _propagate_rk4(traj, amps, t, h, thin):
-    def field(tk):
-        wx, wy, wz = traj.omega(tk)
-        return wz, 0.5 * (wx - 1j * wy)
+    def field(times):
+        # (wz, (wx - i wy)/2) per step, as Python numbers
+        w = traj.omega(times)
+        return zip(w[:, 2].tolist(), (0.5 * (w[:, 0] - 1j * w[:, 1])).tolist())
 
     def rhs(f, cp, cm):
         # -i (w . S) psi, expanded on components
@@ -152,9 +153,10 @@ def _propagate_rk4(traj, amps, t, h, thin):
     pairs = range(0, len(amps), 2)
     drift = [0.0] * len(pairs)
     kept = [tuple(amps)]
-    for k0 in range(0, t.size - 1, thin):
-        for tk in t[k0:k0 + thin]:
-            f1, f2, f4 = field(tk), field(tk + 0.5 * h), field(tk + h)
+    tk = t[:-1]
+    stages = zip(field(tk), field(tk + 0.5 * h), field(tk + h))
+    for _ in range((t.size - 1) // thin):
+        for f1, f2, f4 in islice(stages, thin):
             for j in pairs:
                 cp, cm = amps[j], amps[j + 1]
                 k1p, k1m = rhs(f1, cp, cm)

@@ -15,7 +15,7 @@ The particular solution carrying these phases is
 
     |psi_sigma(t)> = exp(-i [phi_dyn + phi_geo]) V(t) |sigma>,
 
-assembled by `assemble_state` / `lr_states`.
+assembled on the whole grid by `lr_states`.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, cumulative_trapezoid, simpson
+from scipy.integrate import cumulative_simpson, simpson
 
 from .invariant import AuxiliarySolution
-from .spin_algebra import basis_state, rotation_from_angles, rotation_stack, validate_sigma
+from .spin_algebra import rotation_stack, validate_sigma
 from .trajectory import OmegaTrajectory
 
 
@@ -57,39 +57,32 @@ class PhaseHistory:
     def phi_total(self) -> np.ndarray:
         return self.phi_dyn + self.phi_geo
 
-    def at(self, i: int) -> PhaseRecord:
-        return PhaseRecord(self.sigma, float(self.phi_dyn[i]),
-                           float(self.phi_geo[i]), float(self.t[i]))
-
     def final(self) -> PhaseRecord:
-        return self.at(-1)
+        return PhaseRecord(self.sigma, float(self.phi_dyn[-1]),
+                           float(self.phi_geo[-1]), float(self.t[-1]))
 
 
 def _check_series(sol: AuxiliarySolution, traj: OmegaTrajectory) -> None:
     if traj is sol.traj:
         return
-    # Allow a distinct but equivalent trajectory object: same w0 and same
-    # angles at three probe times.
+    # Allow a distinct but equivalent trajectory object: same w0 and the
+    # solution's drive angles at three probe times.
     if traj.omega0 != sol.traj.omega0:
         raise ValueError("trajectory does not match the auxiliary series (omega0 differs)")
-    probes = [sol.t[0], sol.t[sol.n_samples // 2], sol.t[-1]]
-    for tp in probes:
-        a = traj.angles(float(tp))
-        b = sol.traj.angles(float(tp))
-        if abs(a[0] - b[0]) > 1e-9 or abs(a[1] - b[1]) > 1e-9:
-            raise ValueError("trajectory does not match the auxiliary series (angles differ)")
+    probes = [0, sol.n_samples // 2, -1]
+    th, ph = traj.angles(sol.t[probes])
+    if max(np.abs(th - sol.theta[probes]).max(), np.abs(ph - sol.phi[probes]).max()) > 1e-9:
+        raise ValueError("trajectory does not match the auxiliary series (angles differ)")
 
 
-def dynamical_phase(sol: AuxiliarySolution, traj: OmegaTrajectory, sigma: float) -> np.ndarray:
-    """Running dynamical phase on the solution grid."""
+def dynamical_phase(sol: AuxiliarySolution, sigma: float) -> np.ndarray:
+    """Running dynamical phase on the solution grid, from its drive samples."""
     validate_sigma(sigma)
-    _check_series(sol, traj)
     if sol.n_samples == 1:
         return np.zeros(1)
-    th, ph = traj.angles(sol.t)
-    integrand = traj.omega0 * (
-        np.cos(sol.lam) * np.cos(th)
-        + np.sin(sol.lam) * np.sin(th) * np.cos(sol.gamma - ph)
+    integrand = sol.traj.omega0 * (
+        np.cos(sol.lam) * np.cos(sol.theta)
+        + np.sin(sol.lam) * np.sin(sol.theta) * np.cos(sol.gamma - sol.phi)
     )
     return sigma * cumulative_simpson(integrand, x=sol.t, initial=0.0)
 
@@ -104,10 +97,12 @@ def geometric_phase(sol: AuxiliarySolution, sigma: float) -> np.ndarray:
 
 
 def accumulate_phases(sol: AuxiliarySolution, traj: OmegaTrajectory, sigma: float) -> PhaseHistory:
+    """Both running phases; traj must be the solution's drive or an equivalent one."""
+    _check_series(sol, traj)
     return PhaseHistory(
         sigma=validate_sigma(sigma),
         t=sol.t,
-        phi_dyn=dynamical_phase(sol, traj, sigma),
+        phi_dyn=dynamical_phase(sol, sigma),
         phi_geo=geometric_phase(sol, sigma),
     )
 
@@ -120,13 +115,6 @@ def berry_limit_check(theta: float, sigma: float) -> float:
     return 2.0 * np.pi * sigma * (1.0 - np.cos(theta))
 
 
-def assemble_state(lam: float, gamma: float, phi_total: float, sigma: float) -> np.ndarray:
-    """exp(-i phi_total) V(lam, gamma) |sigma>; unit norm by construction."""
-    validate_sigma(sigma)
-    v = rotation_from_angles(lam, gamma)
-    return np.exp(-1j * phi_total) * (v @ basis_state(sigma))
-
-
 def lr_states(sol: AuxiliarySolution, history: PhaseHistory) -> np.ndarray:
     """Particular-solution states on the solution grid, shape (N, 2)."""
     if history.t.shape != sol.t.shape or not np.array_equal(history.t, sol.t):
@@ -134,22 +122,6 @@ def lr_states(sol: AuxiliarySolution, history: PhaseHistory) -> np.ndarray:
     v = rotation_stack(sol.lam, sol.gamma)
     col = 0 if history.sigma > 0 else 1
     return np.exp(-1j * history.phi_total)[:, None] * v[:, :, col]
-
-
-def trapezoid_phase(sol: AuxiliarySolution, traj: OmegaTrajectory, sigma: float,
-                    which: str = "geo") -> np.ndarray:
-    """Trapezoid-rule counterpart of the Simpson phases (for error studies)."""
-    validate_sigma(sigma)
-    if which == "geo":
-        integrand = sol.gamma_dot * (1.0 - np.cos(sol.lam))
-    elif which == "dyn":
-        th, ph = traj.angles(sol.t)
-        integrand = traj.omega0 * (
-            np.cos(sol.lam) * np.cos(th)
-            + np.sin(sol.lam) * np.sin(th) * np.cos(sol.gamma - ph))
-    else:
-        raise ValueError(f"which must be 'geo' or 'dyn', got {which!r}")
-    return sigma * cumulative_trapezoid(integrand, x=sol.t, initial=0.0)
 
 
 def quadrature_error_estimate(y: np.ndarray, t: np.ndarray) -> float:

@@ -34,11 +34,6 @@ S_MINUS = _frozen([[0.0, 0.0], [1.0, 0.0]])
 IDENTITY2 = _frozen([[1.0, 0.0], [0.0, 1.0]])
 
 
-def build_spin_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Return writable copies of (S1, S2, S3, S+, S-)."""
-    return S1.copy(), S2.copy(), S3.copy(), S_PLUS.copy(), S_MINUS.copy()
-
-
 def validate_sigma(sigma: float) -> float:
     """Check that sigma is one of the two admitted spin projections."""
     if sigma == SIGMA_UP or sigma == SIGMA_DOWN:
@@ -93,37 +88,12 @@ def rotation_stack(lam: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     return out
 
 
-def hamiltonian(omega_vec) -> np.ndarray:
-    """Spin-rotation Hamiltonian w . S for a 3-vector w (rad/s)."""
-    wx, wy, wz = (float(x) for x in omega_vec)
-    return np.array(
-        [[0.5 * wz, 0.5 * (wx - 1j * wy)], [0.5 * (wx + 1j * wy), -0.5 * wz]]
-    )
-
-
-def spin_rotation_propagator(omega_vec, dt: float) -> np.ndarray:
-    """exp(-i (w . S) dt) in closed form.
+def spin_rotation_propagators(omegas: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-i (w . S) dt) per row of w, in closed form: (N, 3) -> (N, 2, 2).
 
     With a = |w| dt / 2 and unit direction n = w/|w|:
     U = cos(a) 1 - i sin(a) (n . sigma_pauli).
     """
-    wx, wy, wz = (float(x) for x in omega_vec)
-    wn = math.sqrt(wx * wx + wy * wy + wz * wz)
-    if wn == 0.0:
-        return IDENTITY2.copy()
-    a = 0.5 * wn * dt
-    c = math.cos(a)
-    s = math.sin(a) / wn
-    return np.array(
-        [
-            [c - 1j * s * wz, -1j * s * (wx - 1j * wy)],
-            [-1j * s * (wx + 1j * wy), c + 1j * s * wz],
-        ]
-    )
-
-
-def spin_rotation_propagators(omegas: np.ndarray, dt: float) -> np.ndarray:
-    """Vectorized spin_rotation_propagator: (N, 3) -> (N, 2, 2)."""
     omegas = np.asarray(omegas, dtype=float)
     wn = np.linalg.norm(omegas, axis=1)
     a = 0.5 * wn * dt

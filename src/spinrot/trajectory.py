@@ -25,20 +25,16 @@ import math
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import DerivativeError, OutOfDomainError
+from .errors import OutOfDomainError
 
 KIND_CONSTANT_PRECESSION = "constant_precession"
 KIND_TABULATED = "tabulated"
-KIND_CUSTOM = "custom"
-
-_REL_FD_STEP = 1e-6  # central-difference step for custom kinds without rates
 
 
 class OmegaTrajectory:
-    """Immutable w(t) history; construct via the classmethod factories."""
+    """Immutable w(t) history from four vectorized angle/rate callables; use the factories."""
 
-    def __init__(self, omega0, kind, theta_s, phi_s, theta_rate_s, phi_rate_s,
-                 theta_v=None, phi_v=None, theta_rate_v=None, phi_rate_v=None,
+    def __init__(self, omega0, kind, theta, phi, theta_rate, phi_rate,
                  t_min=-math.inf, t_max=math.inf, params=None):
         omega0 = float(omega0)
         if not math.isfinite(omega0) or omega0 < 0.0:
@@ -48,14 +44,10 @@ class OmegaTrajectory:
         self.t_min = t_min
         self.t_max = t_max
         self.params = dict(params or {})
-        self._theta_s = theta_s
-        self._phi_s = phi_s
-        self._theta_rate_s = theta_rate_s
-        self._phi_rate_s = phi_rate_s
-        self._theta_v = theta_v or (lambda t: np.array([theta_s(x) for x in t]))
-        self._phi_v = phi_v or (lambda t: np.array([phi_s(x) for x in t]))
-        self._theta_rate_v = theta_rate_v or (lambda t: np.array([theta_rate_s(x) for x in t]))
-        self._phi_rate_v = phi_rate_v or (lambda t: np.array([phi_rate_s(x) for x in t]))
+        self._theta = theta
+        self._phi = phi
+        self._theta_rate = theta_rate
+        self._phi_rate = phi_rate
 
     # -- factories ---------------------------------------------------------
 
@@ -72,14 +64,10 @@ class OmegaTrajectory:
             raise ValueError(f"theta must lie in [0, pi], got {theta}")
         return cls(
             omega0, KIND_CONSTANT_PRECESSION,
-            theta_s=lambda t: theta,
-            phi_s=lambda t: phi0 + Omega * t,
-            theta_rate_s=lambda t: 0.0,
-            phi_rate_s=lambda t: Omega,
-            theta_v=lambda t: np.full(np.shape(t), theta),
-            phi_v=lambda t: phi0 + Omega * np.asarray(t, dtype=float),
-            theta_rate_v=lambda t: np.zeros(np.shape(t)),
-            phi_rate_v=lambda t: np.full(np.shape(t), Omega),
+            theta=lambda t: np.full(np.shape(t), theta),
+            phi=lambda t: phi0 + Omega * t,
+            theta_rate=lambda t: np.zeros(np.shape(t)),
+            phi_rate=lambda t: np.full(np.shape(t), Omega),
             params={"Omega": Omega, "theta": theta, "phi0": phi0},
         )
 
@@ -87,19 +75,6 @@ class OmegaTrajectory:
     def static(cls, omega0, theta, phi=0.0):
         """Time-independent w: the Omega = 0 cone."""
         return cls.constant_precession(omega0, 0.0, theta, phi)
-
-    @classmethod
-    def custom(cls, omega0, theta_fn, phi_fn, theta_rate_fn=None, phi_rate_fn=None):
-        """Arbitrary smooth angle callables; rates fall back to central differences."""
-        theta_rate = theta_rate_fn or _fd_rate(theta_fn)
-        phi_rate = phi_rate_fn or _fd_rate(phi_fn)
-        return cls(
-            omega0, KIND_CUSTOM,
-            theta_s=lambda t: float(theta_fn(t)),
-            phi_s=lambda t: float(phi_fn(t)),
-            theta_rate_s=theta_rate,
-            phi_rate_s=phi_rate,
-        )
 
     @classmethod
     def from_table(cls, omega0, t, theta, phi):
@@ -128,14 +103,10 @@ class OmegaTrajectory:
         ph_d = ph_sp.derivative()
         return cls(
             omega0, KIND_TABULATED,
-            theta_s=lambda x: float(th_sp(x)),
-            phi_s=lambda x: float(ph_sp(x)),
-            theta_rate_s=lambda x: float(th_d(x)),
-            phi_rate_s=lambda x: float(ph_d(x)),
-            theta_v=lambda x: np.asarray(th_sp(x), dtype=float),
-            phi_v=lambda x: np.asarray(ph_sp(x), dtype=float),
-            theta_rate_v=lambda x: np.asarray(th_d(x), dtype=float),
-            phi_rate_v=lambda x: np.asarray(ph_d(x), dtype=float),
+            theta=lambda x: np.asarray(th_sp(x), dtype=float),
+            phi=lambda x: np.asarray(ph_sp(x), dtype=float),
+            theta_rate=lambda x: np.asarray(th_d(x), dtype=float),
+            phi_rate=lambda x: np.asarray(ph_d(x), dtype=float),
             t_min=float(t[0]), t_max=float(t[-1]),
             params={"n_samples": int(t.size)},
         )
@@ -157,6 +128,9 @@ class OmegaTrajectory:
                             f"{path}: expected header 't,theta,phi', got {','.join(header)}"
                         )
                     continue
+                if len(rec) < 3:
+                    raise ValueError(f"{path}: line {reader.line_num}: expected 3 fields "
+                                     f"t,theta,phi, got {len(rec)}")
                 rows.append([float(rec[0]), float(rec[1]), float(rec[2])])
         if header is None:
             raise ValueError(f"{path}: missing required header 't,theta,phi'")
@@ -167,73 +141,42 @@ class OmegaTrajectory:
 
     # -- evaluation --------------------------------------------------------
 
-    def _check_time(self, t):
-        span = self.t_max - self.t_min
-        slack = 1e-9 * span if math.isfinite(span) else 0.0
+    def _check_time(self, t: np.ndarray) -> None:
+        slack = 1e-9 * (self.t_max - self.t_min)
         tmin, tmax = self.t_min - slack, self.t_max + slack
-        bad = None
-        if np.ndim(t) == 0:
-            if not (tmin <= t <= tmax):
-                bad = float(t)
-        else:
-            t = np.asarray(t)
-            if t.size and (t.min() < tmin or t.max() > tmax):
-                bad = float(t.min() if t.min() < tmin else t.max())
-        if bad is not None:
+        if t.size and (t.min() < tmin or t.max() > tmax):
+            bad = float(t.min() if t.min() < tmin else t.max())
             raise OutOfDomainError(
                 f"t={bad} outside tabulated domain [{self.t_min}, {self.t_max}]"
             )
 
-    def angles_scalar(self, t: float) -> tuple[float, float]:
-        """(theta, phi) at one time, as plain floats (hot path)."""
-        if self.kind == KIND_TABULATED:
-            self._check_time(t)
-        return self._theta_s(t), self._phi_s(t)
-
-    def angle_rates_scalar(self, t: float) -> tuple[float, float]:
-        if self.kind == KIND_TABULATED:
-            self._check_time(t)
-        return self._theta_rate_s(t), self._phi_rate_s(t)
-
     def angles(self, t):
         """(theta, phi) at scalar or array t."""
-        if np.ndim(t) == 0:
-            return self.angles_scalar(float(t))
+        t = np.asarray(t, dtype=float)
         if self.kind == KIND_TABULATED:
             self._check_time(t)
-        t = np.asarray(t, dtype=float)
-        return self._theta_v(t), self._phi_v(t)
+        return self._theta(t), self._phi(t)
+
+    def angles_scalar(self, t: float) -> tuple[float, float]:
+        """(theta, phi) at one time, as plain floats."""
+        th, ph = self.angles(t)
+        return float(th), float(ph)
 
     def angle_rates(self, t):
         """(dtheta/dt, dphi/dt) at scalar or array t."""
-        if np.ndim(t) == 0:
-            return self.angle_rates_scalar(float(t))
+        t = np.asarray(t, dtype=float)
         if self.kind == KIND_TABULATED:
             self._check_time(t)
-        t = np.asarray(t, dtype=float)
-        return self._theta_rate_v(t), self._phi_rate_v(t)
+        return self._theta_rate(t), self._phi_rate(t)
 
     def omega(self, t):
         """w(t); shape (3,) for scalar t, (N, 3) for array t."""
-        th, ph = self.angles(t)
-        if np.ndim(t) == 0:
-            s = math.sin(th)
-            return self.omega0 * np.array([s * math.cos(ph), s * math.sin(ph), math.cos(th)])
-        s = np.sin(th)
-        return self.omega0 * np.stack([s * np.cos(ph), s * np.sin(ph), np.cos(th)], axis=-1)
+        return omega_from_angles(self.omega0, *self.angles(t))
 
     def omega_dot(self, t):
         """dw/dt via the chain rule on the angle rates."""
         th, ph = self.angles(t)
         thd, phd = self.angle_rates(t)
-        if np.ndim(t) == 0:
-            st, ct = math.sin(th), math.cos(th)
-            sp, cp = math.sin(ph), math.cos(ph)
-            return self.omega0 * np.array(
-                [thd * ct * cp - phd * st * sp,
-                 thd * ct * sp + phd * st * cp,
-                 -thd * st]
-            )
         st, ct = np.sin(th), np.cos(th)
         sp, cp = np.sin(ph), np.cos(ph)
         return self.omega0 * np.stack(
@@ -251,14 +194,11 @@ class OmegaTrajectory:
             th = self.params["theta"]
             ph = self.params["phi0"] + Om * np.asarray(t, dtype=float)
             st, ct = math.sin(th), math.cos(th)
-            b = Om * st * np.stack(
+            return Om * st * np.stack(
                 [-ct * np.cos(ph), -ct * np.sin(ph), np.full(np.shape(t), st)], axis=-1)
-            return b if np.ndim(t) else b.reshape(3)
         if self.omega0 == 0.0:
-            return np.zeros(3) if np.ndim(t) == 0 else np.zeros(np.shape(t) + (3,))
-        w = self.omega(t)
-        wd = self.omega_dot(t)
-        return np.cross(w, wd) / self.omega0**2
+            return np.zeros(np.shape(t) + (3,))
+        return np.cross(self.omega(t), self.omega_dot(t)) / self.omega0**2
 
     def period(self) -> float | None:
         """Precession period 2pi/|Omega|, when defined."""
@@ -267,22 +207,7 @@ class OmegaTrajectory:
         return None
 
 
-def _fd_rate(fn):
-    def rate(t: float) -> float:
-        h = _REL_FD_STEP * max(1.0, abs(t))
-        v = (fn(t + h) - fn(t - h)) / (2.0 * h)
-        if not math.isfinite(v):
-            raise DerivativeError(f"central difference of {fn!r} non-finite at t={t}")
-        return float(v)
-
-    return rate
-
-
-def omega_at(traj: OmegaTrajectory, t):
-    """Module-level alias for OmegaTrajectory.omega."""
-    return traj.omega(t)
-
-
-def effective_field(traj: OmegaTrajectory, t):
-    """Module-level alias for OmegaTrajectory.effective_field."""
-    return traj.effective_field(t)
+def omega_from_angles(omega0: float, th, ph) -> np.ndarray:
+    """w0 (sin th cos ph, sin th sin ph, cos th), stacked on a last axis of 3."""
+    s = np.sin(th)
+    return omega0 * np.stack([s * np.cos(ph), s * np.sin(ph), np.cos(th)], axis=-1)

@@ -63,7 +63,7 @@ def test_criterion_2_phase_rates():
         traj, lam_star, sol = _locked_run(periods=2.0)
         t_end = float(sol.t[-1])
         for sigma in (0.5, -0.5):
-            d_rate = dynamical_phase(sol, traj, sigma)[-1] / t_end
+            d_rate = dynamical_phase(sol, sigma)[-1] / t_end
             g_rate = geometric_phase(sol, sigma)[-1] / t_end
             assert d_rate == pytest.approx(
                 sigma * W0 * math.cos(lam_star - TH), rel=1e-9)
@@ -241,12 +241,14 @@ def test_criterion_8_randomized_properties():
             s1 = AuxiliarySolution(
                 traj=traj, t=t1, lam=lam_path(t1 / T), gamma=gam_path(t1 / T),
                 lam_dot=np.gradient(lam_path(t1 / T), t1),
-                gamma_dot=gam_rate(t1 / T) / T, step=float(t1[1] - t1[0]))
+                gamma_dot=gam_rate(t1 / T) / T, theta=np.full_like(t1, 1.0),
+                phi=np.zeros_like(t1), step=float(t1[1] - t1[0]))
             t2 = np.linspace(0.0, T / 2.0, 1501)
             s2 = AuxiliarySolution(
                 traj=traj, t=t2, lam=lam_path(2.0 * t2 / T), gamma=gam_path(2.0 * t2 / T),
                 lam_dot=np.gradient(lam_path(2.0 * t2 / T), t2),
-                gamma_dot=gam_rate(2.0 * t2 / T) * 2.0 / T, step=float(t2[1] - t2[0]))
+                gamma_dot=gam_rate(2.0 * t2 / T) * 2.0 / T, theta=np.full_like(t2, 1.0),
+                phi=np.zeros_like(t2), step=float(t2[1] - t2[0]))
             g1 = geometric_phase(s1, 0.5)[-1]
             g2 = geometric_phase(s2, 0.5)[-1]
             assert abs(g1 - g2) < 1e-10

@@ -321,6 +321,19 @@ def test_simulate_reports_adaptive_diagnostics(tmp_path):
     assert summary["error_rate_tol_exceeded"] is False
 
 
+def test_simulate_short_csv_row_exit_code(tmp_path, capsys):
+    path = _tabulated_config(tmp_path, step=0.01, t_end=5.0)
+    table = tmp_path / "traj.csv"
+    lines = table.read_text().splitlines()
+    lines[4] = "3.0,1.1"  # a row of two fields, file line 5
+    table.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--output-dir", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "line 5: expected 3 fields" in err
+    assert not out.exists()
+
+
 def test_simulate_past_table_end_exit_code(tmp_path, capsys):
     path = _tabulated_config(tmp_path, step=0.01, t_end=12.0)
     out = tmp_path / "out"
@@ -541,6 +554,35 @@ def test_sweep_degenerate_point_marked(tmp_path, monkeypatch):
     assert rows[1]["error"] != ""
 
 
+def test_sweep_path_into_non_object_marked(tmp_path, monkeypatch):
+    # integrator.step is a number: the point is invalid, the sweep goes on
+    monkeypatch.setenv("SPINROT_WORKERS", "1")
+    cfg = demo_config(integrator={"step": 0.05, "periods": 0.5})
+    del cfg["oracle"]
+    path = write_config(tmp_path, cfg)
+    sweep = {"sweep": [{"path": "trajectory.Omega", "values": [0.2, 0.3]},
+                       {"path": "integrator.step.x", "values": [1]}]}
+    spath = tmp_path / "sweep.json"
+    spath.write_text(json.dumps(sweep))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", path, "--sweep", str(spath),
+                 "--output-dir", str(out)]) == 0
+    rows = read_csv_rows(out / "demo_sweep.csv")
+    assert [r["status"] for r in rows] == ["config-invalid", "config-invalid"]
+    assert all("'integrator.step.x' descends into a non-object" in r["error"] for r in rows)
+    with pytest.raises(ConfigError, match="descends into a non-object"):
+        apply_overrides(cfg, ["integrator.step.x=1"])
+
+
+def test_sweep_non_string_path_rejected(tmp_path, capsys):
+    path = write_config(tmp_path, demo_config(integrator={"step": 0.05, "periods": 0.5}))
+    spath = tmp_path / "sweep.json"
+    spath.write_text(json.dumps({"sweep": [{"path": 3, "values": [1]}]}))
+    assert main(["sweep", "--config", path, "--sweep", str(spath),
+                 "--output-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "must be a string" in capsys.readouterr().err
+
+
 def test_sweep_empty_grid(tmp_path):
     path = write_config(tmp_path, demo_config(integrator={"step": 0.05, "periods": 0.5}))
     spath = tmp_path / "sweep.json"
@@ -612,6 +654,12 @@ def test_console_entry_point(tmp_path):
     proc = _run_module_cli("simulate", "--config", bad, "--output-dir", str(out))
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     assert "config error" in proc.stderr
+
+
+def test_every_export_resolves():
+    assert len(set(spinrot.__all__)) == len(spinrot.__all__)
+    missing = [name for name in spinrot.__all__ if not hasattr(spinrot, name)]
+    assert missing == []
 
 
 def test_console_script_declared():

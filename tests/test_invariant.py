@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drives import spline_drive
 from spinrot.errors import NoSolutionError, OutOfDomainError, SingularityError
-from spinrot.invariant import (EPS_LAMBDA, InvariantParams, auxiliary_rhs, integrate_auxiliary,
-                               invariant_matrix, lvn_residual,
+from spinrot.invariant import (EPS_LAMBDA, AuxiliarySolution, integrate_auxiliary,
                                lvn_residual_samples, lvn_residual_series,
-                               solve_precession_lambda, transform_V)
-from spinrot.spin_algebra import S1, S3
+                               solve_precession_lambda)
+from spinrot.spin_algebra import S1, S3, rotation_from_angles
 from spinrot.trajectory import OmegaTrajectory
 
 W0, OM, TH = 1.0, 0.5, math.pi / 3.0  # reference precession case; lam* = pi/2
@@ -20,6 +20,36 @@ W0, OM, TH = 1.0, 0.5, math.pi / 3.0  # reference precession case; lam* = pi/2
 
 def _precession(w0=W0, Om=OM, th=TH):
     return OmegaTrajectory.constant_precession(w0, Om, th)
+
+
+# -- test-local references ------------------------------------------------------
+
+def invariant_matrix(lam, gamma):
+    """I(lam, gamma) = (1/2) sin(lam) (e^{-i gamma} S+ + e^{i gamma} S-) + cos(lam) S3."""
+    c, s = math.cos(lam), math.sin(lam)
+    e = complex(math.cos(gamma), -math.sin(gamma))  # e^{-i gamma}
+    return np.array([[0.5 * c, 0.5 * s * e], [0.5 * s * e.conjugate(), -0.5 * c]])
+
+
+def auxiliary_rhs(traj, t, lam, gamma, eps_lambda=EPS_LAMBDA):
+    """Scalar (dlam/dt, dgamma/dt) with the drive sampled at t; fails inside the guard band."""
+    assert eps_lambda < lam < math.pi - eps_lambda
+    th, ph = traj.angles_scalar(t)
+    w0 = traj.omega0
+    s_th = math.sin(th)
+    d = ph - gamma
+    lam_dot = w0 * s_th * math.sin(d)
+    gamma_dot = w0 * (math.cos(th) - s_th * math.cos(d) * math.cos(lam) / math.sin(lam))
+    return lam_dot, gamma_dot
+
+
+def _residual(traj, t, lam, gamma, lam_dot, gamma_dot):
+    """The library's vectorized LvN residual at given angles and rates."""
+    t, lam, gamma, lam_dot, gamma_dot = (np.atleast_1d(np.asarray(x, dtype=float))
+                                         for x in (t, lam, gamma, lam_dot, gamma_dot))
+    th, ph = traj.angles(t)
+    sol = AuxiliarySolution(traj, t, lam, gamma, lam_dot, gamma_dot, th, ph, step=1.0)
+    return lvn_residual_samples(sol)
 
 
 # -- solve_precession_lambda ---------------------------------------------------
@@ -97,19 +127,19 @@ def test_invariant_eigenvalues_are_half(lam, gam):
 
 
 def test_transform_identity_at_zero():
-    assert np.allclose(transform_V(0.0, 0.7), np.eye(2), atol=1e-16)
+    assert np.allclose(rotation_from_angles(0.0, 0.7), np.eye(2), atol=1e-16)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.floats(0.0, math.pi), st.floats(-20.0, 20.0))
 def test_transform_diagonalizes_invariant(lam, gam):
-    v = transform_V(lam, gam)
+    v = rotation_from_angles(lam, gam)
     m = invariant_matrix(lam, gam)
     assert np.linalg.norm(v.conj().T @ m @ v - S3) < 1e-11
 
 
 def test_transform_maps_s1_eigenvectors():
-    v = transform_V(math.pi / 2.0, 0.0)
+    v = rotation_from_angles(math.pi / 2.0, 0.0)
     plus_x = np.array([1.0, 1.0]) / math.sqrt(2.0)  # S1 eigenvector, +1/2
     mapped = v.conj().T @ plus_x
     assert abs(abs(mapped[0]) - 1.0) < 1e-14 and abs(mapped[1]) < 1e-14
@@ -221,7 +251,7 @@ def test_transform_diagonalizes_along_run():
     sol = integrate_auxiliary(traj, 1.2, 0.3, 8.0, 0.01)
     for i in range(0, sol.n_samples, 101):
         m = invariant_matrix(sol.lam[i], sol.gamma[i])
-        v = transform_V(sol.lam[i], sol.gamma[i])
+        v = rotation_from_angles(sol.lam[i], sol.gamma[i])
         assert np.linalg.norm(v.conj().T @ m @ v - S3) < 1e-11
 
 
@@ -239,6 +269,28 @@ def test_tabulated_past_table_end_raises():
     traj = OmegaTrajectory.from_table(W0, t, 1.1 + 0.1 * np.sin(t), 0.5 * t)
     with pytest.raises(OutOfDomainError):
         integrate_auxiliary(traj, 1.0, 0.0, 6.0, 0.01)
+
+
+def test_zero_length_run_is_one_sample():
+    # t_end == t0 runs the main loop with no step: one sample, rates from the RHS
+    traj = _tabulated_500()
+    for adaptive in (False, True):
+        sol = integrate_auxiliary(traj, 1.0, 0.2, 3.0, 0.05, t0=3.0, adaptive=adaptive)
+        assert sol.n_samples == 1 and sol.t[0] == 3.0 and sol.step == 0.05
+        assert (sol.n_halvings, sol.max_error_rate, sol.meta) == (0, 0.0, {})
+        ld, gd = auxiliary_rhs(traj, 3.0, 1.0, 0.2)
+        assert sol.lam_dot[0] == pytest.approx(ld, rel=1e-14, abs=1e-15)
+        assert sol.gamma_dot[0] == pytest.approx(gd, rel=1e-14, abs=1e-15)
+    with pytest.raises(OutOfDomainError):
+        integrate_auxiliary(traj, 1.0, 0.2, 11.0, 0.05, t0=11.0)
+
+
+def test_solution_carries_grid_drive_angles():
+    for traj, args in ((_precession(), (1.2, 0.3, 4.0, 0.01)),
+                       (_tabulated_500(), (1.0, 0.2, 9.6, 0.2))):
+        sol = integrate_auxiliary(traj, *args, adaptive=True)
+        th, ph = traj.angles(sol.t)
+        assert np.array_equal(sol.theta, th) and np.array_equal(sol.phi, ph)
 
 
 # -- integration: the stage-table loop against a per-stage reference -------------
@@ -300,9 +352,9 @@ REFERENCE_CASES = {
     "locked-cone": (_precession, (math.pi / 2.0, 0.0, 2.0 * 2.0 * math.pi / OM, 0.01), {}),
     "off-cone-backward": (_precession, (1.2, 0.3, 0.0, 0.01), {"t0": 6.0}),
     "tabulated-adaptive": (_tabulated_500, (1.0, 0.2, 9.6, 0.2), {"adaptive": True}),
-    "custom": (lambda: OmegaTrajectory.custom(W0, lambda t: 1.0 + 0.2 * math.sin(t),
-                                              lambda t: 0.7 * t),
-               (1.1, 0.0, 5.0, 0.01), {}),
+    "tabulated-fixed": (lambda: spline_drive(W0, lambda t: 1.0 + 0.2 * np.sin(t),
+                                             lambda t: 0.7 * t, 5.0, 501),
+                        (1.1, 0.0, 5.0, 0.01), {}),
     "budget-exhausted": (_precession, (math.pi / 2.0 + 0.4, 0.0, 5.0, 0.5),
                          {"adaptive": True, "max_halvings": 0}),
 }
@@ -332,14 +384,13 @@ def test_stage_table_matches_per_stage_reference(case):
 
 def test_residual_zero_on_fixed_point():
     traj = OmegaTrajectory.static(2.0, 1.1, phi=0.4)
-    p = InvariantParams(1.1, 0.4, 0.0, 0.0)
-    assert lvn_residual(p, traj, 3.0) < 1e-12 * 2.0
+    assert _residual(traj, 3.0, 1.1, 0.4, 0.0, 0.0)[0] < 1e-12 * 2.0
 
 
 def test_residual_detects_non_solution():
     traj = _precession()
-    p = InvariantParams(1.0, 0.2, 0.33, -0.41)  # rates not from the ODE
-    assert lvn_residual(p, traj, 0.7) > 1e-3
+    # rates not from the ODE
+    assert _residual(traj, 0.7, 1.0, 0.2, 0.33, -0.41)[0] > 1e-3
 
 
 def test_residual_zero_for_rhs_rates_anywhere():
@@ -347,12 +398,11 @@ def test_residual_zero_for_rhs_rates_anywhere():
     # invariant condition pointwise
     traj = _precession()
     rng = np.random.default_rng(2)
-    for _ in range(25):
-        lam = rng.uniform(0.2, math.pi - 0.2)
-        gam = rng.uniform(-3.0, 3.0)
-        t = rng.uniform(0.0, 10.0)
-        ld, gd = auxiliary_rhs(traj, t, lam, gam)
-        assert lvn_residual(InvariantParams(lam, gam, ld, gd), traj, t) < 1e-13
+    draws = [(rng.uniform(0.2, math.pi - 0.2), rng.uniform(-3.0, 3.0), rng.uniform(0.0, 10.0))
+             for _ in range(25)]
+    lam, gam, t = (np.array(x) for x in zip(*draws))
+    ld, gd = np.array([auxiliary_rhs(traj, *x) for x in zip(t, lam, gam)]).T
+    assert _residual(traj, t, lam, gam, ld, gd).max() < 1e-13
 
 
 def test_residual_samples_tiny_along_run():

@@ -4,14 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
+from drives import spline_drive
 from spinrot.invariant import (AuxiliarySolution, integrate_auxiliary,
-                               solve_precession_lambda, transform_V)
-from spinrot.phases import (accumulate_phases, assemble_state,
-                            berry_limit_check, dynamical_phase,
-                            geometric_phase, lr_states,
-                            quadrature_error_estimate, trapezoid_phase)
-from spinrot.spin_algebra import basis_state
+                               solve_precession_lambda)
+from spinrot.phases import (accumulate_phases, berry_limit_check, dynamical_phase,
+                            geometric_phase, lr_states, quadrature_error_estimate)
+from spinrot.spin_algebra import basis_state, rotation_from_angles, validate_sigma
 from spinrot.trajectory import OmegaTrajectory
 
 W0, OM, TH = 1.0, 0.5, math.pi / 3.0
@@ -27,10 +27,25 @@ def _locked_solution(periods=2.0, step=0.01, w0=W0, Om=OM, th=TH):
 
 def _synthetic_solution(traj, t, lam, gamma, gamma_dot):
     """Direct series construction (paths need not solve the ODEs)."""
+    theta, phi = traj.angles(t)
     return AuxiliarySolution(
         traj=traj, t=t, lam=lam, gamma=gamma,
         lam_dot=np.gradient(lam, t), gamma_dot=gamma_dot,
-        step=float(t[1] - t[0]))
+        theta=theta, phi=phi, step=float(t[1] - t[0]))
+
+
+# -- test-local references ---------------------------------------------------------
+
+def assemble_state(lam, gamma, phi_total, sigma):
+    """exp(-i phi_total) V(lam, gamma) |sigma>, one sample at a time."""
+    validate_sigma(sigma)
+    return np.exp(-1j * phi_total) * (rotation_from_angles(lam, gamma) @ basis_state(sigma))
+
+
+def trapezoid_geo_phase(sol, sigma):
+    """Trapezoid-rule counterpart of the Simpson geometric phase."""
+    return sigma * cumulative_trapezoid(sol.gamma_dot * (1.0 - np.cos(sol.lam)), x=sol.t,
+                                        initial=0.0)
 
 
 # -- closed-form rates -----------------------------------------------------------
@@ -39,14 +54,14 @@ def test_static_fixed_point_rate():
     # aligned invariant on a static field: integrand collapses to w0 sigma
     traj = OmegaTrajectory.static(2.0, 0.9, phi=0.3)
     sol = integrate_auxiliary(traj, 0.9, 0.3, 10.0, 0.01)
-    phi_d = dynamical_phase(sol, traj, 0.5)
+    phi_d = dynamical_phase(sol, 0.5)
     assert np.abs(phi_d - 0.5 * 2.0 * sol.t).max() < 1e-10
     assert np.abs(geometric_phase(sol, 0.5)).max() < 1e-12
 
 
 def test_precession_dynamical_rate():
     traj, sol = _locked_solution()
-    phi_d = dynamical_phase(sol, traj, 0.5)
+    phi_d = dynamical_phase(sol, 0.5)
     rate = phi_d[-1] / sol.t[-1]
     assert rate == pytest.approx(0.5 * W0 * math.cos(LAM_STAR - TH), rel=1e-9)
     assert rate == pytest.approx(0.4330127018922193, rel=1e-9)
@@ -63,7 +78,7 @@ def test_precession_geometric_rate():
 def test_zero_coupling_zero_phases():
     traj = OmegaTrajectory.static(0.0, 1.0)
     sol = integrate_auxiliary(traj, 0.8, 0.1, 5.0, 0.05)
-    assert np.abs(dynamical_phase(sol, traj, 0.5)).max() == 0.0
+    assert np.abs(dynamical_phase(sol, 0.5)).max() == 0.0
     assert np.abs(geometric_phase(sol, 0.5)).max() == 0.0
 
 
@@ -79,17 +94,17 @@ def test_mismatched_trajectory_rejected():
     traj, sol = _locked_solution(periods=0.5)
     other = OmegaTrajectory.constant_precession(2.0, OM, TH)
     with pytest.raises(ValueError):
-        dynamical_phase(sol, other, 0.5)
+        accumulate_phases(sol, other, 0.5)
     shifted = OmegaTrajectory.constant_precession(W0, OM, TH + 0.2)
     with pytest.raises(ValueError):
-        dynamical_phase(sol, shifted, 0.5)
+        accumulate_phases(sol, shifted, 0.5)
 
 
 def test_equivalent_trajectory_object_accepted():
     traj, sol = _locked_solution(periods=0.5)
     clone = OmegaTrajectory.constant_precession(W0, OM, TH)
-    assert np.array_equal(dynamical_phase(sol, clone, 0.5),
-                          dynamical_phase(sol, traj, 0.5))
+    assert np.array_equal(accumulate_phases(sol, clone, 0.5).phi_dyn,
+                          accumulate_phases(sol, traj, 0.5).phi_dyn)
 
 
 # -- sigma structure ---------------------------------------------------------------
@@ -177,19 +192,19 @@ def test_geometric_phase_reparametrization_invariant():
         return 2.0 + a2 * w2 * 2.0 * math.pi * np.cos(w2 * 2.0 * math.pi * s)
 
     T = 4.0
-    th_of_s = lambda s: 1.0 + 0.1 * math.sin(2.0 * math.pi * s)
+    th_of_s = lambda s: 1.0 + 0.1 * np.sin(2.0 * math.pi * s)
     ph_of_s = lambda s: 1.5 * s
 
     # unit-speed history on [0, T], N1 samples
     t1 = np.linspace(0.0, T, 2001)
-    traj1 = OmegaTrajectory.custom(1.0, lambda t: th_of_s(t / T), lambda t: ph_of_s(t / T))
+    traj1 = spline_drive(1.0, lambda t: th_of_s(t / T), lambda t: ph_of_s(t / T), T, 2001)
     sol1 = _synthetic_solution(traj1, t1, lam_path(t1 / T), gam_path(t1 / T),
                                gam_rate(t1 / T) / T)
 
     # double-speed history on [0, T/2], different sample count
     t2 = np.linspace(0.0, T / 2.0, 1501)
-    traj2 = OmegaTrajectory.custom(1.0, lambda t: th_of_s(2.0 * t / T),
-                                   lambda t: ph_of_s(2.0 * t / T))
+    traj2 = spline_drive(1.0, lambda t: th_of_s(2.0 * t / T),
+                         lambda t: ph_of_s(2.0 * t / T), T / 2.0, 1501)
     sol2 = _synthetic_solution(traj2, t2, lam_path(2.0 * t2 / T), gam_path(2.0 * t2 / T),
                                gam_rate(2.0 * t2 / T) * 2.0 / T)
 
@@ -197,8 +212,8 @@ def test_geometric_phase_reparametrization_invariant():
     g2 = geometric_phase(sol2, 0.5)[-1]
     assert abs(g1 - g2) < 1e-10
 
-    d1 = dynamical_phase(sol1, traj1, 0.5)[-1]
-    d2 = dynamical_phase(sol2, traj2, 0.5)[-1]
+    d1 = dynamical_phase(sol1, 0.5)[-1]
+    d2 = dynamical_phase(sol2, 0.5)[-1]
     assert d2 == pytest.approx(d1 / 2.0, rel=1e-8)
     assert abs(d1 - d2) > 1e-3  # the dynamical part is genuinely rate-dependent
 
@@ -215,7 +230,7 @@ def test_simpson_beats_trapezoid_by_h2():
         fine = integrate_auxiliary(traj, lam0, 0.0, 8.0, 0.002)
         ref = geometric_phase(fine, 0.5)[-1]
         simp = geometric_phase(sol, 0.5)[-1]
-        trap = trapezoid_phase(sol, traj, 0.5, "geo")[-1]
+        trap = trapezoid_geo_phase(sol, 0.5)[-1]
         ratios.append(abs(trap - ref) / abs(simp - ref))
     # error ratio grows like h^-2 as h shrinks; at the finest step the
     # Simpson result is orders of magnitude closer
@@ -250,7 +265,7 @@ def test_assemble_state_norm_and_structure():
         psi = assemble_state(lam, gam, phi, -0.5)
         assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
         # equals V |sigma> up to the phase factor
-        ref = transform_V(lam, gam) @ basis_state(-0.5)
+        ref = rotation_from_angles(lam, gam) @ basis_state(-0.5)
         assert np.abs(psi - np.exp(-1j * phi) * ref).max() < 1e-14
 
 
@@ -259,7 +274,6 @@ def test_lr_states_match_assemble_state():
     hist = accumulate_phases(sol, traj, 0.5)
     states = lr_states(sol, hist)
     for i in (0, sol.n_samples // 2, sol.n_samples - 1):
-        rec = hist.at(i)
-        ref = assemble_state(float(sol.lam[i]), float(sol.gamma[i]), rec.phi_total, 0.5)
+        ref = assemble_state(float(sol.lam[i]), float(sol.gamma[i]), float(hist.phi_total[i]), 0.5)
         assert np.abs(states[i] - ref).max() < 1e-13
     assert np.abs(np.linalg.norm(states, axis=1) - 1.0).max() < 1e-12

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from drives import spline_drive
 from spinrot.constants import HBAR_EV_S
 from spinrot.errors import NoSolutionError
 from spinrot.invariant import integrate_auxiliary, solve_precession_lambda
@@ -71,14 +72,9 @@ def test_total_phase_matches_oracle_reconstruction():
     # general (nutating) trajectory: phi_tot from the quadrature pipeline
     # agrees with phases pulled out of the brute-force propagator
     w0 = 1.0
-    traj = OmegaTrajectory.custom(
-        w0,
-        lambda t: 1.1 + 0.2 * math.sin(0.8 * t),
-        lambda t: 0.6 * t + 0.25 * math.sin(1.1 * t),
-        theta_rate_fn=lambda t: 0.2 * 0.8 * math.cos(0.8 * t),
-        phi_rate_fn=lambda t: 0.6 + 0.25 * 1.1 * math.cos(1.1 * t),
-    )
     t_end = 6.0
+    traj = spline_drive(w0, lambda t: 1.1 + 0.2 * np.sin(0.8 * t),
+                        lambda t: 0.6 * t + 0.25 * np.sin(1.1 * t), t_end, 601)
     sol = integrate_auxiliary(traj, 1.1, 0.0, t_end, 0.002)
     levels = [EnergyLevel(1, 0.5, _rad(1.7)), EnergyLevel(2, -0.5, _rad(0.4))]
     oracle_phase = {}

@@ -8,12 +8,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from spinrot.spin_algebra import (IDENTITY2, S1, S2, S3, S_MINUS, S_PLUS,
-                                  basis_state, build_spin_operators, exp_su2,
-                                  hamiltonian, rotation_from_angles,
-                                  rotation_stack, spin_rotation_propagator,
-                                  spin_rotation_propagators, validate_sigma)
+                                  basis_state, exp_su2, rotation_from_angles,
+                                  rotation_stack, spin_rotation_propagators,
+                                  validate_sigma)
+
+
+def hamiltonian(omega_vec):
+    """w . S for one 3-vector w."""
+    wx, wy, wz = omega_vec
+    return wx * S1 + wy * S2 + wz * S3
+
+
+def spin_rotation_propagator(omega_vec, dt):
+    """One row of the vectorized propagator."""
+    return spin_rotation_propagators(np.array([omega_vec], dtype=float), dt)[0]
 
 # -- exact-arithmetic commutator oracle -------------------------------------
 # 2x2 complex matrices as ((re, im) Fraction pairs); entries of the spin
@@ -70,18 +81,6 @@ def test_ladder_identity_exact():
     fp, fm, fs3 = _to_frac(S_PLUS), _to_frac(S_MINUS), _to_frac(S3)
     two_s3 = tuple(tuple((2 * z[0], 2 * z[1]) for z in row) for row in fs3)
     assert _commutator(fp, fm) == two_s3
-
-
-def test_build_spin_operators_contract():
-    s1, s2, s3, sp, sm = build_spin_operators()
-    assert np.array_equal(s3, np.diag([0.5, -0.5]))
-    assert np.array_equal(sp, s1 + 1j * s2)
-    assert np.array_equal(sm, s1 - 1j * s2)
-    for s in (s1, s2, s3):
-        assert np.array_equal(s, s.conj().T)
-    # returned copies are writable and independent of the module constants
-    s1[0, 0] = 9.0
-    assert S1[0, 0] == 0.0
 
 
 def test_ladder_convention():
@@ -214,4 +213,4 @@ def test_spin_rotation_propagators_stack():
     omegas[4] = 0.0  # zero-field row exercises the limit branch
     stack = spin_rotation_propagators(omegas, 0.05)
     for i in range(20):
-        assert np.abs(stack[i] - spin_rotation_propagator(omegas[i], 0.05)).max() < 1e-14
+        assert np.abs(stack[i] - expm(-1j * hamiltonian(omegas[i]) * 0.05)).max() < 1e-14

@@ -5,25 +5,26 @@ import math
 import numpy as np
 import pytest
 
+from drives import spline_drive
 from spinrot.errors import OutOfDomainError
-from spinrot.trajectory import OmegaTrajectory, effective_field, omega_at
+from spinrot.trajectory import OmegaTrajectory
 
 
 def test_polar_axis():
     traj = OmegaTrajectory.static(1.0, 0.0, phi=2.3)
-    assert np.allclose(omega_at(traj, 5.0), [0.0, 0.0, 1.0], atol=1e-15)
+    assert np.allclose(traj.omega(5.0), [0.0, 0.0, 1.0], atol=1e-15)
 
 
 def test_equatorial_quarter_turn():
     Om = 0.8
     traj = OmegaTrajectory.constant_precession(1.0, Om, math.pi / 2.0)
     t = (math.pi / 2.0) / Om
-    assert np.allclose(omega_at(traj, t), [0.0, 1.0, 0.0], atol=1e-12)
+    assert np.allclose(traj.omega(t), [0.0, 1.0, 0.0], atol=1e-12)
 
 
 def test_direct_evaluation():
     traj = OmegaTrajectory.static(1e11, math.pi / 6.0, phi=0.0)
-    w = omega_at(traj, 0.0)
+    w = traj.omega(0.0)
     assert np.allclose(w, [5e10, 0.0, 8.660254037844386e10], rtol=1e-12)
 
 
@@ -45,12 +46,12 @@ def test_omega0_validation():
 
 def test_effective_field_equatorial():
     traj = OmegaTrajectory.constant_precession(1.0, 2.0, math.pi / 2.0)
-    assert np.allclose(effective_field(traj, 0.0), [0.0, 0.0, 2.0], atol=1e-15)
+    assert np.allclose(traj.effective_field(0.0), [0.0, 0.0, 2.0], atol=1e-15)
 
 
 def test_effective_field_static_is_zero():
     traj = OmegaTrajectory.static(5.0, 1.0, phi=0.3)
-    assert np.array_equal(effective_field(traj, 1.7), np.zeros(3))
+    assert np.array_equal(traj.effective_field(1.7), np.zeros(3))
 
 
 def test_effective_field_closed_form_and_orthogonality():
@@ -72,13 +73,12 @@ def test_effective_field_closed_form_and_orthogonality():
 
 
 def test_effective_field_cross_product_route_matches():
-    # generic (custom) kind goes through w x dw/dt; must agree with the
-    # constant-precession closed form
+    # a tabulated kind goes through w x dw/dt; must agree with the
+    # constant-precession closed form (the spline of a constant theta and
+    # a linear phi is exact)
     w0, Om, th = 2.0, 0.7, 1.0
     closed = OmegaTrajectory.constant_precession(w0, Om, th)
-    generic = OmegaTrajectory.custom(
-        w0, lambda t: th, lambda t: Om * t,
-        theta_rate_fn=lambda t: 0.0, phi_rate_fn=lambda t: Om)
+    generic = spline_drive(w0, lambda t: np.full_like(t, th), lambda t: Om * t, 2.5, 11)
     for t in (0.0, 0.4, 2.2):
         assert np.allclose(generic.effective_field(t), closed.effective_field(t), atol=1e-13)
 
@@ -97,34 +97,6 @@ def test_fd_omega_dot_matches_analytic_second_order():
     order = math.log(errs[0] / errs[2]) / math.log(hs[0] / hs[2])
     assert order >= 1.9
     assert errs[-1] < 1e-5
-
-
-def test_finite_difference_rates_second_order():
-    # custom kind without analytic rates: central differences, order >= 1.9
-    w0 = 1.0
-
-    def phi_fn(t):
-        return 0.3 * math.sin(1.7 * t)
-
-    def phi_rate(t):
-        return 0.3 * 1.7 * math.cos(1.7 * t)
-
-    fd = OmegaTrajectory.custom(w0, lambda t: 1.0, phi_fn)
-    t = 0.9
-    exact = phi_rate(t)
-    # re-derive the FD error scaling by evaluating at two stencil widths:
-    # the library uses a fixed relative step, so instead check accuracy
-    approx = fd.angle_rates_scalar(t)[1]
-    assert abs(approx - exact) < 1e-9
-
-    # explicit convergence-order measurement of the same stencil
-    errs = []
-    hs = [1e-2, 5e-3, 2.5e-3]
-    for h in hs:
-        est = (phi_fn(t + h) - phi_fn(t - h)) / (2 * h)
-        errs.append(abs(est - exact))
-    order = math.log(errs[0] / errs[2]) / math.log(hs[0] / hs[2])
-    assert order >= 1.9
 
 
 # -- tabulated trajectories -----------------------------------------------------
@@ -202,6 +174,31 @@ def test_csv_requires_header(tmp_path):
     path.write_text("0.0,1.0,0.0\n1.0,1.0,0.5\n")
     with pytest.raises(ValueError, match="header"):
         OmegaTrajectory.from_csv(path, 1.0)
+
+
+def test_csv_short_row_names_line(tmp_path):
+    path = tmp_path / "short.csv"
+    path.write_text("t,theta,phi\n0.0,1.0,0.0\n1.0,1.0,0.5\n2.0,1.0,1.0\n3.0,1.1\n")
+    with pytest.raises(ValueError, match="line 5: expected 3 fields"):
+        OmegaTrajectory.from_csv(path, 1.0)
+
+
+def test_scalar_and_array_evaluation_agree():
+    # one set of vectorized callables serves both: a scalar t gives the
+    # array result's row, with shape (3,) for the vector quantities
+    t = np.linspace(0.0, 7.5, 9)
+    for traj in (OmegaTrajectory.constant_precession(2.0, 0.8, 1.1, phi0=0.3),
+                 OmegaTrajectory.from_table(2.0, *_sample_table())):
+        for name in ("omega", "omega_dot", "effective_field"):
+            vec = getattr(traj, name)(t)
+            assert vec.shape == (t.size, 3)
+            for i in range(t.size):
+                row = getattr(traj, name)(float(t[i]))
+                assert row.shape == (3,)
+                assert np.array_equal(row, vec[i]), name
+        th, ph = traj.angles(t)
+        assert traj.angles_scalar(t[4]) == (float(th[4]), float(ph[4]))
+        assert all(type(v) is float for v in traj.angles_scalar(t[4]))
 
 
 def test_period():
