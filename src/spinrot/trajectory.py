@@ -128,10 +128,11 @@ class OmegaTrajectory:
                             f"{path}: expected header 't,theta,phi', got {','.join(header)}"
                         )
                     continue
-                if len(rec) < 3:
-                    raise ValueError(f"{path}: line {reader.line_num}: expected 3 fields "
-                                     f"t,theta,phi, got {len(rec)}")
-                rows.append([float(rec[0]), float(rec[1]), float(rec[2])])
+                try:
+                    rows.append([float(rec[0]), float(rec[1]), float(rec[2])])
+                except (IndexError, ValueError):
+                    raise ValueError(f"{path}: line {reader.line_num}: expected three numbers "
+                                     f"t,theta,phi, got {','.join(rec)!r}") from None
         if header is None:
             raise ValueError(f"{path}: missing required header 't,theta,phi'")
         data = np.array(rows, dtype=float)

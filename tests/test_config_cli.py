@@ -330,7 +330,7 @@ def test_simulate_short_csv_row_exit_code(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["simulate", "--config", path, "--output-dir", str(out)]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "config error" in err and "line 5: expected 3 fields" in err
+    assert "config error" in err and "line 5: expected three numbers" in err
     assert not out.exists()
 
 

@@ -176,10 +176,11 @@ def test_csv_requires_header(tmp_path):
         OmegaTrajectory.from_csv(path, 1.0)
 
 
-def test_csv_short_row_names_line(tmp_path):
-    path = tmp_path / "short.csv"
-    path.write_text("t,theta,phi\n0.0,1.0,0.0\n1.0,1.0,0.5\n2.0,1.0,1.0\n3.0,1.1\n")
-    with pytest.raises(ValueError, match="line 5: expected 3 fields"):
+@pytest.mark.parametrize("row", ["3.0,1.1", "3.0,1.1,abc"])
+def test_csv_bad_row_names_line(tmp_path, row):
+    path = tmp_path / "bad_row.csv"
+    path.write_text(f"t,theta,phi\n0.0,1.0,0.0\n1.0,1.0,0.5\n2.0,1.0,1.0\n{row}\n")
+    with pytest.raises(ValueError, match=f"line 5: expected three numbers t,theta,phi, got '{row}'"):
         OmegaTrajectory.from_csv(path, 1.0)
 
 
