@@ -141,7 +141,7 @@ def run_verify(cfg: RunConfig) -> dict:
     report = {"config_sha256": cfg.sha256, "tolerances": tol,
               "oracle_method": oracle_cfg["method"],
               "oracle_step": oracle_step,
-              "oracle_under_resolved": under_resolved(cfg.trajectory, oracle_step),
+              "oracle_under_resolved": under_resolved(cfg.trajectory, oracle_step, sol.t),
               "per_sigma": {}}
 
     def oracle(psi0, step, k):
@@ -168,7 +168,7 @@ def run_verify(cfg: RunConfig) -> dict:
         series[s] = (run, fid, phase)
     failing = [j for j, s in enumerate(sigmas) if not report["per_sigma"][_sigma_key(s)]["pass"]]
     if failing:
-        # convergence diagnostic: a mismatch that drops ~4x on halving
+        # convergence diagnostic: a mismatch that drops ~16x on halving
         # the oracle step is discretization, not a physics disagreement
         for j, half in zip(failing, oracle(psi0[failing], oracle_step / 2.0, 2 * thin)):
             entry = report["per_sigma"][_sigma_key(sigmas[j])]

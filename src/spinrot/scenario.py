@@ -120,13 +120,13 @@ def regime_presets() -> list[RotationRegime]:
 
 def regime_run_config(regime: RotationRegime, periods: float = 1.0,
                       steps_per_radian: float = 20.0) -> dict:
-    """Ready-to-run simulation config for a regime (CLI schema).
+    """Ready-to-run simulate and verify config for a regime (CLI schema).
 
-    The integrator step resolves the fast timescale: step = 1/(w0 *
-    steps_per_radian); t_end spans the requested number of precession
-    periods.
+    The integrator step resolves the faster of the Larmor and precession
+    rates: step = 1/(max(w0, |Omega|) * steps_per_radian). t_end spans the
+    requested number of precession periods, and the oracle runs at step/4.
     """
-    step = 1.0 / (regime.omega0 * steps_per_radian)
+    step = 1.0 / (max(regime.omega0, abs(regime.Omega)) * steps_per_radian)
     return {
         "schema_version": 1,
         "trajectory": {
@@ -139,6 +139,7 @@ def regime_run_config(regime: RotationRegime, periods: float = 1.0,
         "initial_conditions": "precession-consistent",
         "sigmas": [0.5, -0.5],
         "integrator": {"step": step, "periods": periods, "adaptive": False},
+        "oracle": {"step": step / 4.0, "method": "exponential_product"},
         "output": {"prefix": f"c60_{regime.phase}"},
         "scenario": regime.phase,
     }
