@@ -380,9 +380,8 @@ def _smooth_table_config(tmp_path):
     t = np.linspace(0.0, 20.0, 2000)
     theta = 0.9 + 0.18 * np.sin(0.17 * t + 1.0)
     phi = 0.32 * t + 0.22 * np.sin(0.18 * t + 2.0)
-    with open(tmp_path / "table.csv", "w") as fh:
-        fh.write("t,theta,phi\n")
-        fh.writelines(f"{a!r},{b!r},{c!r}\n" for a, b, c in zip(t.tolist(), theta.tolist(), phi.tolist()))
+    np.savetxt(tmp_path / "table.csv", np.column_stack([t, theta, phi]), fmt="%.17g",
+               delimiter=",", header="t,theta,phi", comments="")
     return demo_config(
         trajectory={"kind": "tabulated", "omega0": 1.0, "csv_path": "table.csv"},
         initial_conditions="aligned",
