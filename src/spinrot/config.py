@@ -260,8 +260,10 @@ def resolve_run_config(data: dict, base_dir: str = ".") -> RunConfig:
             path = os.path.join(base_dir, path)
         try:
             traj = OmegaTrajectory.from_csv(path, tr["omega0"])
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"trajectory CSV {path}: {exc}") from exc
+        except OSError as exc:
+            raise ConfigError(f"trajectory CSV {path}: {exc.strerror or exc}") from exc
+        except ValueError as exc:  # from_csv names the path
+            raise ConfigError(f"trajectory CSV {exc}") from exc
     return RunConfig(norm, traj, base_dir)
 
 

@@ -31,13 +31,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .constants import HBAR_EV_S
 from .errors import GridMismatchError
 from .invariant import AuxiliarySolution, solve_precession_lambda
 from .io_utils import write_csv, write_json
-from .phases import PhaseHistory
+from .phases import PhaseHistory, _simpson
 from .spin_algebra import rotation_stack, validate_sigma
 
 TIME_PROFILE_CONSTANT = "constant"
@@ -223,7 +222,7 @@ def transition_amplitude(pert: PerturbationModel, from_level: EnergyLevel,
         return 0.0 + 0.0j
     tt = sol.t[: i_end + 1]
     y = g[: i_end + 1] * pert.drive(tt)
-    a = complex(simpson(y.real, x=tt) + 1j * simpson(y.imag, x=tt))
+    a = complex(_simpson(y.real, tt) + 1j * _simpson(y.imag, tt))
     if abs(a) > _FIRST_ORDER_WARN:
         warnings.warn(
             f"|a| = {abs(a):.3g} exceeds the first-order validity window",
@@ -238,8 +237,8 @@ def resonance_scan(pert: PerturbationModel, from_level: EnergyLevel,
     freqs = np.asarray(frequencies, dtype=float)
     g = _amplitude_integrand(pert, from_level, to_level, sol, phase_histories)
     y = g[None, :] * np.cos(np.outer(freqs, sol.t))
-    a_re = simpson(y.real, x=sol.t, axis=1)
-    a_im = simpson(y.imag, x=sol.t, axis=1)
+    a_re = _simpson(y.real, sol.t)
+    a_im = _simpson(y.imag, sol.t)
     return a_re**2 + a_im**2
 
 

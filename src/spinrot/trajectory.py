@@ -23,7 +23,6 @@ import csv
 import math
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import OutOfDomainError
 
@@ -97,6 +96,7 @@ class OmegaTrajectory:
             raise ValueError("theta samples must lie in [0, pi]")
         theta = np.clip(theta, 0.0, math.pi)
         phi = np.unwrap(phi)
+        from scipy.interpolate import CubicSpline  # only tabulated drives pay for scipy
         th_sp = CubicSpline(t, theta)
         ph_sp = CubicSpline(t, phi)
         th_d = th_sp.derivative()
@@ -113,32 +113,16 @@ class OmegaTrajectory:
 
     @classmethod
     def from_csv(cls, path, omega0):
-        """Load a tabulated trajectory from CSV with header t,theta,phi (SI units)."""
-        rows = []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = None
-            for rec in reader:
-                if not rec or rec[0].lstrip().startswith("#"):
-                    continue
-                if header is None:
-                    header = [c.strip() for c in rec]
-                    if header[:3] != ["t", "theta", "phi"]:
-                        raise ValueError(
-                            f"{path}: expected header 't,theta,phi', got {','.join(header)}"
-                        )
-                    continue
-                try:
-                    rows.append([float(rec[0]), float(rec[1]), float(rec[2])])
-                except (IndexError, ValueError):
-                    raise ValueError(f"{path}: line {reader.line_num}: expected three numbers "
-                                     f"t,theta,phi, got {','.join(rec)!r}") from None
-        if header is None:
-            raise ValueError(f"{path}: missing required header 't,theta,phi'")
-        data = np.array(rows, dtype=float)
-        if data.size == 0:
-            raise ValueError(f"{path}: no data rows")
-        return cls.from_table(omega0, data[:, 0], data[:, 1], data[:, 2])
+        """Load a tabulated trajectory from CSV with header t,theta,phi (SI units).
+
+        Every ValueError names the path once, first.
+        """
+        try:
+            with open(path, newline="") as fh:
+                data = _read_angle_table(fh)
+            return cls.from_table(omega0, data[:, 0], data[:, 1], data[:, 2])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     # -- evaluation --------------------------------------------------------
 
@@ -206,6 +190,31 @@ class OmegaTrajectory:
         if self.kind == KIND_CONSTANT_PRECESSION and self.params["Omega"] != 0.0:
             return 2.0 * math.pi / abs(self.params["Omega"])
         return None
+
+
+def _read_angle_table(fh) -> np.ndarray:
+    """(N, 3) rows of t,theta,phi from an open CSV; '#' lines and blank lines are skipped."""
+    rows = []
+    reader = csv.reader(fh)
+    header = None
+    for rec in reader:
+        if not rec or rec[0].lstrip().startswith("#"):
+            continue
+        if header is None:
+            header = [c.strip() for c in rec]
+            if header[:3] != ["t", "theta", "phi"]:
+                raise ValueError(f"expected header 't,theta,phi', got {','.join(header)}")
+            continue
+        try:
+            rows.append([float(rec[0]), float(rec[1]), float(rec[2])])
+        except (IndexError, ValueError):
+            raise ValueError(f"line {reader.line_num}: expected three numbers "
+                             f"t,theta,phi, got {','.join(rec)!r}") from None
+    if header is None:
+        raise ValueError("missing required header 't,theta,phi'")
+    if not rows:
+        raise ValueError("no data rows")
+    return np.array(rows, dtype=float)
 
 
 def omega_from_angles(omega0: float, th, ph) -> np.ndarray:

@@ -334,6 +334,36 @@ def test_simulate_short_csv_row_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+def _break_table(table, case):
+    lines = table.read_text().splitlines()
+    if case == "short-row":
+        lines[4] = "3.0,1.1"
+    elif case == "non-number":
+        lines[4] = "3.0,1.1,abc"
+    elif case == "no-header":
+        del lines[0]
+    elif case == "t-not-increasing":
+        lines[4], lines[5] = lines[5], lines[4]
+    if case == "missing-file":
+        table.unlink()
+    else:
+        table.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("case", ["short-row", "non-number", "no-header", "missing-file",
+                                  "t-not-increasing"])
+def test_bad_trajectory_csv_names_path_once(tmp_path, capsys, case):
+    path = _tabulated_config(tmp_path, step=0.01, t_end=5.0)
+    table = tmp_path / "traj.csv"
+    _break_table(table, case)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--output-dir", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "trajectory CSV" in err
+    assert err.count(str(table)) == 1, err
+    assert not out.exists()
+
+
 def test_simulate_past_table_end_exit_code(tmp_path, capsys):
     path = _tabulated_config(tmp_path, step=0.01, t_end=12.0)
     out = tmp_path / "out"
@@ -676,14 +706,76 @@ def test_scenario_unknown_name(tmp_path, capsys):
     assert "disordered" in err and "ordered" in err
 
 
-def _run_module_cli(*args):
-    """Run ``python -m spinrot`` in a child process on the imported package."""
+def _run_child_python(*args):
+    """Run a child interpreter that imports the package the tests import."""
     src_dir = str(pathlib.Path(spinrot.__file__).parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src_dir, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "spinrot", *args],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def _run_module_cli(*args):
+    """Run ``python -m spinrot`` in a child process on the imported package."""
+    return _run_child_python("-m", "spinrot", *args)
+
+
+# Runs cli.main on each argv in argv[2] (JSON), with every scipy import made
+# to fail when argv[1] is "block"; reports the scipy modules loaded before
+# the first command and after the last.
+_CHILD_CLI = """
+import json, sys
+if sys.argv[1] == "block":
+    sys.modules["scipy"] = None
+from spinrot.cli import main
+
+def scipy_loaded():
+    return sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod)
+
+before = scipy_loaded()
+codes = [main(argv) for argv in json.loads(sys.argv[2])]
+print(json.dumps({"before": before, "codes": codes, "after": scipy_loaded()}))
+"""
+
+
+def _same_artifacts(dir_a, dir_b):
+    names = sorted(p.name for p in dir_a.iterdir())
+    assert names == sorted(p.name for p in dir_b.iterdir())
+    for name in names:
+        assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
+
+
+def test_cone_runs_need_no_scipy(tmp_path, monkeypatch):
+    monkeypatch.setenv("SPINROT_WORKERS", "1")
+    path = write_config(tmp_path, demo_config(integrator={"step": 0.01, "periods": 10.0}))
+    spath = tmp_path / "sweep.json"
+    spath.write_text(json.dumps({"sweep": [{"path": "trajectory.Omega",
+                                            "values": [0.4, 0.5, 0.6]}]}))
+
+    def commands(out):
+        return [["simulate", "--config", path, "--output-dir", str(out)],
+                ["verify", "--config", path, "--output-dir", str(out)],
+                ["sweep", "--config", path, "--sweep", str(spath), "--output-dir", str(out)]]
+
+    assert [main(argv) for argv in commands(tmp_path / "with")] == [0, 0, 0]
+    proc = _run_child_python("-c", _CHILD_CLI, "block",
+                             json.dumps(commands(tmp_path / "without")))
+    assert proc.returncode == 0, proc.stderr
+    child = json.loads(proc.stdout.splitlines()[-1])
+    assert child == {"before": [], "codes": [0, 0, 0], "after": []}
+    _same_artifacts(tmp_path / "with", tmp_path / "without")
+
+
+def test_tabulated_run_loads_scipy_when_resolved(tmp_path):
+    path = _tabulated_config(tmp_path, step=0.01, t_end=5.0)
+    assert main(["simulate", "--config", path, "--output-dir", str(tmp_path / "here")]) == 0
+    argv = ["simulate", "--config", path, "--output-dir", str(tmp_path / "child")]
+    proc = _run_child_python("-c", _CHILD_CLI, "allow", json.dumps([argv]))
+    assert proc.returncode == 0, proc.stderr
+    child = json.loads(proc.stdout.splitlines()[-1])
+    assert child["before"] == [] and child["codes"] == [0]
+    assert "scipy.interpolate" in child["after"]
+    _same_artifacts(tmp_path / "here", tmp_path / "child")
 
 
 def test_console_entry_point(tmp_path):

@@ -4,13 +4,16 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import cumulative_trapezoid
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import cumulative_simpson, cumulative_trapezoid, simpson
 
 from drives import spline_drive
 from spinrot.invariant import (AuxiliarySolution, integrate_auxiliary,
                                solve_precession_lambda)
-from spinrot.phases import (accumulate_phases, berry_limit_check, dynamical_phase,
-                            geometric_phase, lr_states, quadrature_error_estimate)
+from spinrot.phases import (_cumulative_simpson, _simpson, accumulate_phases,
+                            berry_limit_check, dynamical_phase, geometric_phase, lr_states,
+                            quadrature_error_estimate)
 from spinrot.spin_algebra import basis_state, rotation_from_angles, validate_sigma
 from spinrot.trajectory import OmegaTrajectory
 
@@ -241,12 +244,55 @@ def test_simpson_beats_trapezoid_by_h2():
 def test_richardson_error_estimate_bounds_error():
     t = np.linspace(0.0, 3.0, 601)
     y = np.sin(2.0 * t) * np.exp(0.1 * t)
-    from scipy.integrate import simpson
     exact = (np.exp(0.3) * (0.1 * math.sin(6.0) - 2.0 * math.cos(6.0)) + 2.0) / (4.01)
     est = quadrature_error_estimate(y, t)
     actual = abs(simpson(y, x=t) - exact)
     assert actual <= 10.0 * est  # same order of magnitude
     assert est < 1e-8
+
+
+def _assert_ports_equal_scipy(n, random_grid, rows, seed):
+    rng = np.random.default_rng(seed)
+    x = (np.cumsum(rng.uniform(1e-3, 1.0, n)) if random_grid
+         else np.linspace(-1.0, 2.0, n))
+    y = rng.normal(size=(rows, n) if rows else n)
+    running = _cumulative_simpson(y, x)
+    assert np.array_equal(running, cumulative_simpson(y, x=x, axis=-1, initial=0.0))
+    assert running.shape == y.shape
+    total = _simpson(y, x)
+    assert np.array_equal(total, simpson(y, x=x, axis=-1))
+    assert np.shape(total) == np.shape(y)[:-1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.booleans(), st.sampled_from([0, 3]), st.integers(0, 2**32 - 1))
+def test_quadrature_ports_equal_scipy(n, random_grid, rows, seed):
+    # the numpy ports keep scipy's formulas and operation order: same bits,
+    # 1-D and along the last axis of 2-D (rows = 0 means 1-D)
+    _assert_ports_equal_scipy(n, random_grid, rows, seed)
+
+
+@pytest.mark.parametrize("n", [2000, 6001, 12567])
+def test_quadrature_ports_equal_scipy_long(n):
+    for random_grid in (False, True):
+        for rows in (0, 3):
+            _assert_ports_equal_scipy(n, random_grid, rows, seed=n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_quadrature_ports_keep_scipy_signed_zeros(n):
+    # a zero integrand of -0.0 samples gives +0.0 after the zero initial value
+    x, y = np.linspace(0.0, 1.0, n), np.full(n, -0.0)
+    assert _cumulative_simpson(y, x).tobytes() == \
+        cumulative_simpson(y, x=x, initial=0.0).tobytes()
+    assert np.asarray(_simpson(y, x)).tobytes() == np.asarray(simpson(y, x=x)).tobytes()
+
+
+def test_quadrature_ports_reject_unordered_grid():
+    with pytest.raises(ValueError, match="strictly increasing"):
+        _cumulative_simpson(np.ones(4), np.array([0.0, 1.0, 1.0, 2.0]))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        _simpson(np.ones(5), np.array([0.0, 1.0, 0.5, 2.0, 3.0]))
 
 
 # -- state assembly --------------------------------------------------------------------
