@@ -18,8 +18,8 @@ The particular solution carrying these phases is
 assembled on the whole grid by `lr_states`.
 
 The quadratures are numpy ports of scipy 1.17's `cumulative_simpson` and
-`simpson`, same formulas in the same order and so the same bits, which
-keeps scipy out of every run but a tabulated drive's. Both rest on
+`simpson`, same formulas in the same order and so the same bits, so no
+run needs scipy (the tabulated spline is ported in `trajectory`). Both rest on
 Cartwright's unequal-interval Simpson rule (K. V. Cartwright,
 J. Math. Sci. Math. Educ. 12(2), 1 (2017), eqn. 8).
 """

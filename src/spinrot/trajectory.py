@@ -77,11 +77,14 @@ class OmegaTrajectory:
 
     @classmethod
     def from_table(cls, omega0, t, theta, phi):
-        """Cubic-spline interpolant through sampled angles.
+        """Not-a-knot cubic-spline interpolant through sampled angles.
 
-        t must be strictly increasing with at least 4 samples; phi is
-        unwrapped so the interpolant never jumps by 2pi. Derivatives come
-        from the spline, so the samples should resolve the motion.
+        t must be strictly increasing with at least 4 samples and every
+        sample finite; phi is unwrapped so the interpolant never jumps by
+        2pi. Derivatives come from the spline, so the samples should resolve
+        the motion. The spline is a numpy port of scipy 1.17's default
+        `CubicSpline` and its `derivative()`: the same values and rates to
+        the bit (see `_not_a_knot_coefficients` and `_evaluate_pieces`).
         """
         t = np.asarray(t, dtype=float)
         theta = np.asarray(theta, dtype=float)
@@ -90,23 +93,25 @@ class OmegaTrajectory:
             raise ValueError("tabulated trajectory needs at least 4 samples")
         if theta.shape != t.shape or phi.shape != t.shape:
             raise ValueError("t, theta, phi must have matching shapes")
+        for name, column in (("t", t), ("theta", theta), ("phi", phi)):
+            bad = np.flatnonzero(~np.isfinite(column))
+            if bad.size:
+                raise ValueError(f"{name} samples must be finite, got {column[bad[0]]} "
+                                 f"in data row {bad[0] + 1}")
         if not np.all(np.diff(t) > 0):
             raise ValueError("tabulated times must be strictly increasing")
         if np.any(theta < -1e-12) or np.any(theta > math.pi + 1e-12):
             raise ValueError("theta samples must lie in [0, pi]")
         theta = np.clip(theta, 0.0, math.pi)
         phi = np.unwrap(phi)
-        from scipy.interpolate import CubicSpline  # only tabulated drives pay for scipy
-        th_sp = CubicSpline(t, theta)
-        ph_sp = CubicSpline(t, phi)
-        th_d = th_sp.derivative()
-        ph_d = ph_sp.derivative()
+        th_c, ph_c = _not_a_knot_coefficients(t, (theta, phi))
+        th_d, ph_d = th_c[:-1] * _RATE_FACTORS, ph_c[:-1] * _RATE_FACTORS
         return cls(
             omega0, KIND_TABULATED,
-            theta=lambda x: np.asarray(th_sp(x), dtype=float),
-            phi=lambda x: np.asarray(ph_sp(x), dtype=float),
-            theta_rate=lambda x: np.asarray(th_d(x), dtype=float),
-            phi_rate=lambda x: np.asarray(ph_d(x), dtype=float),
+            theta=lambda x: _evaluate_pieces(t, th_c, x),
+            phi=lambda x: _evaluate_pieces(t, ph_c, x),
+            theta_rate=lambda x: _evaluate_pieces(t, th_d, x),
+            phi_rate=lambda x: _evaluate_pieces(t, ph_d, x),
             t_min=float(t[0]), t_max=float(t[-1]),
             params={"n_samples": int(t.size)},
         )
@@ -215,6 +220,107 @@ def _read_angle_table(fh) -> np.ndarray:
     if not rows:
         raise ValueError("no data rows")
     return np.array(rows, dtype=float)
+
+
+# -- not-a-knot cubic spline --------------------------------------------------
+#
+# Ports of scipy 1.17's `CubicSpline(x, y)` (bc_type "not-a-knot"; de Boor,
+# A Practical Guide to Splines, ch. IV), of the reference LAPACK `dgtsv` its
+# `solve_banded` calls, and of `PPoly.__call__`/`derivative()`. Each keeps
+# scipy's formulas and operation order, so the coefficients, values and
+# rates are the same bits as scipy's; the tests check this against scipy.
+
+_RATE_FACTORS = np.array([[3.0], [2.0], [1.0]])  # d/ds of c0 s^3 + c1 s^2 + c2 s + c3
+
+
+def _not_a_knot_coefficients(x, ys):
+    """Piecewise-cubic coefficients, shape (4, n-1), of the not-a-knot spline through each y.
+
+    Row k of a result multiplies s**(3 - k), s = t - x[i] on piece i, as in
+    scipy's `PPoly.c`. The knot slopes solve one tridiagonal system whose
+    matrix depends on x only, so every y shares one elimination.
+    """
+    dx = np.diff(x)
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    slopes = [np.diff(y) / dx for y in ys]
+    rhs = []
+    for slope in slopes:
+        b = np.empty(x.size)
+        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        b[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / d0
+        b[-1] = (dx[-1]**2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+        rhs.append(b.tolist())
+    # scipy's banded matrix: the interior rows (dx[i], 2 (dx[i-1] + dx[i]), dx[i-1])
+    # between the not-a-knot end rows (dx[1], d0) and (d1, dx[-2])
+    lower = [*dx[1:].tolist(), float(d1)]
+    diag = [float(dx[1]), *(2 * (dx[:-1] + dx[1:])).tolist(), float(dx[-2])]
+    upper = [float(d0), *dx[:-1].tolist()]
+    _gtsv(lower, diag, upper, rhs)
+    coefficients = []
+    for y, slope, s in zip(ys, slopes, rhs):
+        s = np.array(s)
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        coefficients.append(np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1])))
+    return coefficients
+
+
+def _gtsv(dl, d, du, bs):
+    """Solve the tridiagonal system with sub-, main and super-diagonals dl, d, du for each b in bs.
+
+    Reference LAPACK dgtsv in plain Python floats: Gaussian elimination
+    with partial pivoting, rows i and i+1 swapped when |d[i]| < |dl[i]|,
+    then back substitution, in which dl holds the second super-diagonal
+    that the swaps fill in. Like LAPACK it overwrites its lists: each b
+    ends up holding its solution, dl, d and du the factors.
+    """
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            for b in bs:
+                b[i + 1] = b[i + 1] - fact * b[i]
+            if i < n - 2:
+                dl[i] = 0.0
+        else:
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            for b in bs:
+                temp = b[i]
+                b[i] = b[i + 1]
+                b[i + 1] = temp - fact * b[i + 1]
+    for b in bs:
+        b[n - 1] = b[n - 1] / d[n - 1]
+        b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+        for i in range(n - 3, -1, -1):
+            b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+
+
+def _evaluate_pieces(x, c, t):
+    """The piecewise polynomial with knots x and coefficients c at t (any shape, 0-d too).
+
+    Piece i serves x[i] <= t < x[i+1]; the first and last pieces extend
+    past the ends, and the last knot belongs to the last piece. The powers
+    are summed from the constant term up, as scipy's `evaluate_poly1` does:
+    its leading `0.0 +` turns a -0.0 constant into 0.0.
+    """
+    t = np.asarray(t, dtype=float)
+    i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, x.size - 2)
+    s = t - x[i]
+    ci = c[:, i]
+    value = 0.0 + ci[-1]
+    power = s
+    for k in range(c.shape[0] - 2, -1, -1):
+        value = value + ci[k] * power
+        if k:
+            power = power * s
+    return np.asarray(value)
 
 
 def omega_from_angles(omega0: float, th, ph) -> np.ndarray:

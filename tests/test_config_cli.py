@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -290,7 +291,7 @@ def test_simulate_tabulated_end_to_end(tmp_path):
     assert summary["lvn_max_residual"] < 1e-10
 
 
-def _tabulated_config(tmp_path, **integrator):
+def _tabulated_config(tmp_path, oracle=None, **integrator):
     t = np.linspace(0.0, 10.0, 201)
     lines = ["t,theta,phi"] + [
         f"{float(a)!r},{float(b)!r},{float(c)!r}"
@@ -298,8 +299,9 @@ def _tabulated_config(tmp_path, **integrator):
     (tmp_path / "traj.csv").write_text("\n".join(lines) + "\n")
     cfg = demo_config(
         trajectory={"kind": "tabulated", "omega0": 1.0, "csv_path": "traj.csv"},
-        initial_conditions="aligned", integrator=integrator)
-    del cfg["oracle"]
+        initial_conditions="aligned", integrator=integrator, oracle=oracle)
+    if oracle is None:
+        del cfg["oracle"]
     return write_config(tmp_path, cfg)
 
 
@@ -361,6 +363,28 @@ def test_bad_trajectory_csv_names_path_once(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert "trajectory CSV" in err
     assert err.count(str(table)) == 1, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("column", ["t", "theta", "phi"])
+def test_non_finite_trajectory_sample_is_config_error(tmp_path, capsys, column, value):
+    path = _tabulated_config(tmp_path, step=0.01, t_end=5.0)
+    table = tmp_path / "traj.csv"
+    lines = table.read_text().splitlines()
+    row = lines[7].split(",")
+    row[["t", "theta", "phi"].index(column)] = value
+    lines[7] = ",".join(row)
+    table.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["simulate", "--config", path, "--output-dir", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{column} samples must be finite, got {value} in data row 7" in err
+    assert err.count(str(table)) == 1, err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
 
 
@@ -766,16 +790,24 @@ def test_cone_runs_need_no_scipy(tmp_path, monkeypatch):
     _same_artifacts(tmp_path / "with", tmp_path / "without")
 
 
-def test_tabulated_run_loads_scipy_when_resolved(tmp_path):
-    path = _tabulated_config(tmp_path, step=0.01, t_end=5.0)
-    assert main(["simulate", "--config", path, "--output-dir", str(tmp_path / "here")]) == 0
-    argv = ["simulate", "--config", path, "--output-dir", str(tmp_path / "child")]
-    proc = _run_child_python("-c", _CHILD_CLI, "allow", json.dumps([argv]))
+def test_tabulated_runs_need_no_scipy(tmp_path):
+    # the spline is a numpy port of scipy's CubicSpline: the same bytes
+    # without scipy, and not even a tabulated run loads it
+    path = _tabulated_config(tmp_path, step=0.01, t_end=5.0,
+                             oracle={"enabled": True, "step": 0.01,
+                                     "method": "exponential_product"})
+
+    def commands(out):
+        return [["simulate", "--config", path, "--output-dir", str(out)],
+                ["verify", "--config", path, "--output-dir", str(out)]]
+
+    assert [main(argv) for argv in commands(tmp_path / "with")] == [0, 0]
+    proc = _run_child_python("-c", _CHILD_CLI, "block",
+                             json.dumps(commands(tmp_path / "without")))
     assert proc.returncode == 0, proc.stderr
     child = json.loads(proc.stdout.splitlines()[-1])
-    assert child["before"] == [] and child["codes"] == [0]
-    assert "scipy.interpolate" in child["after"]
-    _same_artifacts(tmp_path / "here", tmp_path / "child")
+    assert child == {"before": [], "codes": [0, 0], "after": []}
+    _same_artifacts(tmp_path / "with", tmp_path / "without")
 
 
 def test_console_entry_point(tmp_path):

@@ -4,8 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
+from scipy.linalg.lapack import dgtsv
 
 from drives import spline_drive
+from spinrot import trajectory
 from spinrot.errors import OutOfDomainError
 from spinrot.trajectory import OmegaTrajectory
 
@@ -154,6 +159,91 @@ def test_tabulated_validation():
         OmegaTrajectory.from_table(1.0, t[::-1], np.ones(4), np.ones(4))  # decreasing
     with pytest.raises(ValueError):
         OmegaTrajectory.from_table(1.0, t, np.full(4, 4.0), np.ones(4))  # theta > pi
+
+
+# -- the spline is scipy's CubicSpline, bit for bit --------------------------------
+
+def _grid(kind, n, rng):
+    if kind == "uniform":
+        return np.linspace(-1.0, 3.0, n)
+    if kind == "random":
+        return np.cumsum(rng.uniform(1e-3, 1.0, n))
+    return np.cumsum(10.0 ** rng.uniform(-4.0, 1.0, n))  # spacings 1e-4 .. 10
+
+
+def _assert_spline_equals_scipy(t, theta, phi, rng):
+    traj = OmegaTrajectory.from_table(1.0, t, theta, phi)
+    slack = 0.9e-9 * (t[-1] - t[0])  # inside the slack that _check_time allows
+    probe = np.concatenate([t, 0.5 * (t[:-1] + t[1:]), rng.uniform(t[0], t[-1], 50),
+                            [t[0] - slack, t[-1] + slack]])
+    splines = (CubicSpline(t, np.clip(theta, 0.0, math.pi)), CubicSpline(t, np.unwrap(phi)))
+    want = [sp(probe) for sp in splines] + [sp.derivative()(probe) for sp in splines]
+    got = [*traj.angles(probe), *traj.angle_rates(probe)]
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    coefficients = trajectory._not_a_knot_coefficients(
+        t, (np.clip(theta, 0.0, math.pi), np.unwrap(phi)))
+    for c, sp in zip(coefficients, splines):
+        assert np.array_equal(c, sp.c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(4, 60), st.sampled_from(["uniform", "random", "log"]),
+       st.integers(0, 2**32 - 1))
+def test_spline_equals_scipy(n, kind, seed):
+    # same formulas and operation order as scipy's not-a-knot CubicSpline,
+    # its dgtsv solve and its PPoly evaluation: the same bits everywhere
+    rng = np.random.default_rng(seed)
+    t = _grid(kind, n, rng)
+    _assert_spline_equals_scipy(t, rng.uniform(0.0, math.pi, n), rng.normal(0.0, 5.0, n), rng)
+
+
+def test_spline_equals_scipy_on_long_table():
+    # the shape of a measured drive: 2000 samples of nutation and wobbling precession
+    t = np.linspace(0.0, 20.0, 2000)
+    _assert_spline_equals_scipy(t, 0.9 + 0.18 * np.sin(0.17 * t + 1.0),
+                                0.32 * t + 0.22 * np.sin(0.18 * t + 2.0),
+                                np.random.default_rng(2000))
+
+
+def test_spline_equals_scipy_at_0d_time():
+    t, theta, phi = _sample_table(n=41)
+    traj = OmegaTrajectory.from_table(1.0, t, theta, phi)
+    th_sp = CubicSpline(t, theta)
+    for x in (t[0], 2.345, t[17], t[-1]):
+        th, _ = traj.angles(np.float64(x))
+        thd, _ = traj.angle_rates(np.float64(x))
+        assert th.shape == thd.shape == ()
+        assert th.tobytes() == th_sp(np.float64(x)).tobytes()
+        assert thd.tobytes() == th_sp.derivative()(np.float64(x)).tobytes()
+    # scipy's sum starts from 0.0: with a -0.0 constant term and negative
+    # higher terms, the value at the knot is +0.0, not -0.0
+    x = np.linspace(-2.0, 2.0, 9)
+    sp = CubicSpline(x, -(x + x**2 + x**3))
+    zero = trajectory._evaluate_pieces(x, sp.c, np.float64(0.0))
+    assert zero.tobytes() == sp(np.float64(0.0)).tobytes() == np.float64(0.0).tobytes()
+
+
+def test_spline_pivoting_swap_equals_lapack(monkeypatch):
+    # a spacing that jumps from 1 to 8 makes the elimination swap rows
+    # (|d| < |dl| at the second row); the port keeps LAPACK's factors too
+    seen = []
+    solve = trajectory._gtsv
+
+    def spy(dl, d, du, bs):
+        args = [np.array(a) for a in (dl, d, du, bs[0])]
+        solve(dl, d, du, bs)
+        seen.append((args, [np.array(a) for a in (dl, d, du, bs[0])]))
+
+    monkeypatch.setattr(trajectory, "_gtsv", spy)
+    t = np.array([0.0, 1.0, 2.0, 10.0, 11.0, 12.0, 13.0])
+    rng = np.random.default_rng(7)
+    _assert_spline_equals_scipy(t, rng.uniform(0.5, 2.5, t.size), rng.normal(size=t.size), rng)
+    (dl, d, du, b), ours = seen[0]
+    lapack = dgtsv(dl, d, du, b)
+    assert np.any(ours[0][:-1] != 0.0)  # the fill-in that only a row swap leaves
+    for got, want in zip(ours, lapack[:4]):
+        assert np.array_equal(got, want)
 
 
 def test_csv_round_trip(tmp_path):
