@@ -344,7 +344,7 @@ def cmd_sweep(args) -> int:
     spec = load_json_config(args.sweep)
     base_dir = os.path.dirname(os.path.abspath(args.config))
     # validate the base config once up front; grid points revalidate their variants
-    resolve_run_config(base, base_dir)
+    table_sha256 = resolve_run_config(base, base_dir).table_sha256
     rows = run_sweep(base, spec, base_dir)
     out_dir = args.output_dir or base.get("output", {}).get("directory", ".")
     os.makedirs(out_dir, exist_ok=True)
@@ -352,7 +352,7 @@ def cmd_sweep(args) -> int:
     sweep_cols = [d["path"] for d in spec.get("sweep", [])]
     cols = sweep_cols + [c for c in SWEEP_COLUMNS if c not in sweep_cols]
     path = os.path.join(out_dir, f"{prefix}_sweep.csv")
-    comments = [f"config_sha256={config_sha256(base)}",
+    comments = [f"config_sha256={config_sha256(base, table_sha256)}",
                 f"sweep_sha256={config_sha256(spec)}"]
     write_csv(path, cols, ([row.get(c) for c in cols] for row in rows), comments)
     print(path)

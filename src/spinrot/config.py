@@ -54,8 +54,12 @@ SCHEMA_VERSION = 1
 _DEFAULT_VERIFY = {"min_fidelity": 1.0 - 1e-8, "max_phase_mismatch_rad": 1e-6}
 
 
-def config_sha256(data: dict) -> str:
-    return hashlib.sha256(canonical_json(data).encode()).hexdigest()
+def config_sha256(data: dict, table_sha256: str | None = None) -> str:
+    """SHA-256 of the canonical config JSON, folding in a tabulated drive's table digest."""
+    h = hashlib.sha256(canonical_json(data).encode())
+    if table_sha256 is not None:
+        h.update(table_sha256.encode())
+    return h.hexdigest()
 
 
 def load_json_config(path) -> dict:
@@ -204,15 +208,19 @@ def validate_run_config(data: dict) -> dict:
 
 @dataclass
 class RunConfig:
-    """Validated config resolved into runnable objects."""
+    """Validated config resolved into runnable objects.
+
+    `table_sha256` is the SHA-256 of a tabulated drive's CSV bytes, None for a cone.
+    """
 
     data: dict
     trajectory: OmegaTrajectory
     base_dir: str
+    table_sha256: str | None = None
 
     @property
     def sha256(self) -> str:
-        return config_sha256(self.data)
+        return config_sha256(self.data, self.table_sha256)
 
     @property
     def sigmas(self) -> list[float]:
@@ -251,6 +259,7 @@ def resolve_run_config(data: dict, base_dir: str = ".") -> RunConfig:
     """Validate and build the trajectory (tabulated CSVs load here)."""
     norm = validate_run_config(data)
     tr = norm["trajectory"]
+    table_sha256 = None
     if tr["kind"] == "constant_precession":
         traj = OmegaTrajectory.constant_precession(
             tr["omega0"], tr["Omega"], tr["theta"], tr["phi0"])
@@ -259,12 +268,14 @@ def resolve_run_config(data: dict, base_dir: str = ".") -> RunConfig:
         if not os.path.isabs(path):
             path = os.path.join(base_dir, path)
         try:
+            with open(path, "rb") as fh:
+                table_sha256 = hashlib.sha256(fh.read()).hexdigest()
             traj = OmegaTrajectory.from_csv(path, tr["omega0"])
         except OSError as exc:
             raise ConfigError(f"trajectory CSV {path}: {exc.strerror or exc}") from exc
         except ValueError as exc:  # from_csv names the path
             raise ConfigError(f"trajectory CSV {exc}") from exc
-    return RunConfig(norm, traj, base_dir)
+    return RunConfig(norm, traj, base_dir, table_sha256)
 
 
 def apply_overrides(data: dict, assignments: list[str]) -> dict:

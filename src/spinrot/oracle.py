@@ -17,6 +17,10 @@ exponential_product
 rk4
     Classical RK4 directly on the state. Not unitary; the norm drift is
     reported, never renormalized away.
+
+Both methods build the field samples, step propagators or RK4 stage fields
+per block of 512 kept samples, so memory does not grow with the grid; every
+step sees the same floats as in one whole-grid pass.
 """
 
 from __future__ import annotations
@@ -38,6 +42,8 @@ METHOD_RK4 = "rk4"
 
 # Gauss-Legendre nodes of the Magnus step sit at (1/2 -+ sqrt(3)/6) h
 _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
+# kept samples per block: the field and the step propagators are built per block
+_BLOCK = 512
 
 
 @dataclass
@@ -124,24 +130,32 @@ def propagate(traj: OmegaTrajectory, psi0: np.ndarray, t_end: float, step: float
     return PropagatorRun(method, h * thin, t[::thin], states, np.array(defects))
 
 
+def _step_blocks(t, thin):
+    """Step start times t[:-1] in blocks of _BLOCK whole kept samples (the last may be short)."""
+    tk, span = t[:-1], _BLOCK * thin
+    return (tk[k:k + span] for k in range(0, tk.size, span))
+
+
 def _propagate_exponential(traj, amps, t, h, thin):
-    tk = t[:-1]
-    w1 = traj.omega(tk + (0.5 - _GAUSS_OFFSET) * h)
-    w2 = traj.omega(tk + (0.5 + _GAUSS_OFFSET) * h)
-    u = spin_rotation_propagators(
-        0.5 * (w1 + w2) + (math.sqrt(3.0) / 12.0 * h) * np.cross(w2, w1), h)
-    # constructed unitaries [[a, b], [-b*, a*]]: the defect only probes rounding
-    defect = float(np.abs(np.abs(u[:, 0, 0]) ** 2 + np.abs(u[:, 0, 1]) ** 2 - 1.0).max())
-    steps = zip(u[:, 0, 0].tolist(), u[:, 0, 1].tolist(),
-                u[:, 1, 0].tolist(), u[:, 1, 1].tolist())
     pairs = range(0, len(amps), 2)
     kept = [tuple(amps)]
-    for _ in range((t.size - 1) // thin):
-        for u00, u01, u10, u11 in islice(steps, thin):
-            for j in pairs:
-                cp, cm = amps[j], amps[j + 1]
-                amps[j], amps[j + 1] = u00 * cp + u01 * cm, u10 * cp + u11 * cm
-        kept.append(tuple(amps))
+    defect = 0.0
+    for tk in _step_blocks(t, thin):
+        w1 = traj.omega(tk + (0.5 - _GAUSS_OFFSET) * h)
+        w2 = traj.omega(tk + (0.5 + _GAUSS_OFFSET) * h)
+        u = spin_rotation_propagators(
+            0.5 * (w1 + w2) + (math.sqrt(3.0) / 12.0 * h) * np.cross(w2, w1), h)
+        # constructed unitaries [[a, b], [-b*, a*]]: the defect only probes rounding
+        defect = max(defect, float(
+            np.abs(np.abs(u[:, 0, 0]) ** 2 + np.abs(u[:, 0, 1]) ** 2 - 1.0).max()))
+        steps = zip(u[:, 0, 0].tolist(), u[:, 0, 1].tolist(),
+                    u[:, 1, 0].tolist(), u[:, 1, 1].tolist())
+        for _ in range(tk.size // thin):
+            for u00, u01, u10, u11 in islice(steps, thin):
+                for j in pairs:
+                    cp, cm = amps[j], amps[j + 1]
+                    amps[j], amps[j + 1] = u00 * cp + u01 * cm, u10 * cp + u11 * cm
+            kept.append(tuple(amps))
     return kept, [defect] * len(pairs)
 
 
@@ -160,22 +174,22 @@ def _propagate_rk4(traj, amps, t, h, thin):
     pairs = range(0, len(amps), 2)
     drift = [0.0] * len(pairs)
     kept = [tuple(amps)]
-    tk = t[:-1]
-    stages = zip(field(tk), field(tk + 0.5 * h), field(tk + h))
-    for _ in range((t.size - 1) // thin):
-        for f1, f2, f4 in islice(stages, thin):
-            for j in pairs:
-                cp, cm = amps[j], amps[j + 1]
-                k1p, k1m = rhs(f1, cp, cm)
-                k2p, k2m = rhs(f2, cp + 0.5 * h * k1p, cm + 0.5 * h * k1m)
-                k3p, k3m = rhs(f2, cp + 0.5 * h * k2p, cm + 0.5 * h * k2m)
-                k4p, k4m = rhs(f4, cp + h * k3p, cm + h * k3m)
-                cp = cp + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-                cm = cm + (h / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
-                amps[j], amps[j + 1] = cp, cm
-                drift[j // 2] = max(drift[j // 2],
-                                    abs(math.sqrt(abs(cp) ** 2 + abs(cm) ** 2) - 1.0))
-        kept.append(tuple(amps))
+    for tk in _step_blocks(t, thin):
+        stages = zip(field(tk), field(tk + 0.5 * h), field(tk + h))
+        for _ in range(tk.size // thin):
+            for f1, f2, f4 in islice(stages, thin):
+                for j in pairs:
+                    cp, cm = amps[j], amps[j + 1]
+                    k1p, k1m = rhs(f1, cp, cm)
+                    k2p, k2m = rhs(f2, cp + 0.5 * h * k1p, cm + 0.5 * h * k1m)
+                    k3p, k3m = rhs(f2, cp + 0.5 * h * k2p, cm + 0.5 * h * k2m)
+                    k4p, k4m = rhs(f4, cp + h * k3p, cm + h * k3m)
+                    cp = cp + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+                    cm = cm + (h / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
+                    amps[j], amps[j + 1] = cp, cm
+                    drift[j // 2] = max(drift[j // 2],
+                                        abs(math.sqrt(abs(cp) ** 2 + abs(cm) ** 2) - 1.0))
+            kept.append(tuple(amps))
     return kept, drift
 
 

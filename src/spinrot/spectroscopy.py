@@ -43,6 +43,7 @@ TIME_PROFILE_CONSTANT = "constant"
 TIME_PROFILE_MONOCHROMATIC = "monochromatic"
 
 _FIRST_ORDER_WARN = 0.1  # |a| beyond this leaves the first-order regime
+_SCAN_BLOCK = 1 << 16  # elements of the (frequencies x samples) table per block
 
 
 @dataclass(frozen=True)
@@ -233,13 +234,22 @@ def transition_amplitude(pert: PerturbationModel, from_level: EnergyLevel,
 def resonance_scan(pert: PerturbationModel, from_level: EnergyLevel,
                    to_level: EnergyLevel, sol: AuxiliarySolution,
                    phase_histories, frequencies) -> np.ndarray:
-    """|a(t_end)|^2 versus monochromatic drive frequency (vectorized)."""
-    freqs = np.asarray(frequencies, dtype=float)
+    """|a(t_end)|^2 versus monochromatic drive frequency, in frequency blocks.
+
+    One flat entry per frequency. Each block of the cos(f t) table holds
+    about _SCAN_BLOCK elements, and Simpson reduces every row on its own,
+    so the result does not depend on the block size.
+    """
+    freqs = np.asarray(frequencies, dtype=float).ravel()
     g = _amplitude_integrand(pert, from_level, to_level, sol, phase_histories)
-    y = g[None, :] * np.cos(np.outer(freqs, sol.t))
-    a_re = _simpson(y.real, sol.t)
-    a_im = _simpson(y.imag, sol.t)
-    return a_re**2 + a_im**2
+    g_re, g_im = np.ascontiguousarray(g.real), np.ascontiguousarray(g.imag)
+    out = np.empty(freqs.size)
+    rows = max(1, _SCAN_BLOCK // sol.t.size)
+    for k in range(0, freqs.size, rows):
+        c = np.outer(freqs[k:k + rows], sol.t)
+        np.cos(c, out=c)
+        out[k:k + rows] = _simpson(c * g_re, sol.t)**2 + _simpson(c * g_im, sol.t)**2
+    return out
 
 
 def peak_frequency(frequencies, response) -> float:

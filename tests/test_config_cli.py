@@ -147,6 +147,43 @@ def test_config_hash_stable():
     assert a != config_sha256(demo_config(sigmas=[0.5]))
 
 
+def test_tabulated_digest_covers_the_table(tmp_path):
+    # one config JSON over two different tables: every artifact's digest differs
+    cfg = _smooth_table_config(tmp_path)
+    cfg["integrator"]["t_end"] = 1.0
+    path = write_config(tmp_path, cfg)
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({"sweep": [{"path": "integrator.step", "values": [0.01]}]}))
+    table = tmp_path / "table.csv"
+    digests = []
+    for run in ("a", "b"):
+        if run == "b":
+            data = np.loadtxt(table, delimiter=",", skiprows=1)
+            data[:, 1] += 1e-3
+            np.savetxt(table, data, fmt="%.17g", delimiter=",", header="t,theta,phi",
+                       comments="")
+        resolved = resolve_run_config(cfg, str(tmp_path))
+        # the sweep header hashes the base config as written, not normalized
+        sweep_sha = config_sha256(cfg, resolved.table_sha256)
+        out = tmp_path / run
+        for argv in (["simulate"], ["verify"], ["sweep", "--sweep", str(sweep)]):
+            assert main(argv + ["--config", path, "--output-dir", str(out)]) == 0
+        for name in ("demo_summary.json", "demo_verify_report.json"):
+            assert json.loads((out / name).read_text())["config_sha256"] == resolved.sha256
+        for name in ("demo_aux.csv", "demo_phases_up.csv", "demo_verify_up.csv"):
+            assert (out / name).read_text().startswith(f"# config_sha256={resolved.sha256}\n")
+        assert (out / "demo_sweep.csv").read_text().startswith(f"# config_sha256={sweep_sha}\n")
+        digests += [resolved.sha256, sweep_sha]
+    assert len(set(digests)) == 4
+    assert config_sha256(validate_run_config(cfg)) not in digests
+    assert config_sha256(cfg) not in digests
+    # a cone config hashes its normalized JSON alone, as it always did
+    readme = demo_config(integrator={"step": 0.01, "periods": 10.0})
+    cone = resolve_run_config(readme, str(tmp_path))
+    assert cone.table_sha256 is None
+    assert cone.sha256 == config_sha256(validate_run_config(readme))
+
+
 # -- simulate ----------------------------------------------------------------------
 
 def test_simulate_artifacts_and_summary(tmp_path, capsys):
@@ -561,17 +598,27 @@ def test_run_verify_matches_per_sigma_reference(case, sigmas):
 
 @pytest.mark.parametrize("case,calls", [("pass", 1), ("fail", 2)])
 def test_verify_propagates_once_per_grid(tmp_path, monkeypatch, case, calls):
+    # the step propagators are built in blocks, but every step of every grid
+    # gets exactly one, shared by all sigmas
     from spinrot import cli, oracle
-    counts = {"propagate": 0, "spin_rotation_propagators": 0}
-    for module, name in ((cli, "propagate"), (oracle, "spin_rotation_propagators")):
-        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
-            counts[_name] += 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(module, name, counted)
+    steps, rows = [], []
+
+    def counted_propagate(*args, _fn=cli.propagate, **kwargs):
+        run = _fn(*args, **kwargs)
+        steps.append((run.t.size - 1) * kwargs["thin"])
+        return run
+
+    def counted_propagators(omegas, dt, _fn=oracle.spin_rotation_propagators):
+        rows.append(len(omegas))
+        return _fn(omegas, dt)
+
+    monkeypatch.setattr(cli, "propagate", counted_propagate)
+    monkeypatch.setattr(oracle, "spin_rotation_propagators", counted_propagators)
     path = write_config(tmp_path, _VERIFY_CASES[case])
     code = main(["verify", "--config", path, "--output-dir", str(tmp_path / "out")])
     assert code == (0 if case == "pass" else 4)
-    assert counts == {"propagate": calls, "spin_rotation_propagators": calls}
+    assert len(steps) == calls
+    assert sum(rows) == sum(steps)
 
 
 def test_verify_reports_under_resolved_oracle(tmp_path):

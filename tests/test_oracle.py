@@ -230,7 +230,8 @@ _STACK = np.stack([rotation_from_angles(0.7, 0.3) @ basis_state(0.5),
 
 
 @pytest.mark.parametrize("method", [METHOD_EXPONENTIAL, METHOD_RK4])
-@pytest.mark.parametrize("t0,t_end", [(0.0, 4.0), (4.0, 0.0), (1.5, 1.5)])
+# 0 -> 25 at step 0.01 crosses several 512-sample blocks and ends on a ragged one
+@pytest.mark.parametrize("t0,t_end", [(0.0, 4.0), (4.0, 0.0), (1.5, 1.5), (0.0, 25.0)])
 @pytest.mark.parametrize("thin", [1, 4])
 @pytest.mark.parametrize("m", [1, 3])
 def test_stacked_equals_single_state_runs(method, t0, t_end, thin, m):
@@ -252,6 +253,25 @@ def test_stacked_equals_single_state_runs(method, t0, t_end, thin, m):
         assert np.array_equal(single.t, t[::thin])
         assert np.array_equal(single.states, states[::thin])
         assert single.unitarity_defect == defect
+
+
+def test_unitarity_defect_is_the_max_over_blocks(monkeypatch):
+    # a defect seen in the first block of the grid survives the later blocks
+    from spinrot import oracle
+    rows = []
+
+    def first_block_scaled(omegas, dt, _fn=oracle.spin_rotation_propagators):
+        u = _fn(omegas, dt)
+        if not rows:
+            u = u * (1.0 + 1e-6)
+        rows.append(len(omegas))
+        return u
+
+    monkeypatch.setattr(oracle, "spin_rotation_propagators", first_block_scaled)
+    traj = OmegaTrajectory.constant_precession(1.0, 0.5, 1.0)
+    run = propagate(traj, basis_state(0.5), 25.0, 0.01)
+    assert len(rows) > 1 and sum(rows) == 2500
+    assert run.unitarity_defect == pytest.approx(2e-6, rel=1e-5)
 
 
 def test_stack_shape_validation():

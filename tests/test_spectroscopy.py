@@ -7,17 +7,18 @@ import numpy as np
 import pytest
 
 from drives import spline_drive
+from spinrot import spectroscopy
 from spinrot.constants import HBAR_EV_S
 from spinrot.errors import NoSolutionError
 from spinrot.invariant import integrate_auxiliary, solve_precession_lambda
 from spinrot.oracle import fidelity, propagate
-from spinrot.phases import PhaseHistory, accumulate_phases, lr_states
+from spinrot.phases import PhaseHistory, _simpson, accumulate_phases, lr_states
 from spinrot.spectroscopy import (EnergyLevel, PerturbationModel,
                                   line_table, line_table_to_csv,
                                   line_table_to_json,
                                   load_spectroscopy_config, peak_frequency,
                                   resonance_scan, spectral_shift, total_phase,
-                                  transition_amplitude)
+                                  transition_amplitude, _amplitude_integrand)
 from spinrot.spin_algebra import basis_state, rotation_from_angles
 from spinrot.trajectory import OmegaTrajectory
 
@@ -256,6 +257,37 @@ def test_resonance_scan_peaks_at_shift():
     peak = peak_frequency(freqs, resp)
     spacing = freqs[1] - freqs[0]
     assert abs(peak - expected) <= spacing
+
+
+def _one_shot_scan(pert, from_level, to_level, sol, hists, frequencies):
+    """The whole (frequencies x samples) table at once, as the scan was first written."""
+    g = _amplitude_integrand(pert, from_level, to_level, sol, hists)
+    y = g[None, :] * np.cos(np.outer(frequencies, sol.t))
+    return _simpson(y.real, sol.t)**2 + _simpson(y.imag, sol.t)**2
+
+
+@pytest.mark.parametrize("t_end", [10.0, 10.01])  # 1001 and 1002 samples
+def test_resonance_scan_blocks_are_bit_identical(t_end):
+    traj = OmegaTrajectory.constant_precession(1.0, 0.1, math.pi / 6.0)
+    sol = integrate_auxiliary(traj, solve_precession_lambda(1.0, 0.1, math.pi / 6.0),
+                              0.0, t_end, 0.01)
+    assert sol.n_samples == round(t_end / 0.01) + 1
+    hists = [accumulate_phases(sol, traj, s) for s in (0.5, -0.5)]
+    levels = (EnergyLevel(1, 0.5, _rad(1.0)), EnergyLevel(2, -0.5, 0.0))
+    pert = PerturbationModel({(2, 1): 0.002 * HBAR_EV_S * np.array([[0.3, 1.0], [1.0, -0.2]])})
+    rows = spectroscopy._SCAN_BLOCK // sol.n_samples
+    assert rows > 2
+    for count in (1, rows - 1, rows, rows + 1, 200):
+        freqs = np.linspace(0.5, 1.5, count)
+        got = resonance_scan(pert, levels[0], levels[1], sol, hists, freqs)
+        assert got.shape == (count,)
+        assert np.array_equal(got, _one_shot_scan(pert, levels[0], levels[1], sol, hists, freqs))
+    # a 0-d frequency and a 2-D grid come back flat, as np.outer made them
+    for freqs in (np.float64(1.05), np.linspace(0.5, 1.5, 3 * rows).reshape(3, rows)):
+        got = resonance_scan(pert, levels[0], levels[1], sol, hists, freqs)
+        want = _one_shot_scan(pert, levels[0], levels[1], sol, hists, freqs)
+        assert got.shape == want.shape == (np.size(freqs),)
+        assert np.array_equal(got, want)
 
 
 def test_amplitude_with_oracle_extracted_phases():
