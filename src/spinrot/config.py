@@ -216,7 +216,7 @@ class RunConfig:
     data: dict
     trajectory: OmegaTrajectory
     base_dir: str
-    table_sha256: str | None = None
+    table_sha256: str | None
 
     @property
     def sha256(self) -> str:
