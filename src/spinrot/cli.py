@@ -23,7 +23,8 @@ from .config import (RunConfig, apply_overrides, config_sha256,
                      validate_run_config)
 from .errors import (ConfigError, NoSolutionError, OutOfDomainError,
                      SingularityError, SpinRotError)
-from .invariant import integrate_auxiliary, lvn_residual_samples, lvn_residual_series
+from .invariant import (MAX_SAMPLES, integrate_auxiliary, lvn_residual_samples,
+                        lvn_residual_series)
 from .io_utils import write_csv, write_json
 from .oracle import fidelity, propagate, under_resolved
 from .phases import accumulate_phases, berry_limit_check, lr_states
@@ -46,10 +47,21 @@ def _sigma_key(sigma: float) -> str:
     return "+0.5" if sigma > 0 else "-0.5"
 
 
+def _check_grid(key: str, step: float, n_steps: float) -> None:
+    """Reject a grid above the integrator's sample cap before it is allocated.
+
+    n_steps is a float, inf for a subnormal step, so the count cannot overflow.
+    """
+    if n_steps + 1 > MAX_SAMPLES:
+        raise ConfigError(
+            f"{key} = {step!r} gives {n_steps + 1:.0f} samples, above the cap of {MAX_SAMPLES}")
+
+
 # -- pipeline ---------------------------------------------------------------
 
 def run_pipeline(cfg: RunConfig) -> dict:
     """Integrate, accumulate phases, and collect summary numbers (no LvN residuals)."""
+    _check_grid("integrator.step", cfg.step, np.rint(cfg.t_end / cfg.step))
     lam0, gam0 = cfg.initial_conditions()
     sol = integrate_auxiliary(
         cfg.trajectory, lam0, gam0, cfg.t_end, cfg.step, adaptive=cfg.adaptive)
@@ -57,13 +69,13 @@ def run_pipeline(cfg: RunConfig) -> dict:
     duration = float(sol.t[-1] - sol.t[0]) or 1.0
     per_sigma = {}
     for s, hist in histories.items():
-        fin = hist.final()
+        dyn, geo = float(hist.phi_dyn[-1]), float(hist.phi_geo[-1])
         per_sigma[_sigma_key(s)] = {
-            "phi_dyn_final": fin.phi_dyn,
-            "phi_geo_final": fin.phi_geo,
-            "phi_total_final": fin.phi_total,
-            "phi_dyn_rate": fin.phi_dyn / duration,
-            "phi_geo_rate": fin.phi_geo / duration,
+            "phi_dyn_final": dyn,
+            "phi_geo_final": geo,
+            "phi_total_final": dyn + geo,
+            "phi_dyn_rate": dyn / duration,
+            "phi_geo_rate": geo / duration,
         }
     summary = {
         "schema_version": cfg.data["schema_version"],
@@ -133,7 +145,9 @@ def run_verify(cfg: RunConfig) -> dict:
         raise ConfigError("cmd_verify requires an enabled oracle section")
     # oracle step snapped to an integer divisor of the dense-output step so
     # the two grids share sample times exactly
-    thin = max(1, round(sol.step / oracle_cfg["step"]))
+    thin = max(1.0, np.rint(sol.step / oracle_cfg["step"]))
+    _check_grid("oracle.step", oracle_cfg["step"], (sol.n_samples - 1) * thin)
+    thin = int(thin)
     t0, t_end = float(sol.t[0]), float(sol.t[-1])
     n_oracle = (sol.n_samples - 1) * thin
     oracle_step = (t_end - t0) / n_oracle if n_oracle else oracle_cfg["step"]
@@ -344,16 +358,15 @@ def cmd_sweep(args) -> int:
     spec = load_json_config(args.sweep)
     base_dir = os.path.dirname(os.path.abspath(args.config))
     # validate the base config once up front; grid points revalidate their variants
-    table_sha256 = resolve_run_config(base, base_dir).table_sha256
+    cfg = resolve_run_config(base, base_dir)
     rows = run_sweep(base, spec, base_dir)
-    out_dir = args.output_dir or base.get("output", {}).get("directory", ".")
+    out_dir = args.output_dir or cfg.data["output"]["directory"]
     os.makedirs(out_dir, exist_ok=True)
-    prefix = base.get("output", {}).get("prefix", "run")
+    prefix = cfg.data["output"]["prefix"]
     sweep_cols = [d["path"] for d in spec.get("sweep", [])]
     cols = sweep_cols + [c for c in SWEEP_COLUMNS if c not in sweep_cols]
     path = os.path.join(out_dir, f"{prefix}_sweep.csv")
-    comments = [f"config_sha256={config_sha256(base, table_sha256)}",
-                f"sweep_sha256={config_sha256(spec)}"]
+    comments = [f"config_sha256={cfg.sha256}", f"sweep_sha256={config_sha256(spec)}"]
     write_csv(path, cols, ([row.get(c) for c in cols] for row in rows), comments)
     print(path)
     return EXIT_OK

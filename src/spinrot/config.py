@@ -215,7 +215,6 @@ class RunConfig:
 
     data: dict
     trajectory: OmegaTrajectory
-    base_dir: str
     table_sha256: str | None
 
     @property
@@ -275,7 +274,7 @@ def resolve_run_config(data: dict, base_dir: str = ".") -> RunConfig:
             raise ConfigError(f"trajectory CSV {path}: {exc.strerror or exc}") from exc
         except ValueError as exc:  # from_csv names the path
             raise ConfigError(f"trajectory CSV {exc}") from exc
-    return RunConfig(norm, traj, base_dir, table_sha256)
+    return RunConfig(norm, traj, table_sha256)
 
 
 def apply_overrides(data: dict, assignments: list[str]) -> dict:

@@ -38,7 +38,7 @@ from .trajectory import OmegaTrajectory, omega_from_angles
 
 EPS_LAMBDA = 1e-6  # guard band (rad) around the cot(lambda) singularities
 
-_MAX_SAMPLES = 4_000_000
+MAX_SAMPLES = 4_000_000  # cap on the samples of one grid
 _BLOCK = 512  # RK4 steps whose drive samples come from one vectorized call
 
 
@@ -55,9 +55,7 @@ class AuxiliarySolution:
     theta: np.ndarray  # the drive's angles on the grid, sampled once by the integrator
     phi: np.ndarray
     step: float
-    adaptive: bool = False
     n_halvings: int = 0
-    eps_lambda: float = EPS_LAMBDA
     max_error_rate: float = 0.0  # adaptive mode: max local error per unit time
     meta: dict = field(default_factory=dict)
 
@@ -129,9 +127,7 @@ def _drive_stages(traj: OmegaTrajectory, times: list) -> list:
 
 def integrate_auxiliary(traj: OmegaTrajectory, lambda0: float, gamma0: float,
                         t_end: float, step: float, *, t0: float = 0.0,
-                        adaptive: bool = False, error_rate_tol: float | None = None,
-                        eps_lambda: float = EPS_LAMBDA,
-                        max_halvings: int = 16) -> AuxiliarySolution:
+                        adaptive: bool = False, max_halvings: int = 16) -> AuxiliarySolution:
     """Integrate the auxiliary angle ODEs with fixed-step RK4.
 
     Parameters
@@ -146,9 +142,9 @@ def integrate_auxiliary(traj: OmegaTrajectory, lambda0: float, gamma0: float,
     adaptive : bool
         When set, each step is also taken as two half steps; if the
         worst-case local error rate max|y_h - y_{h/2}| / |h| ever exceeds
-        `error_rate_tol` (default 1e-9 * w0, the accuracy at which the
-        dense output keeps the invariant condition), the whole run is
-        rerun at half the step, preserving the uniform output grid.
+        1e-9 * w0 (the accuracy at which the dense output keeps the
+        invariant condition), the whole run is rerun at half the step,
+        preserving the uniform output grid, at most `max_halvings` times.
 
     The drive is never evaluated per RK4 stage. The grid is walked in
     blocks of `_BLOCK` steps; for each block one vectorized `traj.angles`
@@ -164,26 +160,28 @@ def integrate_auxiliary(traj: OmegaTrajectory, lambda0: float, gamma0: float,
     Raises
     ------
     SingularityError
-        If lambda reaches the cot guard; the message names the time.
+        If lambda0 starts inside the cot guard band (EPS_LAMBDA from 0 or
+        pi), or lambda reaches it; the message names the time.
     OutOfDomainError
         If [t0, t_end] leaves a tabulated drive's domain.
     ValueError
-        On non-positive step or out-of-band lambda0.
+        On non-positive step, or a grid above MAX_SAMPLES samples.
     """
     if not (step > 0.0 and math.isfinite(step)):
         raise ValueError(f"step must be positive and finite, got {step!r}")
+    eps_lambda = EPS_LAMBDA
     if not (eps_lambda < lambda0 < math.pi - eps_lambda):
-        raise ValueError(
+        raise SingularityError(
             f"lambda0 = {lambda0!r} outside the integrable band "
-            f"({eps_lambda:g}, pi - {eps_lambda:g})")
+            f"({eps_lambda:g}, pi - {eps_lambda:g}) of the cot(lambda) guard", time=t0)
     w0 = traj.omega0
-    tol = error_rate_tol if error_rate_tol is not None else 1e-9 * w0
+    tol = 1e-9 * w0
     traj.angles(np.array([t0, t_end]))  # a tabulated drive checks its domain here, once
     n = 0 if t_end == t0 else max(1, round(abs(t_end - t0) / step))
     halvings = 0
     while True:
-        if n + 1 > _MAX_SAMPLES:
-            raise ValueError(f"step halving exceeded {_MAX_SAMPLES} samples")
+        if n + 1 > MAX_SAMPLES:
+            raise ValueError(f"a grid of {n + 1} samples exceeds the cap of {MAX_SAMPLES}")
         t = np.linspace(t0, t_end, n + 1)
         h = (t_end - t0) / n if n else step
         lam = array("d", [lambda0])
@@ -233,9 +231,8 @@ def integrate_auxiliary(traj: OmegaTrajectory, lambda0: float, gamma0: float,
     lam_dot = w0 * s_th * np.sin(d)
     gam_dot = w0 * (np.cos(th) - s_th * np.cos(d) * np.cos(lam) / np.sin(lam))
     return AuxiliarySolution(
-        traj, t, lam, gam, lam_dot, gam_dot, th, ph, step=h, adaptive=adaptive,
-        n_halvings=halvings, eps_lambda=eps_lambda, max_error_rate=worst_rate,
-        meta=meta)
+        traj, t, lam, gam, lam_dot, gam_dot, th, ph, step=h, n_halvings=halvings,
+        max_error_rate=worst_rate, meta=meta)
 
 
 def solve_precession_lambda(omega0: float, Omega: float, theta: float) -> float:

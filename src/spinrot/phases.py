@@ -35,20 +35,6 @@ from .spin_algebra import rotation_stack, validate_sigma
 from .trajectory import OmegaTrajectory
 
 
-@dataclass(frozen=True)
-class PhaseRecord:
-    """Accumulated phases for one spin projection at one time."""
-
-    sigma: float
-    phi_dyn: float
-    phi_geo: float
-    t: float
-
-    @property
-    def phi_total(self) -> float:
-        return self.phi_dyn + self.phi_geo
-
-
 @dataclass
 class PhaseHistory:
     """Phase series on the auxiliary solution grid."""
@@ -61,10 +47,6 @@ class PhaseHistory:
     @property
     def phi_total(self) -> np.ndarray:
         return self.phi_dyn + self.phi_geo
-
-    def final(self) -> PhaseRecord:
-        return PhaseRecord(self.sigma, float(self.phi_dyn[-1]),
-                           float(self.phi_geo[-1]), float(self.t[-1]))
 
 
 def _intervals(x: np.ndarray) -> np.ndarray:

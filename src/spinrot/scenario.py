@@ -79,12 +79,6 @@ def precession_from_torque(model: MoleculeModel, omega0: float, torque_j: float,
     return torque_j / (model.moment_of_inertia * omega0 * s)
 
 
-def torque_from_precession(model: MoleculeModel, omega0: float, Omega: float,
-                           theta: float = math.pi / 2.0) -> float:
-    """Inverse map |M| = w0 Omega I sin th, J."""
-    return omega0 * Omega * model.moment_of_inertia * math.sin(theta)
-
-
 def free_rotation_correlation_time(model: MoleculeModel, temperature_k: float) -> float:
     """Free-rotor reorientation time (3/5) sqrt(I / kB T), seconds."""
     if not (temperature_k > 0.0 and math.isfinite(temperature_k)):

@@ -35,7 +35,6 @@ import numpy as np
 from .constants import HBAR_EV_S
 from .errors import GridMismatchError
 from .invariant import AuxiliarySolution, solve_precession_lambda
-from .io_utils import write_csv, write_json
 from .phases import PhaseHistory, _simpson
 from .spin_algebra import rotation_stack, validate_sigma
 
@@ -124,47 +123,10 @@ class PerturbationModel:
             return np.zeros((2, 2), dtype=complex)
         return b
 
-    def element(self, m: int, sigma_p: float, n: int, sigma: float) -> complex:
-        return complex(self.block(m, n)[_spin_index(sigma_p), _spin_index(sigma)])
-
     def drive(self, t):
         if self.time_profile[0] == TIME_PROFILE_CONSTANT:
             return np.ones_like(np.asarray(t, dtype=float))
         return np.cos(self.time_profile[1] * np.asarray(t, dtype=float))
-
-    def with_frequency(self, freq: float) -> "PerturbationModel":
-        return PerturbationModel(self.blocks, (TIME_PROFILE_MONOCHROMATIC, freq))
-
-
-def _level_lookup(levels) -> dict[tuple[int, float], EnergyLevel]:
-    table = {}
-    for lv in levels:
-        if lv.key in table:
-            raise ValueError(f"duplicate level {lv.key}")
-        table[lv.key] = lv
-    return table
-
-
-def total_phase(m_sigma_p: tuple[int, float], k_sigma: tuple[int, float],
-                phases_k, phases_m, levels, t: float) -> float:
-    """phi_tot(m sigma', k sigma; t) in radians.
-
-    phases_k / phases_m are PhaseRecords at time t for sigma and sigma'.
-    """
-    table = _level_lookup(levels)
-    m, sigma_p = m_sigma_p
-    k, sigma = k_sigma
-    for rec, s in ((phases_k, sigma), (phases_m, sigma_p)):
-        if rec is None or rec.sigma != s:
-            raise ValueError(f"missing phase record for sigma = {s}")
-        if abs(rec.t - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"phase record at t = {rec.t}, requested t = {t}")
-    try:
-        eps_k = table[(k, sigma)].epsilon_rad_s
-        eps_m = table[(m, sigma_p)].epsilon_rad_s
-    except KeyError as exc:
-        raise ValueError(f"level {exc.args[0]} not in level set") from None
-    return (phases_k.phi_total + eps_k * t) - (phases_m.phi_total + eps_m * t)
 
 
 def spectral_shift(sigma: float, sigma_p: float, omega0: float, Omega: float,
@@ -279,7 +241,11 @@ def line_table(levels, omega0: float, Omega: float, theta: float,
     levels = list(levels)
     if not levels:
         raise ValueError("level set must be nonempty")
-    _level_lookup(levels)  # rejects duplicates
+    keys = set()
+    for lv in levels:
+        if lv.key in keys:
+            raise ValueError(f"duplicate level {lv.key}")
+        keys.add(lv.key)
     states = sorted(levels, key=lambda lv: (lv.n, -lv.sigma))
     lines = []
     for i in range(len(states)):
@@ -297,66 +263,3 @@ def line_table(levels, omega0: float, Omega: float, theta: float,
             lines.append(SpectralLine(a.key, b.key, bare, shift))
     lines.sort(key=lambda ln: (ln.shifted_position_ev, ln.from_state, ln.to_state))
     return lines
-
-
-# -- structured config and emission ---------------------------------------
-
-def load_spectroscopy_config(path):
-    """Read levels[], perturbation{}, rotation{} from a JSON file.
-
-    Schema:
-        levels: [{"n": int, "sigma": +-0.5, "epsilon_ev": float}, ...]
-        perturbation: {"time_profile": "constant"
-                           | {"monochromatic": {"frequency_rad_s": float}},
-                       "elements": [{"m": int, "n": int,
-                                     "block": 2x2 of [re, im]}, ...]}
-        rotation: {"omega0": float, "Omega": float, "theta": float}
-
-    Returns (levels, perturbation_model, rotation_dict).
-    """
-    import json
-
-    with open(path) as fh:
-        data = json.load(fh)
-    unknown = set(data) - {"levels", "perturbation", "rotation", "schema_version"}
-    if unknown:
-        raise ValueError(f"unknown spectroscopy config keys: {sorted(unknown)}")
-    levels = [EnergyLevel(int(d["n"]), float(d["sigma"]), float(d["epsilon_ev"]))
-              for d in data["levels"]]
-    rotation = data["rotation"]
-    pert = None
-    if "perturbation" in data:
-        pd = data["perturbation"]
-        profile = pd.get("time_profile", "constant")
-        if isinstance(profile, dict):
-            profile = (TIME_PROFILE_MONOCHROMATIC,
-                       float(profile["monochromatic"]["frequency_rad_s"]))
-        blocks = {}
-        for el in pd["elements"]:
-            raw = el["block"]
-            blocks[(int(el["m"]), int(el["n"]))] = np.array(
-                [[complex(c[0], c[1]) for c in row] for row in raw])
-        pert = PerturbationModel(blocks, profile)
-    return levels, pert, {"omega0": float(rotation["omega0"]),
-                          "Omega": float(rotation["Omega"]),
-                          "theta": float(rotation["theta"])}
-
-
-def line_table_to_csv(lines, path, comments=None) -> None:
-    rows = [(ln.from_state[0], ln.from_state[1], ln.to_state[0], ln.to_state[1],
-             ln.bare_gap_ev, ln.shift_ev, ln.shifted_position_ev) for ln in lines]
-    write_csv(path, ["from_n", "from_sigma", "to_n", "to_sigma",
-                     "bare_gap_ev", "shift_ev", "shifted_position_ev"],
-              rows, comments)
-
-
-def line_table_to_json(lines, path, extra: dict | None = None) -> None:
-    payload = dict(extra or {})
-    payload["lines"] = [
-        {"from": {"n": ln.from_state[0], "sigma": ln.from_state[1]},
-         "to": {"n": ln.to_state[0], "sigma": ln.to_state[1]},
-         "bare_gap_ev": ln.bare_gap_ev,
-         "shift_ev": ln.shift_ev,
-         "shifted_position_ev": ln.shifted_position_ev}
-        for ln in lines]
-    write_json(path, payload)

@@ -71,11 +71,6 @@ class OmegaTrajectory:
         )
 
     @classmethod
-    def static(cls, omega0, theta, phi=0.0):
-        """Time-independent w: the Omega = 0 cone."""
-        return cls.constant_precession(omega0, 0.0, theta, phi)
-
-    @classmethod
     def from_table(cls, omega0, t, theta, phi):
         """Not-a-knot cubic-spline interpolant through sampled angles.
 

@@ -236,7 +236,7 @@ def test_criterion_8_randomized_properties():
                 return drift + a2 * w2 * 2.0 * math.pi * np.cos(w2 * 2.0 * math.pi * s)
 
             T = rng.uniform(2.0, 6.0)
-            traj = OmegaTrajectory.static(1.0, 1.0)
+            traj = OmegaTrajectory.constant_precession(1.0, 0.0, 1.0)
             t1 = np.linspace(0.0, T, 2001)
             s1 = AuxiliarySolution(
                 traj=traj, t=t1, lam=lam_path(t1 / T), gamma=gam_path(t1 / T),

@@ -18,6 +18,7 @@ from spinrot.cli import EXIT_CONFIG, main
 from spinrot.config import (apply_overrides, config_sha256, resolve_run_config,
                             validate_run_config)
 from spinrot.errors import ConfigError
+from spinrot.invariant import MAX_SAMPLES
 
 W0, OM, TH = 1.0, 0.5, math.pi / 3.0
 
@@ -163,8 +164,6 @@ def test_tabulated_digest_covers_the_table(tmp_path):
             np.savetxt(table, data, fmt="%.17g", delimiter=",", header="t,theta,phi",
                        comments="")
         resolved = resolve_run_config(cfg, str(tmp_path))
-        # the sweep header hashes the base config as written, not normalized
-        sweep_sha = config_sha256(cfg, resolved.table_sha256)
         out = tmp_path / run
         for argv in (["simulate"], ["verify"], ["sweep", "--sweep", str(sweep)]):
             assert main(argv + ["--config", path, "--output-dir", str(out)]) == 0
@@ -172,11 +171,13 @@ def test_tabulated_digest_covers_the_table(tmp_path):
             assert json.loads((out / name).read_text())["config_sha256"] == resolved.sha256
         for name in ("demo_aux.csv", "demo_phases_up.csv", "demo_verify_up.csv"):
             assert (out / name).read_text().startswith(f"# config_sha256={resolved.sha256}\n")
-        assert (out / "demo_sweep.csv").read_text().startswith(f"# config_sha256={sweep_sha}\n")
-        digests += [resolved.sha256, sweep_sha]
-    assert len(set(digests)) == 4
+        assert (out / "demo_sweep.csv").read_text().startswith(
+            f"# config_sha256={resolved.sha256}\n")
+        digests.append(resolved.sha256)
+    assert len(set(digests)) == 2
     assert config_sha256(validate_run_config(cfg)) not in digests
     assert config_sha256(cfg) not in digests
+    assert config_sha256(cfg, resolved.table_sha256) not in digests  # the config as written
     # a cone config hashes its normalized JSON alone, as it always did
     readme = demo_config(integrator={"step": 0.01, "periods": 10.0})
     cone = resolve_run_config(readme, str(tmp_path))
@@ -287,6 +288,45 @@ def test_simulate_singularity_exit_code(tmp_path):
     del cfg["oracle"]
     path = write_config(tmp_path, cfg)
     assert main(["simulate", "--config", path, "--output-dir", str(tmp_path / "o")]) == 3
+
+
+@pytest.mark.parametrize("case", ["lambda0-zero", "aligned-on-the-pole"])
+def test_guard_band_start_is_numeric_failure(tmp_path, capsys, case):
+    # lambda0 = 0 sits in the cot(lambda) guard band: exit 3 and one stderr line
+    if case == "lambda0-zero":
+        cfg = demo_config(initial_conditions={"lambda0": 0.0, "gamma0": 0.0},
+                          integrator={"step": 0.01, "t_end": 1.0})
+    else:
+        cfg = demo_config(trajectory={"kind": "constant_precession", "omega0": 1.0,
+                                      "Omega": 0.5, "theta": 0.0, "phi0": 0.0},
+                          initial_conditions="aligned", integrator={"step": 0.01, "t_end": 1.0})
+    path = write_config(tmp_path, cfg)
+    for command in ("simulate", "verify"):
+        assert main([command, "--config", path, "--output-dir", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: lambda0 = 0.0 outside the integrable band")
+        assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command,over,grid", [
+    ("simulate", {"integrator": {"step": 2.5e-7, "t_end": 1.0}},
+     "integrator.step = 2.5e-07 gives 4000001"),
+    ("verify", {"integrator": {"step": 0.01, "t_end": 1.0}, "oracle": {"step": 2.5e-7}},
+     "oracle.step = 2.5e-07 gives 4000001"),
+    ("simulate", {"integrator": {"step": 1e-320, "t_end": 1.0}},
+     "integrator.step = 1e-320 gives inf"),
+    ("verify", {"integrator": {"step": 0.01, "t_end": 1.0}, "oracle": {"step": 1e-320}},
+     "oracle.step = 1e-320 gives inf"),
+])
+def test_grid_above_sample_cap_is_config_error(tmp_path, capsys, command, over, grid):
+    # 4,000,001 samples is one above the integrator's cap: rejected before the
+    # grid is built; a subnormal step's count does not overflow on the way
+    assert MAX_SAMPLES == 4_000_000
+    path = write_config(tmp_path, demo_config(**over))
+    assert main([command, "--config", path, "--output-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {grid} samples, above the cap of 4000000\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_simulate_no_solution_exit_code(tmp_path):
@@ -686,6 +726,45 @@ def test_sweep_degenerate_point_marked(tmp_path, monkeypatch):
     assert rows[1]["status"] == "no-solution"
     assert rows[1]["phi_geo_T"] == ""
     assert rows[1]["error"] != ""
+
+
+def test_sweep_guard_band_start_marked(tmp_path, monkeypatch):
+    monkeypatch.setenv("SPINROT_WORKERS", "1")
+    cfg = demo_config(initial_conditions={"lambda0": 1.0, "gamma0": 0.0},
+                      integrator={"step": 0.05, "t_end": 1.0})
+    path = write_config(tmp_path, cfg)
+    spath = tmp_path / "sweep.json"
+    spath.write_text(json.dumps({"sweep": [{"path": "initial_conditions.lambda0",
+                                            "values": [1.0, 0.0]}]}))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", path, "--sweep", str(spath),
+                 "--output-dir", str(out)]) == 0
+    rows = read_csv_rows(out / "demo_sweep.csv")
+    assert [r["status"] for r in rows] == ["ok", "singularity"]
+    assert "outside the integrable band" in rows[1]["error"]
+
+
+@pytest.mark.parametrize("case", ["readme-demo", "tabulated"])
+def test_sweep_digest_matches_summary(tmp_path, monkeypatch, case):
+    # one config, one digest: the sweep header hashes the normalized config,
+    # with a tabulated drive's table digest folded in, as simulate does
+    monkeypatch.setenv("SPINROT_WORKERS", "1")
+    if case == "readme-demo":
+        cfg = demo_config(integrator={"step": 0.01, "periods": 10.0},
+                          output={"directory": "out", "prefix": "demo"})
+    else:
+        cfg = _smooth_table_config(tmp_path)
+        cfg["integrator"]["t_end"] = 1.0
+    path = write_config(tmp_path, cfg)
+    spath = tmp_path / "sweep.json"
+    spath.write_text(json.dumps({"sweep": [{"path": "integrator.step", "values": [0.02]}]}))
+    out = tmp_path / "out"
+    for argv in (["simulate"], ["sweep", "--sweep", str(spath)]):
+        assert main(argv + ["--config", path, "--output-dir", str(out)]) == 0
+    digest = json.loads((out / "demo_summary.json").read_text())["config_sha256"]
+    assert digest == resolve_run_config(cfg, str(tmp_path)).sha256
+    with open(out / "demo_sweep.csv") as fh:
+        assert fh.readline() == f"# config_sha256={digest}\n"
 
 
 def test_sweep_path_into_non_object_marked(tmp_path, monkeypatch):

@@ -148,7 +148,7 @@ def test_transform_maps_s1_eigenvectors():
 # -- integration: exact solutions ------------------------------------------------
 
 def test_static_fixed_point():
-    traj = OmegaTrajectory.static(2.0, 1.1, phi=0.4)
+    traj = OmegaTrajectory.constant_precession(2.0, 0.0, 1.1, 0.4)
     sol = integrate_auxiliary(traj, 1.1, 0.4, 10.0, 0.01)
     assert np.abs(sol.lam - 1.1).max() < 1e-12
     assert np.abs(sol.gamma - 0.4).max() < 1e-12
@@ -166,7 +166,7 @@ def test_precession_locked_cone_ten_periods():
 
 
 def test_free_spin_constant():
-    traj = OmegaTrajectory.static(0.0, 1.0)
+    traj = OmegaTrajectory.constant_precession(0.0, 0.0, 1.0)
     sol = integrate_auxiliary(traj, 0.8, -0.2, 5.0, 0.05)
     assert np.array_equal(sol.lam, np.full_like(sol.lam, 0.8))
     assert np.array_equal(sol.gamma, np.full_like(sol.gamma, -0.2))
@@ -209,16 +209,16 @@ def test_invalid_step():
 
 def test_lambda0_outside_band():
     traj = _precession()
-    with pytest.raises(ValueError):
+    with pytest.raises(SingularityError, match="lambda0 = 0.0"):
         integrate_auxiliary(traj, 0.0, 0.0, 1.0, 0.01)
-    with pytest.raises(ValueError):
+    with pytest.raises(SingularityError, match="outside the integrable band"):
         integrate_auxiliary(traj, math.pi, 0.0, 1.0, 0.01)
 
 
 def test_singularity_abort_names_time():
     # invariant direction rotates about w; with w along x and the initial
     # direction in the y-z plane, the circle passes exactly through the pole
-    traj = OmegaTrajectory.static(1.0, math.pi / 2.0, phi=0.0)
+    traj = OmegaTrajectory.constant_precession(1.0, 0.0, math.pi / 2.0, 0.0)
     with pytest.raises(SingularityError) as err:
         integrate_auxiliary(traj, 0.3, math.pi / 2.0, 8.0, 0.005)
     assert err.value.time is not None
@@ -383,7 +383,7 @@ def test_stage_table_matches_per_stage_reference(case):
 # -- LvN residual -----------------------------------------------------------------
 
 def test_residual_zero_on_fixed_point():
-    traj = OmegaTrajectory.static(2.0, 1.1, phi=0.4)
+    traj = OmegaTrajectory.constant_precession(2.0, 0.0, 1.1, 0.4)
     assert _residual(traj, 3.0, 1.1, 0.4, 0.0, 0.0)[0] < 1e-12 * 2.0
 
 

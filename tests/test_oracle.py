@@ -19,7 +19,7 @@ from spinrot.trajectory import OmegaTrajectory
 
 def test_static_field_exact_phase():
     # w along z: psi(t) = e^{-i w0 t / 2} |+1/2>
-    traj = OmegaTrajectory.static(1.3, 0.0)
+    traj = OmegaTrajectory.constant_precession(1.3, 0.0, 0.0)
     run = propagate(traj, basis_state(0.5), 20.0, 0.01)
     exact = np.exp(-0.5j * 1.3 * run.t)
     assert np.abs(run.states[:, 0] - exact).max() < 1e-10
@@ -27,7 +27,7 @@ def test_static_field_exact_phase():
 
 
 def test_zero_coupling_identity():
-    traj = OmegaTrajectory.static(0.0, 1.0)
+    traj = OmegaTrajectory.constant_precession(0.0, 0.0, 1.0)
     psi0 = np.array([0.6, 0.8j])
     run = propagate(traj, psi0, 5.0, 0.1)
     assert np.abs(run.states - psi0).max() == 0.0
@@ -61,7 +61,7 @@ def test_superposition_linearity():
 
 
 def test_warns_on_coarse_step():
-    traj = OmegaTrajectory.static(10.0, 1.0)
+    traj = OmegaTrajectory.constant_precession(10.0, 0.0, 1.0)
     with pytest.warns(UserWarning, match="under-resolved"):
         propagate(traj, basis_state(0.5), 1.0, 0.05)
 
@@ -81,7 +81,7 @@ def test_under_resolved_sees_the_turning_field():
 
 
 def test_invalid_inputs():
-    traj = OmegaTrajectory.static(1.0, 1.0)
+    traj = OmegaTrajectory.constant_precession(1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         propagate(traj, basis_state(0.5), 1.0, -0.1)
     with pytest.raises(ValueError):
@@ -170,7 +170,7 @@ def test_oracle_validates_particular_solution():
 
 
 def test_thin_validation():
-    traj = OmegaTrajectory.static(0.5, 1.0)
+    traj = OmegaTrajectory.constant_precession(0.5, 0.0, 1.0)
     # 10 steps
     assert propagate(traj, basis_state(0.5), 1.0, 0.1, thin=5).t.size == 3
     with pytest.raises(ValueError):
@@ -275,14 +275,14 @@ def test_unitarity_defect_is_the_max_over_blocks(monkeypatch):
 
 
 def test_stack_shape_validation():
-    traj = OmegaTrajectory.static(1.0, 1.0)
+    traj = OmegaTrajectory.constant_precession(1.0, 0.0, 1.0)
     for bad in (np.ones((2, 3)), np.ones((0, 2)), np.ones((1, 2, 2)), np.array(1.0)):
         with pytest.raises(ValueError):
             propagate(traj, bad, 1.0, 0.01)
 
 
 def test_csv_emission(tmp_path):
-    traj = OmegaTrajectory.static(0.5, 1.0)
+    traj = OmegaTrajectory.constant_precession(0.5, 0.0, 1.0)
     run = propagate(traj, basis_state(0.5), 1.0, 0.1)
     fid, phase = fidelity(run, run.t, run.states)
     path = tmp_path / "oracle.csv"

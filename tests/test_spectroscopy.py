@@ -1,6 +1,5 @@
 """Transition phases, first-order amplitudes, spectral line shifts."""
 
-import json
 import math
 
 import numpy as np
@@ -9,17 +8,15 @@ import pytest
 from drives import spline_drive
 from spinrot import spectroscopy
 from spinrot.constants import HBAR_EV_S
-from spinrot.errors import NoSolutionError
+from spinrot.errors import GridMismatchError, NoSolutionError
 from spinrot.invariant import integrate_auxiliary, solve_precession_lambda
 from spinrot.oracle import fidelity, propagate
 from spinrot.phases import PhaseHistory, _simpson, accumulate_phases, lr_states
 from spinrot.spectroscopy import (EnergyLevel, PerturbationModel,
-                                  line_table, line_table_to_csv,
-                                  line_table_to_json,
-                                  load_spectroscopy_config, peak_frequency,
-                                  resonance_scan, spectral_shift, total_phase,
+                                  line_table, peak_frequency,
+                                  resonance_scan, spectral_shift,
                                   transition_amplitude, _amplitude_integrand)
-from spinrot.spin_algebra import basis_state, rotation_from_angles
+from spinrot.spin_algebra import basis_state, rotation_from_angles, rotation_stack
 from spinrot.trajectory import OmegaTrajectory
 
 
@@ -39,34 +36,47 @@ def _locked(w0=1.0, Om=0.5, th=math.pi / 3.0, periods=2.0, step=0.01):
 
 # -- total phase -----------------------------------------------------------------
 
+def _phi_tot(from_level, to_level, sol, hists):
+    """phi_tot on the grid, unwrapped from the phase of the amplitude integrand.
+
+    The spin block is sigma_z for a flip (dressed element sin(lam) e^{...},
+    nonzero inside the guard band) and the identity otherwise; the dressed
+    element is built as the integrand builds it, so its phase cancels exactly.
+    """
+    block = np.diag([1.0, -1.0]) if from_level.sigma != to_level.sigma else np.eye(2)
+    pert = PerturbationModel({(to_level.n, from_level.n): block})
+    g = _amplitude_integrand(pert, from_level, to_level, sol, hists)
+    v = rotation_stack(sol.lam, sol.gamma)
+    dressed = np.einsum("nji,jk,nkl->nil", v.conj(), block, v)
+    elem = dressed[:, 0 if to_level.sigma > 0 else 1, 0 if from_level.sigma > 0 else 1]
+    return -np.unwrap(np.angle(1j * g) - np.angle(elem))
+
+
 def test_total_phase_identical_states_zero():
     _, sol, hists = _locked(periods=0.5)
     levels = [EnergyLevel(1, 0.5, _rad(2.0)), EnergyLevel(2, 0.5, _rad(2.0))]
-    t = float(sol.t[-1])
-    up = hists[0].final()
-    assert total_phase((2, 0.5), (1, 0.5), up, up, levels, t) == 0.0
+    assert np.all(_phi_tot(levels[0], levels[1], sol, hists) == 0.0)
 
 
 def test_total_phase_precession_rate():
     # flip transition, zero bare gap: rate is
     # (sigma - sigma')[w0 cos(lam - th) + Omega (1 - cos lam)]
-    traj, sol, hists = _locked(w0=1.0, Om=0.5, th=math.pi / 3.0)
+    _, sol, hists = _locked(w0=1.0, Om=0.5, th=math.pi / 3.0)
     levels = [EnergyLevel(1, 0.5, 0.0), EnergyLevel(1, -0.5, 0.0)]
-    t = float(sol.t[-1])
-    up, down = hists[0].final(), hists[1].final()
-    phi = total_phase((1, -0.5), (1, 0.5), up, down, levels, t)
-    assert phi / t == pytest.approx(1.3660254037844386, rel=1e-9)
+    phi = _phi_tot(levels[0], levels[1], sol, hists)
+    assert phi[-1] / sol.t[-1] == pytest.approx(1.3660254037844386, rel=1e-9)
 
 
 def test_total_phase_missing_record():
-    _, sol, hists = _locked(periods=0.25)
+    traj, sol, hists = _locked(periods=0.25)
     levels = [EnergyLevel(1, 0.5, 0.0), EnergyLevel(1, -0.5, 0.0)]
-    t = float(sol.t[-1])
-    up = hists[0].final()
-    with pytest.raises(ValueError):
-        total_phase((1, -0.5), (1, 0.5), up, up, levels, t)  # wrong sigma record
-    with pytest.raises(ValueError):
-        total_phase((3, -0.5), (1, 0.5), up, hists[1].final(), levels, t)  # no level
+    pert = PerturbationModel({(1, 1): np.diag([1.0, -1.0])})
+    with pytest.raises(ValueError, match="missing phase history"):
+        _amplitude_integrand(pert, levels[0], levels[1], sol, hists[:1])  # no sigma' history
+    other = integrate_auxiliary(traj, sol.lam[0], 0.0, float(sol.t[-1]), 0.02)
+    with pytest.raises(GridMismatchError):
+        _amplitude_integrand(pert, levels[0], levels[1], sol,
+                             [hists[0], accumulate_phases(other, traj, -0.5)])
 
 
 def test_total_phase_matches_oracle_reconstruction():
@@ -81,22 +91,19 @@ def test_total_phase_matches_oracle_reconstruction():
     oracle_phase = {}
     hists = {}
     n = sol.n_samples - 1
+    v = rotation_stack(sol.lam, sol.gamma)
     for sigma in (0.5, -0.5):
         hists[sigma] = accumulate_phases(sol, traj, sigma)
         psi0 = rotation_from_angles(1.1, 0.0) @ basis_state(sigma)
         run = propagate(traj, psi0, t_end, t_end / (n * 4), thin=4)
         # <sigma| V^dag(t) psi(t)> = e^{-i phi_sigma(t)}
-        from spinrot.spin_algebra import rotation_stack
-        v = rotation_stack(sol.lam, sol.gamma)
         col = 0 if sigma > 0 else 1
         amp = np.sum(np.conj(v[:, :, col]) * run.states, axis=1)
         oracle_phase[sigma] = -np.unwrap(np.angle(amp))
-    t = float(sol.t[-1])
-    phi_pipe = total_phase((2, -0.5), (1, 0.5), hists[0.5].final(),
-                           hists[-0.5].final(), levels, t)
-    phi_orc = (oracle_phase[0.5][-1] + _rad(1.7) / HBAR_EV_S * t) \
-        - (oracle_phase[-0.5][-1] + _rad(0.4) / HBAR_EV_S * t)
-    assert phi_pipe == pytest.approx(phi_orc, abs=1e-7)
+    phi_pipe = _phi_tot(levels[0], levels[1], sol, list(hists.values()))
+    phi_orc = (oracle_phase[0.5] + levels[0].epsilon_rad_s * sol.t) \
+        - (oracle_phase[-0.5] + levels[1].epsilon_rad_s * sol.t)
+    assert np.abs(phi_pipe - phi_orc).max() < 1e-7
 
 
 # -- spectral shift ----------------------------------------------------------------
@@ -160,13 +167,17 @@ def test_hermiticity_enforced():
 
 
 def test_element_indexing():
-    b = np.array([[1.0, 2.0], [3.0, 4.0]])
+    # block (m, n) holds <m, sigma'| H' |n, sigma> at [sigma' index, sigma index],
+    # spin order (+1/2, -1/2); the reverse block is its conjugate transpose
+    b = np.array([[1.0, 2.0j], [3.0, 4.0]])
     pert = PerturbationModel({(2, 1): b})
-    assert pert.element(2, 0.5, 1, 0.5) == 1.0
-    assert pert.element(2, 0.5, 1, -0.5) == 2.0
-    assert pert.element(2, -0.5, 1, 0.5) == 3.0
-    assert pert.element(2, -0.5, 1, -0.5) == 4.0
-    assert pert.element(3, 0.5, 1, 0.5) == 0.0  # absent block
+    assert np.array_equal(pert.block(2, 1), b)
+    assert np.array_equal(pert.block(1, 2), b.conj().T)
+    assert not pert.block(3, 1).any()  # absent block
+    levels = [EnergyLevel(1, 0.5, 0.0), EnergyLevel(2, -0.5, 1.0), EnergyLevel(2, 0.5, 1.0)]
+    only_down_up = PerturbationModel({(2, 1): np.array([[0.0, 0.0], [0.1, 0.0]])})
+    lines = line_table(levels, 1e11, 0.0, 1.0, pert=only_down_up)
+    assert [(ln.from_state, ln.to_state) for ln in lines] == [((2, -0.5), (1, 0.5))]
 
 
 # -- transition amplitude ---------------------------------------------------------------
@@ -361,6 +372,8 @@ def test_two_levels_spin_flip_four_lines():
 def test_line_table_requires_levels():
     with pytest.raises(ValueError):
         line_table([], 1e11, 0.0, 1.0)
+    with pytest.raises(ValueError, match="duplicate level"):
+        line_table([EnergyLevel(1, 0.5, 0.0), EnergyLevel(1, 0.5, 1.0)], 1e11, 0.0, 1.0)
 
 
 def test_line_table_perturbation_filter():
@@ -373,51 +386,3 @@ def test_line_table_perturbation_filter():
     # oriented downhill so the line position is the positive photon energy
     assert lines[0].from_state == (2, 0.5) and lines[0].to_state == (1, 0.5)
     assert lines[0].shifted_position_ev == pytest.approx(1.0)
-
-
-# -- config ingestion and emission ----------------------------------------------------------
-
-def test_config_round_trip(tmp_path):
-    cfg = {
-        "schema_version": 1,
-        "levels": [
-            {"n": 1, "sigma": 0.5, "epsilon_ev": 0.0},
-            {"n": 1, "sigma": -0.5, "epsilon_ev": 0.0},
-            {"n": 2, "sigma": 0.5, "epsilon_ev": 1.5},
-            {"n": 2, "sigma": -0.5, "epsilon_ev": 1.5},
-        ],
-        "perturbation": {
-            "time_profile": {"monochromatic": {"frequency_rad_s": 2.0e15}},
-            "elements": [
-                {"m": 2, "n": 1,
-                 "block": [[[0.0, 0.0], [0.01, 0.0]], [[0.01, 0.0], [0.0, 0.0]]]}
-            ],
-        },
-        "rotation": {"omega0": 1e11, "Omega": 1.6e11, "theta": 1.5707963267948966},
-    }
-    path = tmp_path / "spect.json"
-    path.write_text(json.dumps(cfg))
-    levels, pert, rotation = load_spectroscopy_config(path)
-    assert len(levels) == 4
-    assert pert.time_profile == ("monochromatic", 2.0e15)
-    assert pert.element(2, 0.5, 1, -0.5) == 0.01
-    lines = line_table(levels, pert=pert, **rotation)
-    csv_path = tmp_path / "lines.csv"
-    json_path = tmp_path / "lines.json"
-    line_table_to_csv(lines, csv_path, comments=["config_sha256=xyz"])
-    line_table_to_json(lines, json_path, extra={"config_sha256": "xyz"})
-    text = csv_path.read_text().splitlines()
-    assert text[0] == "# config_sha256=xyz"
-    assert text[1].startswith("from_n,from_sigma,to_n,to_sigma,bare_gap_ev")
-    assert len(text) == 2 + len(lines)
-    payload = json.loads(json_path.read_text())
-    assert payload["config_sha256"] == "xyz"
-    assert len(payload["lines"]) == len(lines)
-    assert payload["lines"] == sorted(payload["lines"], key=lambda d: d["shifted_position_ev"])
-
-
-def test_config_rejects_unknown_keys(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"levels": [], "rotation": {}, "bogus": 1}))
-    with pytest.raises(ValueError, match="unknown"):
-        load_spectroscopy_config(path)

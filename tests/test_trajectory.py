@@ -16,7 +16,7 @@ from spinrot.trajectory import OmegaTrajectory
 
 
 def test_polar_axis():
-    traj = OmegaTrajectory.static(1.0, 0.0, phi=2.3)
+    traj = OmegaTrajectory.constant_precession(1.0, 0.0, 0.0, 2.3)
     assert np.allclose(traj.omega(5.0), [0.0, 0.0, 1.0], atol=1e-15)
 
 
@@ -28,7 +28,7 @@ def test_equatorial_quarter_turn():
 
 
 def test_direct_evaluation():
-    traj = OmegaTrajectory.static(1e11, math.pi / 6.0, phi=0.0)
+    traj = OmegaTrajectory.constant_precession(1e11, 0.0, math.pi / 6.0, 0.0)
     w = traj.omega(0.0)
     assert np.allclose(w, [5e10, 0.0, 8.660254037844386e10], rtol=1e-12)
 
@@ -42,9 +42,9 @@ def test_norm_preserved_everywhere():
 
 def test_omega0_validation():
     with pytest.raises(ValueError):
-        OmegaTrajectory.static(-1.0, 0.5)
+        OmegaTrajectory.constant_precession(-1.0, 0.0, 0.5)
     with pytest.raises(ValueError):
-        OmegaTrajectory.static(float("nan"), 0.5)
+        OmegaTrajectory.constant_precession(float("nan"), 0.0, 0.5)
 
 
 # -- effective field ----------------------------------------------------------
@@ -55,7 +55,7 @@ def test_effective_field_equatorial():
 
 
 def test_effective_field_static_is_zero():
-    traj = OmegaTrajectory.static(5.0, 1.0, phi=0.3)
+    traj = OmegaTrajectory.constant_precession(5.0, 0.0, 1.0, 0.3)
     assert np.array_equal(traj.effective_field(1.7), np.zeros(3))
 
 
@@ -294,4 +294,4 @@ def test_scalar_and_array_evaluation_agree():
 
 def test_period():
     assert OmegaTrajectory.constant_precession(1.0, 0.5, 1.0).period() == pytest.approx(4 * math.pi)
-    assert OmegaTrajectory.static(1.0, 1.0).period() is None
+    assert OmegaTrajectory.constant_precession(1.0, 0.0, 1.0).period() is None
