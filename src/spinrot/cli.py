@@ -159,8 +159,7 @@ def run_verify(cfg: RunConfig) -> dict:
               "per_sigma": {}}
 
     def oracle(psi0, step, k):
-        return propagate(cfg.trajectory, psi0, t_end, step, method=oracle_cfg["method"],
-                         t0=t0, thin=k).unstack()
+        return propagate(cfg.trajectory, psi0, t_end, step, t0=t0, thin=k).unstack()
 
     # every sigma rides one oracle chain per grid
     sigmas = list(result["histories"])

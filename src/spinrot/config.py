@@ -26,7 +26,7 @@ Schema (version 1):
       "oracle": {                    # optional; enables cmd_verify
         "enabled": bool,
         "step": float > 0,           # rounded to an integer divisor of step
-        "method": "exponential_product" | "rk4"
+        "method": "exponential_product"  # the only method, and the default
       },
       "verify": {                    # optional tolerance overrides
         "min_fidelity": float, "max_phase_mismatch_rad": float
@@ -180,7 +180,7 @@ def validate_run_config(data: dict) -> dict:
         orc = data["oracle"]
         _expect_keys(orc, "oracle", {"step"}, {"enabled", "method"})
         method = orc.get("method", "exponential_product")
-        if method not in ("exponential_product", "rk4"):
+        if method != "exponential_product":
             raise ConfigError(f"oracle.method {method!r} not recognized")
         out["oracle"] = {"enabled": bool(orc.get("enabled", True)),
                          "step": _number(orc["step"], "oracle.step", positive=True),

@@ -34,11 +34,10 @@ import numpy as np
 
 from .errors import NoSolutionError, SingularityError
 from .io_utils import write_csv
-from .trajectory import OmegaTrajectory, omega_from_angles
+from .trajectory import MAX_SAMPLES, OmegaTrajectory, _grid_steps, omega_from_angles
 
 EPS_LAMBDA = 1e-6  # guard band (rad) around the cot(lambda) singularities
 
-MAX_SAMPLES = 4_000_000  # cap on the samples of one grid
 _BLOCK = 512  # RK4 steps whose drive samples come from one vectorized call
 
 
@@ -138,7 +137,7 @@ def integrate_auxiliary(traj: OmegaTrajectory, lambda0: float, gamma0: float,
         Initial angles; lambda0 must sit strictly inside the guard band.
     t_end, step : float
         Final time and requested step magnitude. Backward runs (t_end < t0)
-        are supported; the step count is n = round(|t_end - t0| / step).
+        are supported; the step count is n = rint(|t_end - t0| / step).
     adaptive : bool
         When set, each step is also taken as two half steps; if the
         worst-case local error rate max|y_h - y_{h/2}| / |h| ever exceeds
@@ -177,11 +176,9 @@ def integrate_auxiliary(traj: OmegaTrajectory, lambda0: float, gamma0: float,
     w0 = traj.omega0
     tol = 1e-9 * w0
     traj.angles(np.array([t0, t_end]))  # a tabulated drive checks its domain here, once
-    n = 0 if t_end == t0 else max(1, round(abs(t_end - t0) / step))
+    n = _grid_steps(t0, t_end, step)
     halvings = 0
     while True:
-        if n + 1 > MAX_SAMPLES:
-            raise ValueError(f"a grid of {n + 1} samples exceeds the cap of {MAX_SAMPLES}")
         t = np.linspace(t0, t_end, n + 1)
         h = (t_end - t0) / n if n else step
         lam = array("d", [lambda0])
@@ -219,6 +216,8 @@ def integrate_auxiliary(traj: OmegaTrajectory, lambda0: float, gamma0: float,
             break
         n *= 2
         halvings += 1
+        if n + 1 > MAX_SAMPLES:  # _grid_steps checked the first grid
+            raise ValueError(f"a grid of {n + 1} samples exceeds the cap of {MAX_SAMPLES}")
     meta = {}
     if adaptive and worst_rate > tol:
         meta["error_rate_tol_exceeded"] = True

@@ -1,26 +1,22 @@
-"""Brute-force propagators for i d/dt psi = (w(t) . S) psi.
+"""Brute-force propagator for i d/dt psi = (w(t) . S) psi.
 
-These validate the invariant pipeline end to end and deliberately share
+It validates the invariant pipeline end to end and deliberately shares
 nothing with it beyond the 2x2 spin primitives.
 
-Methods
--------
-exponential_product
-    Fourth-order Magnus step on the two Gauss-Legendre nodes
-    t_n + (1/2 -+ sqrt(3)/6) h, with w1, w2 the field there:
-    psi_{n+1} = exp(-i (v . S) h) psi_n, v = (w1 + w2)/2 + (sqrt(3) h/12) (w2 x w1).
-    The cross product is the commutator term, since [a . S, b . S] =
-    i (a x b) . S in su(2), so every step is one closed-form 2x2 exponential
-    and exactly unitary: total-phase comparisons against the invariant
-    solution are meaningful down to ~1e-12. The global error is O(h^4)
-    (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)).
-rk4
-    Classical RK4 directly on the state. Not unitary; the norm drift is
-    reported, never renormalized away.
+Each step is the fourth-order Magnus step on the two Gauss-Legendre nodes
+t_n + (1/2 -+ sqrt(3)/6) h, with w1, w2 the field there:
 
-Both methods build the field samples, step propagators or RK4 stage fields
-per block of 512 kept samples, so memory does not grow with the grid; every
-step sees the same floats as in one whole-grid pass.
+    psi_{n+1} = exp(-i (v . S) h) psi_n, v = (w1 + w2)/2 + (sqrt(3) h/12) (w2 x w1).
+
+The cross product is the commutator term, since [a . S, b . S] =
+i (a x b) . S in su(2), so every step is one closed-form 2x2 exponential
+and exactly unitary: total-phase comparisons against the invariant
+solution are meaningful down to ~1e-12. The global error is O(h^4)
+(Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)).
+
+The field samples and step propagators are built per block of 512 kept
+samples, so memory does not grow with the grid; every step sees the same
+floats as in one whole-grid pass.
 """
 
 from __future__ import annotations
@@ -35,10 +31,7 @@ import numpy as np
 from .errors import GridMismatchError
 from .io_utils import write_csv
 from .spin_algebra import spin_rotation_propagators
-from .trajectory import OmegaTrajectory
-
-METHOD_EXPONENTIAL = "exponential_product"
-METHOD_RK4 = "rk4"
+from .trajectory import OmegaTrajectory, _grid_steps
 
 # Gauss-Legendre nodes of the Magnus step sit at (1/2 -+ sqrt(3)/6) h
 _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
@@ -55,7 +48,6 @@ class PropagatorRun:
     state in an array of shape (m,). `step` is the spacing of `t`.
     """
 
-    method: str
     step: float
     t: np.ndarray
     states: np.ndarray
@@ -63,7 +55,7 @@ class PropagatorRun:
 
     def unstack(self) -> list["PropagatorRun"]:
         """One single-state run per member of a stacked run, in stack order."""
-        return [PropagatorRun(self.method, self.step, self.t, self.states[:, j], float(d))
+        return [PropagatorRun(self.step, self.t, self.states[:, j], float(d))
                 for j, d in enumerate(self.unitarity_defect)]
 
     def to_csv(self, path, fidelity=None, overlap_phase=None, comments=None):
@@ -91,14 +83,14 @@ def under_resolved(traj: OmegaTrajectory, step: float, t: np.ndarray) -> bool:
 
 
 def propagate(traj: OmegaTrajectory, psi0: np.ndarray, t_end: float, step: float,
-              method: str = METHOD_EXPONENTIAL, t0: float = 0.0, thin: int = 1
-              ) -> PropagatorRun:
+              t0: float = 0.0, thin: int = 1) -> PropagatorRun:
     """Propagate psi0 from t0 to t_end with the given step.
 
     psi0 is one 2-spinor, shape (2,), or a stack of them, shape (m, 2). All
     states share the grid, the step propagators and one step loop, and each
     comes out bit-identical to its own single-state run. The first sample
     and every `thin`-th after it are kept; `thin` must divide the step count.
+    A grid above MAX_SAMPLES samples is a ValueError, raised before it is built.
     """
     if not (step > 0.0 and math.isfinite(step)):
         raise ValueError(f"step must be positive and finite, got {step!r}")
@@ -106,11 +98,7 @@ def propagate(traj: OmegaTrajectory, psi0: np.ndarray, t_end: float, step: float
     if psi0.ndim not in (1, 2) or psi0.shape[-1] != 2 or psi0.size == 0:
         raise ValueError(
             f"psi0 must be a 2-spinor or a stack of them, got shape {psi0.shape}")
-    advance = {METHOD_EXPONENTIAL: _propagate_exponential,
-               METHOD_RK4: _propagate_rk4}.get(method)
-    if advance is None:
-        raise ValueError(f"unknown method {method!r}")
-    n = 0 if t_end == t0 else max(1, round(abs(t_end - t0) / step))
+    n = _grid_steps(t0, t_end, step)
     if thin < 1 or n % thin != 0:
         raise ValueError(f"cannot thin {n} steps by {thin}")
     t = np.linspace(t0, t_end, n + 1)
@@ -118,29 +106,22 @@ def propagate(traj: OmegaTrajectory, psi0: np.ndarray, t_end: float, step: float
     if under_resolved(traj, h, t):
         warnings.warn("max(omega0, |B|)*step >= 0.1; the propagator is under-resolved",
                       stacklevel=2)
-    # (c+, c-) of every state, flat: the step loops index it in pairs
-    amps = psi0.reshape(-1).tolist()
-    if n == 0:
-        kept, defects = [tuple(amps)], [0.0] * (len(amps) // 2)
-    else:
-        kept, defects = advance(traj, amps, t, h, thin)
+    # (c+, c-) of every state, flat: the step loop indexes it in pairs
+    kept, defect = _propagate_exponential(traj, psi0.reshape(-1).tolist(), t, h, thin)
     states = np.array(kept, dtype=complex).reshape(len(kept), -1, 2)
     if psi0.ndim == 1:
-        return PropagatorRun(method, h * thin, t[::thin], states[:, 0], defects[0])
-    return PropagatorRun(method, h * thin, t[::thin], states, np.array(defects))
-
-
-def _step_blocks(t, thin):
-    """Step start times t[:-1] in blocks of _BLOCK whole kept samples (the last may be short)."""
-    tk, span = t[:-1], _BLOCK * thin
-    return (tk[k:k + span] for k in range(0, tk.size, span))
+        return PropagatorRun(h * thin, t[::thin], states[:, 0], defect)
+    return PropagatorRun(h * thin, t[::thin], states, np.full(len(psi0), defect))
 
 
 def _propagate_exponential(traj, amps, t, h, thin):
+    """Kept amplitude tuples and the worst step-propagator unitarity defect."""
     pairs = range(0, len(amps), 2)
     kept = [tuple(amps)]
     defect = 0.0
-    for tk in _step_blocks(t, thin):
+    starts, span = t[:-1], _BLOCK * thin  # step start times, in blocks of whole kept samples
+    for k in range(0, starts.size, span):
+        tk = starts[k:k + span]
         w1 = traj.omega(tk + (0.5 - _GAUSS_OFFSET) * h)
         w2 = traj.omega(tk + (0.5 + _GAUSS_OFFSET) * h)
         u = spin_rotation_propagators(
@@ -156,41 +137,7 @@ def _propagate_exponential(traj, amps, t, h, thin):
                     cp, cm = amps[j], amps[j + 1]
                     amps[j], amps[j + 1] = u00 * cp + u01 * cm, u10 * cp + u11 * cm
             kept.append(tuple(amps))
-    return kept, [defect] * len(pairs)
-
-
-def _propagate_rk4(traj, amps, t, h, thin):
-    def field(times):
-        # (wz, (wx - i wy)/2) per step, as Python numbers
-        w = traj.omega(times)
-        return zip(w[:, 2].tolist(), (0.5 * (w[:, 0] - 1j * w[:, 1])).tolist())
-
-    def rhs(f, cp, cm):
-        # -i (w . S) psi, expanded on components
-        wz, a = f
-        return (-1j * (0.5 * wz * cp + a * cm),
-                -1j * (a.conjugate() * cp - 0.5 * wz * cm))
-
-    pairs = range(0, len(amps), 2)
-    drift = [0.0] * len(pairs)
-    kept = [tuple(amps)]
-    for tk in _step_blocks(t, thin):
-        stages = zip(field(tk), field(tk + 0.5 * h), field(tk + h))
-        for _ in range(tk.size // thin):
-            for f1, f2, f4 in islice(stages, thin):
-                for j in pairs:
-                    cp, cm = amps[j], amps[j + 1]
-                    k1p, k1m = rhs(f1, cp, cm)
-                    k2p, k2m = rhs(f2, cp + 0.5 * h * k1p, cm + 0.5 * h * k1m)
-                    k3p, k3m = rhs(f2, cp + 0.5 * h * k2p, cm + 0.5 * h * k2m)
-                    k4p, k4m = rhs(f4, cp + h * k3p, cm + h * k3m)
-                    cp = cp + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-                    cm = cm + (h / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
-                    amps[j], amps[j + 1] = cp, cm
-                    drift[j // 2] = max(drift[j // 2],
-                                        abs(math.sqrt(abs(cp) ** 2 + abs(cm) ** 2) - 1.0))
-            kept.append(tuple(amps))
-    return kept, drift
+    return kept, defect
 
 
 def fidelity(run: PropagatorRun, lr_t: np.ndarray, lr_states: np.ndarray

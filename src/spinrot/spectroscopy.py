@@ -38,9 +38,6 @@ from .invariant import AuxiliarySolution, solve_precession_lambda
 from .phases import PhaseHistory, _simpson
 from .spin_algebra import rotation_stack, validate_sigma
 
-TIME_PROFILE_CONSTANT = "constant"
-TIME_PROFILE_MONOCHROMATIC = "monochromatic"
-
 _FIRST_ORDER_WARN = 0.1  # |a| beyond this leaves the first-order regime
 _SCAN_BLOCK = 1 << 16  # elements of the (frequencies x samples) table per block
 
@@ -91,11 +88,10 @@ class PerturbationModel:
     blocks[(m, n)][i, j] = <m, s_i| H' |n, s_j> in eV with spin ordering
     (+1/2, -1/2). Hermiticity requires blocks[(n, m)] = blocks[(m, n)]^dag;
     a missing reverse block is filled in automatically, a present one is
-    checked. time_profile is "constant" or ("monochromatic", freq_rad_s),
-    the latter multiplying H' by cos(freq * t).
+    checked.
     """
 
-    def __init__(self, blocks: dict, time_profile="constant"):
+    def __init__(self, blocks: dict):
         filled: dict[tuple[int, int], np.ndarray] = {}
         for (m, n), block in blocks.items():
             b = np.asarray(block, dtype=complex)
@@ -109,24 +105,12 @@ class PerturbationModel:
             elif not np.allclose(rev, b.conj().T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(b).max()))):
                 raise ValueError(f"perturbation is not Hermitian across blocks ({m},{n})/({n},{m})")
         self.blocks = filled
-        if time_profile == TIME_PROFILE_CONSTANT or time_profile == (TIME_PROFILE_CONSTANT,):
-            self.time_profile = (TIME_PROFILE_CONSTANT,)
-        else:
-            kind, freq = time_profile
-            if kind != TIME_PROFILE_MONOCHROMATIC:
-                raise ValueError(f"unknown time profile {time_profile!r}")
-            self.time_profile = (TIME_PROFILE_MONOCHROMATIC, float(freq))
 
     def block(self, m: int, n: int) -> np.ndarray:
         b = self.blocks.get((m, n))
         if b is None:
             return np.zeros((2, 2), dtype=complex)
         return b
-
-    def drive(self, t):
-        if self.time_profile[0] == TIME_PROFILE_CONSTANT:
-            return np.ones_like(np.asarray(t, dtype=float))
-        return np.cos(self.time_profile[1] * np.asarray(t, dtype=float))
 
 
 def spectral_shift(sigma: float, sigma_p: float, omega0: float, Omega: float,
@@ -183,8 +167,7 @@ def transition_amplitude(pert: PerturbationModel, from_level: EnergyLevel,
             raise ValueError(f"t_end = {t_end} is not a solution grid sample")
     if i_end < 2:
         return 0.0 + 0.0j
-    tt = sol.t[: i_end + 1]
-    y = g[: i_end + 1] * pert.drive(tt)
+    tt, y = sol.t[: i_end + 1], g[: i_end + 1]
     a = complex(_simpson(y.real, tt) + 1j * _simpson(y.imag, tt))
     if abs(a) > _FIRST_ORDER_WARN:
         warnings.warn(

@@ -29,6 +29,8 @@ from .errors import OutOfDomainError
 KIND_CONSTANT_PRECESSION = "constant_precession"
 KIND_TABULATED = "tabulated"
 
+MAX_SAMPLES = 4_000_000  # cap on the samples of one time grid
+
 
 class OmegaTrajectory:
     """Immutable w(t) history from four vectorized angle/rate callables; use the factories."""
@@ -322,3 +324,17 @@ def omega_from_angles(omega0: float, th, ph) -> np.ndarray:
     """w0 (sin th cos ph, sin th sin ph, cos th), stacked on a last axis of 3."""
     s = np.sin(th)
     return omega0 * np.stack([s * np.cos(ph), s * np.sin(ph), np.cos(th)], axis=-1)
+
+
+def _grid_steps(t0: float, t_end: float, step: float) -> int:
+    """Step count max(1, rint(|t_end - t0| / step)) of a uniform grid, 0 when t_end == t0.
+
+    Raises ValueError, before any grid exists, when the count is not finite
+    (a subnormal step) or the grid would exceed MAX_SAMPLES samples.
+    """
+    if t_end == t0:
+        return 0
+    n = np.rint(abs(t_end - t0) / step)
+    if not n + 1 <= MAX_SAMPLES:  # also false for inf and nan
+        raise ValueError(f"a grid of {n + 1:.0f} samples exceeds the cap of {MAX_SAMPLES}")
+    return max(1, int(n))

@@ -86,6 +86,7 @@ def test_schema_violations():
         demo_config(trajectory={"kind": "spiral", "omega0": 1.0}),
         demo_config(trajectory={"kind": "tabulated", "omega0": 1.0}),  # no csv
         demo_config(oracle={"step": 0.01, "method": "verlet"}),
+        demo_config(oracle={"step": 0.01, "method": "rk4"}),
     ]
     for cfg in bad:
         with pytest.raises(ConfigError):
@@ -558,8 +559,7 @@ def _reference_verify(cfg):
     def thinned(run, k):
         if k < 1 or (run.t.size - 1) % k != 0:
             raise ValueError(f"cannot thin {run.t.size - 1} steps by {k}")
-        return PropagatorRun(run.method, run.step * k, run.t[::k], run.states[::k],
-                             run.unitarity_defect)
+        return PropagatorRun(run.step * k, run.t[::k], run.states[::k], run.unitarity_defect)
 
     result = run_pipeline(cfg)
     sol = result["sol"]
@@ -580,7 +580,7 @@ def _reference_verify(cfg):
         lam0, gam0 = float(sol.lam[0]), float(sol.gamma[0])
         psi0 = rotation_from_angles(lam0, gam0) @ basis_state(s)
         run = thinned(propagate(cfg.trajectory, psi0, float(sol.t[-1]), oracle_step,
-                                method=oracle_cfg["method"], t0=float(sol.t[0])), thin)
+                                t0=float(sol.t[0])), thin)
         states = lr_states(sol, hist)
         fid, phase = fidelity(run, sol.t, states)
         entry = {"min_fidelity": float(fid.min()),
@@ -591,8 +591,7 @@ def _reference_verify(cfg):
             and entry["max_overlap_phase_rad"] <= tol["max_phase_mismatch_rad"])
         if not entry["pass"]:
             half = thinned(propagate(cfg.trajectory, psi0, float(sol.t[-1]),
-                                     oracle_step / 2.0, method=oracle_cfg["method"],
-                                     t0=float(sol.t[0])), 2 * thin)
+                                     oracle_step / 2.0, t0=float(sol.t[0])), 2 * thin)
             _, phase_half = fidelity(half, sol.t, states)
             mismatch_half = float(np.abs(phase_half).max())
             entry["phase_mismatch_at_half_step_rad"] = mismatch_half
@@ -609,12 +608,6 @@ _SHORT = {"step": 0.02, "periods": 0.5}
 _VERIFY_CASES = {
     "fail": demo_config(**_COARSE),
     "pass": demo_config(integrator=_SHORT),
-    "rk4-pass": demo_config(integrator=_SHORT, oracle={
-        "enabled": True, "step": 0.005, "method": "rk4"}),
-    "rk4-fail": demo_config(
-        initial_conditions="aligned", integrator={"step": 0.05, "periods": 0.5},
-        oracle={"enabled": True, "step": 0.05, "method": "rk4"},
-        verify={"min_fidelity": 1.0 - 1e-8, "max_phase_mismatch_rad": 1e-8}),
 }
 
 
@@ -675,6 +668,14 @@ def test_verify_reports_under_resolved_oracle(tmp_path):
                  "--output-dir", str(out)]) == 0
     report = json.loads((out / "demo_verify_report.json").read_text())
     assert report["oracle_under_resolved"] is False
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_retired_oracle_method_is_config_error(tmp_path, capsys, command):
+    path = write_config(tmp_path, demo_config(oracle={"step": 0.01, "method": "rk4"}))
+    assert main([command, "--config", path, "--output-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: oracle.method 'rk4' not recognized\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_verify_requires_oracle(tmp_path):

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from drives import cone_propagators, spline_drive
 from spinrot.errors import GridMismatchError
-from spinrot.invariant import integrate_auxiliary, solve_precession_lambda
-from spinrot.oracle import (METHOD_EXPONENTIAL, METHOD_RK4, fidelity, propagate,
-                            under_resolved)
+from spinrot.invariant import MAX_SAMPLES, integrate_auxiliary, solve_precession_lambda
+from spinrot.oracle import fidelity, propagate, under_resolved
 from spinrot.phases import accumulate_phases, lr_states
 from spinrot.spin_algebra import basis_state, rotation_from_angles, spin_rotation_propagators
 from spinrot.trajectory import OmegaTrajectory
@@ -39,15 +38,6 @@ def test_norm_conserved_exponential():
     norms = np.linalg.norm(run.states, axis=1)
     assert np.abs(norms - 1.0).max() < 1e-12
     assert run.unitarity_defect < 1e-10
-
-
-def test_rk4_drift_reported_not_hidden():
-    traj = OmegaTrajectory.constant_precession(2.0, 0.7, 1.0)
-    run = propagate(traj, basis_state(0.5), 30.0, 0.02, method=METHOD_RK4)
-    norms = np.linalg.norm(run.states, axis=1)
-    drift = np.abs(norms - 1.0).max()
-    assert run.unitarity_defect == pytest.approx(drift, rel=1e-6)
-    assert drift > 0.0  # RK4 is not unitary; the defect must be visible
 
 
 def test_superposition_linearity():
@@ -86,8 +76,27 @@ def test_invalid_inputs():
         propagate(traj, basis_state(0.5), 1.0, -0.1)
     with pytest.raises(ValueError):
         propagate(traj, np.ones(3, dtype=complex), 1.0, 0.01)
-    with pytest.raises(ValueError):
-        propagate(traj, basis_state(0.5), 1.0, 0.01, method="verlet")
+
+
+def test_subnormal_step_is_value_error():
+    # |t_end - t0| / 1e-320 is inf: the step count must not overflow int()
+    traj = OmegaTrajectory.constant_precession(1.0, 0.5, 1.0)
+    with pytest.raises(ValueError, match="inf samples exceeds the cap"):
+        propagate(traj, basis_state(0.5), 1.0, 1e-320)
+    with pytest.raises(ValueError, match="inf samples exceeds the cap"):
+        integrate_auxiliary(traj, 1.0, 0.0, 1.0, 1e-320)
+
+
+def test_grid_above_sample_cap_rejected_before_it_is_built(monkeypatch):
+    from spinrot import oracle
+
+    def grid_built(*args):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(oracle, "under_resolved", grid_built)
+    traj = OmegaTrajectory.constant_precession(1.0, 0.5, 1.0)
+    with pytest.raises(ValueError, match=f"{MAX_SAMPLES + 1} samples exceeds the cap"):
+        propagate(traj, basis_state(0.5), 0.5 * MAX_SAMPLES, 0.5)
 
 
 def test_fidelity_trivial_cases():
@@ -179,7 +188,7 @@ def test_thin_validation():
         propagate(traj, basis_state(0.5), 1.0, 0.1, thin=0)
 
 
-def _reference_propagate(traj, psi0, t_end, step, method, t0):
+def _reference_propagate(traj, psi0, t_end, step, t0):
     """Per-state loop storing every step: a copy of the unstacked propagator."""
     if t_end == t0:
         return np.array([t0]), np.asarray(psi0, dtype=complex)[None, :].copy(), 0.0
@@ -189,39 +198,19 @@ def _reference_propagate(traj, psi0, t_end, step, method, t0):
     states = np.empty((n + 1, 2), dtype=complex)
     cp, cm = complex(psi0[0]), complex(psi0[1])
     states[0, 0], states[0, 1] = cp, cm
-    if method == METHOD_EXPONENTIAL:
-        # fourth-order Magnus: Gauss-Legendre nodes, commutator as a cross product
-        off = math.sqrt(3.0) / 6.0
-        w1 = traj.omega(t[:-1] + (0.5 - off) * h)
-        w2 = traj.omega(t[:-1] + (0.5 + off) * h)
-        v = 0.5 * (w1 + w2) + (math.sqrt(3.0) / 12.0 * h) * np.cross(w2, w1)
-        u = spin_rotation_propagators(v, h)
-        defect = float(np.abs(np.abs(u[:, 0, 0]) ** 2 + np.abs(u[:, 0, 1]) ** 2 - 1.0).max())
-        u00, u01 = u[:, 0, 0].tolist(), u[:, 0, 1].tolist()
-        u10, u11 = u[:, 1, 0].tolist(), u[:, 1, 1].tolist()
-        for k in range(n):
-            cp, cm = u00[k] * cp + u01[k] * cm, u10[k] * cp + u11[k] * cm
-            states[k + 1, 0], states[k + 1, 1] = cp, cm
-        return t, states, defect
-
-    def rhs(tk, cp, cm):
-        wx, wy, wz = traj.omega(tk)
-        a = 0.5 * (wx - 1j * wy)
-        return (-1j * (0.5 * wz * cp + a * cm),
-                -1j * (a.conjugate() * cp - 0.5 * wz * cm))
-
-    drift = 0.0
+    # fourth-order Magnus: Gauss-Legendre nodes, commutator as a cross product
+    off = math.sqrt(3.0) / 6.0
+    w1 = traj.omega(t[:-1] + (0.5 - off) * h)
+    w2 = traj.omega(t[:-1] + (0.5 + off) * h)
+    v = 0.5 * (w1 + w2) + (math.sqrt(3.0) / 12.0 * h) * np.cross(w2, w1)
+    u = spin_rotation_propagators(v, h)
+    defect = float(np.abs(np.abs(u[:, 0, 0]) ** 2 + np.abs(u[:, 0, 1]) ** 2 - 1.0).max())
+    u00, u01 = u[:, 0, 0].tolist(), u[:, 0, 1].tolist()
+    u10, u11 = u[:, 1, 0].tolist(), u[:, 1, 1].tolist()
     for k in range(n):
-        tk = t[k]
-        k1p, k1m = rhs(tk, cp, cm)
-        k2p, k2m = rhs(tk + 0.5 * h, cp + 0.5 * h * k1p, cm + 0.5 * h * k1m)
-        k3p, k3m = rhs(tk + 0.5 * h, cp + 0.5 * h * k2p, cm + 0.5 * h * k2m)
-        k4p, k4m = rhs(tk + h, cp + h * k3p, cm + h * k3m)
-        cp = cp + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        cm = cm + (h / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
-        states[k + 1] = (cp, cm)
-        drift = max(drift, abs(math.sqrt(abs(cp) ** 2 + abs(cm) ** 2) - 1.0))
-    return t, states, drift
+        cp, cm = u00[k] * cp + u01[k] * cm, u10[k] * cp + u11[k] * cm
+        states[k + 1, 0], states[k + 1, 1] = cp, cm
+    return t, states, defect
 
 
 _STACK = np.stack([rotation_from_angles(0.7, 0.3) @ basis_state(0.5),
@@ -229,19 +218,18 @@ _STACK = np.stack([rotation_from_angles(0.7, 0.3) @ basis_state(0.5),
                    np.array([0.6, 0.8j])])
 
 
-@pytest.mark.parametrize("method", [METHOD_EXPONENTIAL, METHOD_RK4])
 # 0 -> 25 at step 0.01 crosses several 512-sample blocks and ends on a ragged one
 @pytest.mark.parametrize("t0,t_end", [(0.0, 4.0), (4.0, 0.0), (1.5, 1.5), (0.0, 25.0)])
 @pytest.mark.parametrize("thin", [1, 4])
 @pytest.mark.parametrize("m", [1, 3])
-def test_stacked_equals_single_state_runs(method, t0, t_end, thin, m):
+def test_stacked_equals_single_state_runs(t0, t_end, thin, m):
     traj = OmegaTrajectory.constant_precession(1.0, 0.5, 1.0)
     stack = _STACK[:m]
-    run = propagate(traj, stack, t_end, 0.01, method=method, t0=t0, thin=thin)
+    run = propagate(traj, stack, t_end, 0.01, t0=t0, thin=thin)
     assert run.states.shape == (run.t.size, m, 2)
     assert run.unitarity_defect.shape == (m,)
     for j, member in enumerate(run.unstack()):
-        single = propagate(traj, stack[j], t_end, 0.01, method=method, t0=t0, thin=thin)
+        single = propagate(traj, stack[j], t_end, 0.01, t0=t0, thin=thin)
         assert np.array_equal(single.t, run.t)
         assert np.array_equal(single.states, run.states[:, j])
         assert np.array_equal(single.unitarity_defect, run.unitarity_defect[j])
@@ -249,7 +237,7 @@ def test_stacked_equals_single_state_runs(method, t0, t_end, thin, m):
         assert np.array_equal(member.states, single.states)
         assert member.unitarity_defect == single.unitarity_defect
         # and the single-state run is the every-step loop, thinned
-        t, states, defect = _reference_propagate(traj, stack[j], t_end, 0.01, method, t0)
+        t, states, defect = _reference_propagate(traj, stack[j], t_end, 0.01, t0)
         assert np.array_equal(single.t, t[::thin])
         assert np.array_equal(single.states, states[::thin])
         assert single.unitarity_defect == defect
