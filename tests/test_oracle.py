@@ -218,11 +218,13 @@ _STACK = np.stack([rotation_from_angles(0.7, 0.3) @ basis_state(0.5),
                    np.array([0.6, 0.8j])])
 
 
+# the oracle's one step method, named in each case id as config oracle.method names it
+@pytest.mark.parametrize("method", ["exponential_product"])
 # 0 -> 25 at step 0.01 crosses several 512-sample blocks and ends on a ragged one
 @pytest.mark.parametrize("t0,t_end", [(0.0, 4.0), (4.0, 0.0), (1.5, 1.5), (0.0, 25.0)])
 @pytest.mark.parametrize("thin", [1, 4])
 @pytest.mark.parametrize("m", [1, 3])
-def test_stacked_equals_single_state_runs(t0, t_end, thin, m):
+def test_stacked_equals_single_state_runs(method, t0, t_end, thin, m):
     traj = OmegaTrajectory.constant_precession(1.0, 0.5, 1.0)
     stack = _STACK[:m]
     run = propagate(traj, stack, t_end, 0.01, t0=t0, thin=thin)
