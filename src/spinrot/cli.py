@@ -9,6 +9,7 @@ config.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -25,7 +26,7 @@ from .errors import (ConfigError, NoSolutionError, OutOfDomainError,
                      SingularityError, SpinRotError)
 from .invariant import (MAX_SAMPLES, integrate_auxiliary, lvn_residual_samples,
                         lvn_residual_series)
-from .io_utils import write_csv, write_json
+from .io_utils import format_floats, write_csv, write_json, write_rows
 from .oracle import fidelity, propagate, under_resolved
 from .phases import accumulate_phases, berry_limit_check, lr_states
 from .spectroscopy import spectral_shift
@@ -55,6 +56,25 @@ def _check_grid(key: str, step: float, n_steps: float) -> None:
     if n_steps + 1 > MAX_SAMPLES:
         raise ConfigError(
             f"{key} = {step!r} gives {n_steps + 1:.0f} samples, above the cap of {MAX_SAMPLES}")
+
+
+def _cannot_write(path: str, errnum: int) -> ConfigError:
+    return ConfigError(f"cannot write {path}: {os.strerror(errnum)}")
+
+
+def _output_dir(path: str) -> str:
+    """Check, before any run, that the output directory exists or can be made and written.
+
+    Nothing is created here, so a run that fails leaves no directory behind.
+    """
+    target = probe = os.path.abspath(path)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise _cannot_write(path, errno.EEXIST if probe == target else errno.ENOTDIR)
+    if not os.access(probe, os.W_OK | os.X_OK):
+        raise _cannot_write(path, errno.EACCES)
+    return path
 
 
 # -- pipeline ---------------------------------------------------------------
@@ -119,15 +139,16 @@ def _write_simulate_artifacts(cfg: RunConfig, result: dict, out_dir: str) -> lis
     comments = [f"config_sha256={cfg.sha256}"]
     paths = []
 
+    # every series shares the integrator grid: its text is formatted once
+    t_text = format_floats(result["sol"].t)
     aux_path = os.path.join(out_dir, f"{prefix}_aux.csv")
-    result["sol"].to_csv(aux_path, comments, residual=result["lvn_residual"])
+    result["sol"].to_csv(aux_path, comments, residual=result["lvn_residual"], t_text=t_text)
     paths.append(aux_path)
 
     for s, hist in result["histories"].items():
         p = os.path.join(out_dir, f"{prefix}_phases_{_sigma_tag(s)}.csv")
-        rows = zip(hist.t.tolist(), hist.phi_dyn.tolist(), hist.phi_geo.tolist(),
-                   hist.phi_total.tolist())
-        write_csv(p, ["t", "phi_dyn", "phi_geo", "phi_total"], rows, comments)
+        write_csv(p, ["t", "phi_dyn", "phi_geo", "phi_total"],
+                  [t_text, hist.phi_dyn, hist.phi_geo, hist.phi_total], comments)
         paths.append(p)
 
     sp = os.path.join(out_dir, f"{prefix}_summary.json")
@@ -201,9 +222,13 @@ def _write_verify_artifacts(cfg: RunConfig, result: dict, out_dir: str) -> list[
     prefix = cfg.data["output"]["prefix"]
     comments = [f"config_sha256={cfg.sha256}"]
     paths = []
+    # the runs of one stacked propagation share the oracle's kept grid
+    t_text = None
     for s, (run, fid, phase) in result["verify_series"].items():
+        if t_text is None:
+            t_text = format_floats(run.t)
         p = os.path.join(out_dir, f"{prefix}_verify_{_sigma_tag(s)}.csv")
-        run.to_csv(p, fidelity=fid, overlap_phase=phase, comments=comments)
+        run.to_csv(p, fidelity=fid, overlap_phase=phase, comments=comments, t_text=t_text)
         paths.append(p)
     rp = os.path.join(out_dir, f"{prefix}_verify_report.json")
     write_json(rp, result["verify_report"])
@@ -328,7 +353,7 @@ def run_sweep(base_data: dict, spec: dict, base_dir: str = ".") -> list[dict]:
 def cmd_simulate(args) -> int:
     data = apply_overrides(load_json_config(args.config), args.set or [])
     cfg = resolve_run_config(data, os.path.dirname(os.path.abspath(args.config)))
-    out_dir = args.output_dir or cfg.data["output"]["directory"]
+    out_dir = _output_dir(args.output_dir or cfg.data["output"]["directory"])
     result = run_simulate(cfg)
     paths = _write_simulate_artifacts(cfg, result, out_dir)
     for p in paths:
@@ -339,7 +364,7 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     data = apply_overrides(load_json_config(args.config), args.set or [])
     cfg = resolve_run_config(data, os.path.dirname(os.path.abspath(args.config)))
-    out_dir = args.output_dir or cfg.data["output"]["directory"]
+    out_dir = _output_dir(args.output_dir or cfg.data["output"]["directory"])
     result = run_verify(cfg)
     paths = _write_verify_artifacts(cfg, result, out_dir)
     for p in paths:
@@ -358,15 +383,15 @@ def cmd_sweep(args) -> int:
     base_dir = os.path.dirname(os.path.abspath(args.config))
     # validate the base config once up front; grid points revalidate their variants
     cfg = resolve_run_config(base, base_dir)
+    out_dir = _output_dir(args.output_dir or cfg.data["output"]["directory"])
     rows = run_sweep(base, spec, base_dir)
-    out_dir = args.output_dir or cfg.data["output"]["directory"]
     os.makedirs(out_dir, exist_ok=True)
     prefix = cfg.data["output"]["prefix"]
     sweep_cols = [d["path"] for d in spec.get("sweep", [])]
     cols = sweep_cols + [c for c in SWEEP_COLUMNS if c not in sweep_cols]
     path = os.path.join(out_dir, f"{prefix}_sweep.csv")
     comments = [f"config_sha256={cfg.sha256}", f"sweep_sha256={config_sha256(spec)}"]
-    write_csv(path, cols, ([row.get(c) for c in cols] for row in rows), comments)
+    write_rows(path, cols, ([row.get(c) for c in cols] for row in rows), comments)
     print(path)
     return EXIT_OK
 
@@ -379,7 +404,10 @@ def cmd_scenario(args) -> int:
     cfg_data = scenario_mod.regime_run_config(presets[args.name])
     validate_run_config(cfg_data)
     out = args.out or f"{args.name}_config.json"
-    write_json(out, cfg_data)
+    try:
+        write_json(out, cfg_data)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc.strerror}") from exc
     print(out)
     return EXIT_OK
 

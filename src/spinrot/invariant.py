@@ -63,13 +63,15 @@ class AuxiliarySolution:
         return int(self.t.size)
 
     def to_csv(self, path, comments: list[str] | None = None,
-               residual: np.ndarray | None = None) -> None:
-        """Emit t, lambda, gamma, lambda_dot, gamma_dot, lvn_residual (given or computed)."""
+               residual: np.ndarray | None = None, t_text: list[str] | None = None) -> None:
+        """Emit t, lambda, gamma, lambda_dot, gamma_dot, lvn_residual (given or computed).
+
+        t_text, when given, is the `format_floats` text of t, shared with other files.
+        """
         res = lvn_residual_samples(self) if residual is None else residual
-        rows = zip(self.t.tolist(), self.lam.tolist(), self.gamma.tolist(),
-                   self.lam_dot.tolist(), self.gamma_dot.tolist(), res.tolist())
+        t = self.t if t_text is None else t_text
         write_csv(path, ["t", "lambda", "gamma", "lambda_dot", "gamma_dot", "lvn_residual"],
-                  rows, comments)
+                  [t, self.lam, self.gamma, self.lam_dot, self.gamma_dot, res], comments)
 
 
 def _guard_error(lam: float, eps_lambda: float, t: float) -> SingularityError:

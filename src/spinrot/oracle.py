@@ -14,9 +14,10 @@ and exactly unitary: total-phase comparisons against the invariant
 solution are meaningful down to ~1e-12. The global error is O(h^4)
 (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)).
 
-The field samples and step propagators are built per block of 512 kept
-samples, so memory does not grow with the grid; every step sees the same
-floats as in one whole-grid pass.
+The field samples and step propagators are built per block of 2048 steps,
+and the under-resolution test reads the field per block too: past the time
+grid itself (8 bytes a step), memory grows with the kept samples, not with
+`thin`. Every step sees the same floats as in one whole-grid pass.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from .trajectory import OmegaTrajectory, _grid_steps
 
 # Gauss-Legendre nodes of the Magnus step sit at (1/2 -+ sqrt(3)/6) h
 _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
-# kept samples per block: the field and the step propagators are built per block
-_BLOCK = 512
+# steps per block: the field and the step propagators are built per block
+_BLOCK = 2048
 
 
 @dataclass
@@ -58,17 +59,20 @@ class PropagatorRun:
         return [PropagatorRun(self.step, self.t, self.states[:, j], float(d))
                 for j, d in enumerate(self.unitarity_defect)]
 
-    def to_csv(self, path, fidelity=None, overlap_phase=None, comments=None):
-        """Emit t, re/im of both amplitudes and, when given, the overlap series."""
+    def to_csv(self, path, fidelity=None, overlap_phase=None, comments=None, t_text=None):
+        """Emit t, re/im of both amplitudes and, when given, the overlap series.
+
+        t_text, when given, is the `format_floats` text of t, shared with other files.
+        """
         if self.states.ndim != 2:
             raise ValueError("to_csv writes one state; unstack() a stacked run first")
         cols = ["t", "re_plus", "im_plus", "re_minus", "im_minus"]
-        data = [self.t, self.states[:, 0].real, self.states[:, 0].imag,
-                self.states[:, 1].real, self.states[:, 1].imag]
+        data = [self.t if t_text is None else t_text, self.states[:, 0].real,
+                self.states[:, 0].imag, self.states[:, 1].real, self.states[:, 1].imag]
         if fidelity is not None:
             cols += ["fidelity", "overlap_phase"]
             data += [fidelity, overlap_phase]
-        write_csv(path, cols, zip(*[np.asarray(d).tolist() for d in data]), comments)
+        write_csv(path, cols, data, comments)
 
 
 def under_resolved(traj: OmegaTrajectory, step: float, t: np.ndarray) -> bool:
@@ -78,7 +82,8 @@ def under_resolved(traj: OmegaTrajectory, step: float, t: np.ndarray) -> bool:
     the field turns (|Omega| sin theta on a cone); either one at 0.1 rad per
     step or more leaves under ~63 steps per turn.
     """
-    turn = float(np.linalg.norm(traj.effective_field(t), axis=-1).max())
+    turn = max(float(np.linalg.norm(traj.effective_field(t[k:k + _BLOCK]), axis=-1).max())
+               for k in range(0, t.size, _BLOCK))
     return max(traj.omega0, turn) * abs(step) >= 0.1
 
 
@@ -119,9 +124,10 @@ def _propagate_exponential(traj, amps, t, h, thin):
     pairs = range(0, len(amps), 2)
     kept = [tuple(amps)]
     defect = 0.0
-    starts, span = t[:-1], _BLOCK * thin  # step start times, in blocks of whole kept samples
-    for k in range(0, starts.size, span):
-        tk = starts[k:k + span]
+    starts = t[:-1]
+    left = thin  # steps to the next kept sample, which may lie in a later block
+    for k in range(0, starts.size, _BLOCK):
+        tk = starts[k:k + _BLOCK]
         w1 = traj.omega(tk + (0.5 - _GAUSS_OFFSET) * h)
         w2 = traj.omega(tk + (0.5 + _GAUSS_OFFSET) * h)
         u = spin_rotation_propagators(
@@ -131,12 +137,18 @@ def _propagate_exponential(traj, amps, t, h, thin):
             np.abs(np.abs(u[:, 0, 0]) ** 2 + np.abs(u[:, 0, 1]) ** 2 - 1.0).max()))
         steps = zip(u[:, 0, 0].tolist(), u[:, 0, 1].tolist(),
                     u[:, 1, 0].tolist(), u[:, 1, 1].tolist())
-        for _ in range(tk.size // thin):
-            for u00, u01, u10, u11 in islice(steps, thin):
+        rest = tk.size
+        while rest:
+            run = min(left, rest)
+            for u00, u01, u10, u11 in islice(steps, run):
                 for j in pairs:
                     cp, cm = amps[j], amps[j + 1]
                     amps[j], amps[j + 1] = u00 * cp + u01 * cm, u10 * cp + u11 * cm
-            kept.append(tuple(amps))
+            rest -= run
+            left -= run
+            if not left:
+                kept.append(tuple(amps))
+                left = thin
     return kept, defect
 
 

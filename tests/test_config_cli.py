@@ -857,6 +857,42 @@ def test_scenario_unknown_name(tmp_path, capsys):
     assert "disordered" in err and "ordered" in err
 
 
+# -- unwritable output paths -------------------------------------------------------
+
+@pytest.mark.parametrize("command", ["simulate", "verify", "sweep"])
+@pytest.mark.parametrize("case,reason", [("file", "File exists"),
+                                         ("under-file", "Not a directory"),
+                                         ("no-permission", "Permission denied")])
+def test_unwritable_output_dir_is_config_error(tmp_path, capsys, monkeypatch, command, case,
+                                               reason):
+    from spinrot import cli
+
+    def run_started(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "integrate_auxiliary", run_started)
+    argv = [command, "--config", write_config(tmp_path, demo_config())]
+    if command == "sweep":
+        argv += ["--sweep", write_config(
+            tmp_path, {"sweep": [{"path": "trajectory.Omega", "values": [0.25]}]}, "sweep.json")]
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = {"file": blocker, "under-file": blocker / "out", "no-permission": tmp_path / "out"}[case]
+    if case == "no-permission":
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+    assert main(argv + ["--output-dir", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: cannot write {out}: {reason}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_scenario_out_in_missing_directory(tmp_path, capsys):
+    out = tmp_path / "missing" / "c60.json"
+    assert main(["scenario", "disordered", "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"config error: cannot write {out}: No such file or directory\n"
+    assert not out.parent.exists()
+
+
 def _run_child_python(*args):
     """Run a child interpreter that imports the package the tests import."""
     src_dir = str(pathlib.Path(spinrot.__file__).parents[1])

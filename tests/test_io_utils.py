@@ -1,14 +1,22 @@
-"""write_csv gives the same bytes as the plain csv.writer + format_value writer."""
+"""The CSV writers give the bytes of the plain csv.writer + format_value writer.
+
+write_rows (the sweep's mixed cells) and write_csv (float columns, written
+per block) are both held to the same row-by-row reference.
+"""
 
 import csv
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinrot.io_utils import write_csv
+from spinrot.cli import (_write_simulate_artifacts, _write_verify_artifacts, run_simulate,
+                         run_verify)
+from spinrot.config import resolve_run_config
+from spinrot.io_utils import format_floats, write_csv, write_rows
 
 
 def _reference_format(v) -> str:
@@ -39,7 +47,7 @@ def out_dir(tmp_path_factory):
 
 def _assert_same_bytes(out_dir, header, rows, comments=None, as_generator=False):
     got, want = out_dir / "got.csv", out_dir / "want.csv"
-    write_csv(got, header, (r for r in rows) if as_generator else rows, comments)
+    write_rows(got, header, (r for r in rows) if as_generator else rows, comments)
     _reference_write_csv(want, header, rows, comments)
     assert got.read_bytes() == want.read_bytes()
 
@@ -84,7 +92,7 @@ def test_rows_that_are_generators(out_dir):
         return ((v for v in (1.0, float(k), 2.5)) for k in range(5))
 
     got, want = out_dir / "got.csv", out_dir / "want.csv"
-    write_csv(got, ["a", "b", "c"], make())
+    write_rows(got, ["a", "b", "c"], make())
     _reference_write_csv(want, ["a", "b", "c"], make())
     assert got.read_bytes() == want.read_bytes()
 
@@ -109,3 +117,116 @@ def test_matches_csv_writer_reference(out_dir, header, rows, comments, as_genera
     if as_tuples:
         rows = [tuple(r) for r in rows]
     _assert_same_bytes(out_dir, header, rows, comments, as_generator)
+
+
+# -- float columns ---------------------------------------------------------------
+
+# around the 512-row block: empty, one row, one block less/exactly/more, two blocks plus one
+ROW_COUNTS = [0, 1, 511, 512, 513, 1025]
+HEADER = ["t", "a", "b", "c"]
+
+
+def _float_columns(n):
+    """Four float64 columns of n rows: SPECIAL_FLOATS cycled, reversed, and seeded randoms."""
+    rng = np.random.default_rng(n)
+    cycle = np.resize(np.array(SPECIAL_FLOATS), n)
+    wide = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n)
+    return [np.linspace(0.0, 0.1 * n, n), cycle, wide, -cycle[::-1]]
+
+
+def _assert_columns_match(out_dir, header, given, cols, comments=None):
+    """write_csv of the given columns equals the reference fed np.float64 cells row by row."""
+    got, want = out_dir / "got.csv", out_dir / "want.csv"
+    write_csv(got, header, given, comments)
+    _reference_write_csv(want, header, [[c[i] for c in cols] for i in range(len(cols[0]))],
+                         comments)
+    assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("n", ROW_COUNTS)
+def test_format_floats(n):
+    values = np.concatenate(_float_columns(n))
+    assert format_floats(values) == [f"{v:.17g}" for v in values.tolist()]
+
+
+@pytest.mark.parametrize("shared_t", [False, True], ids=["t-array", "t-text"])
+@pytest.mark.parametrize("n", ROW_COUNTS)
+def test_float_columns_match_reference(out_dir, n, shared_t):
+    cols = _float_columns(n)
+    given = [format_floats(cols[0])] + cols[1:] if shared_t else cols
+    _assert_columns_match(out_dir, HEADER, given, cols, comments=["config_sha256=abc"])
+
+
+def test_columns_from_a_generator(out_dir):
+    # the columns may come as any iterable, one column a tuple of np.float64 cells
+    cols = _float_columns(513)
+    given = (tuple(c) if j == 2 else c for j, c in enumerate(cols))
+    _assert_columns_match(out_dir, HEADER, given, cols)
+
+
+@pytest.mark.parametrize("columns", [[], [np.array([])], [np.array([]), []]], ids=repr)
+def test_no_rows(out_dir, columns):
+    got = out_dir / "got.csv"
+    write_csv(got, ["t", "x"], columns, ["c"])
+    assert got.read_bytes() == b"# c\nt,x\r\n"
+
+
+def test_columns_of_unequal_length_rejected(out_dir):
+    path = out_dir / "ragged.csv"
+    with pytest.raises(ValueError, match="columns differ in length"):
+        write_csv(path, ["t", "x"], [np.zeros(513), format_floats(np.zeros(512))])
+    assert not path.exists()
+
+
+_float = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.one_of(st.sampled_from(ROW_COUNTS), st.integers(0, 40)),
+       k=st.integers(1, 5))
+def test_float_columns_property(out_dir, data, n, k):
+    cols = [np.array(data.draw(st.lists(_float, min_size=n, max_size=n)), dtype=float)
+            for _ in range(k)]
+    given = [format_floats(c) if data.draw(st.booleans()) else c for c in cols]
+    _assert_columns_match(out_dir, [f"c{j}" for j in range(k)], given, cols)
+
+
+# -- artifacts -------------------------------------------------------------------
+
+README_DEMO = {
+    "schema_version": 1,
+    "trajectory": {"kind": "constant_precession", "omega0": 1.0,
+                   "Omega": 0.5, "theta": 1.0471975511965976, "phi0": 0.0},
+    "initial_conditions": "precession-consistent",
+    "sigmas": [0.5, -0.5],
+    "integrator": {"step": 0.01, "periods": 1.0},
+    "oracle": {"enabled": True, "step": 0.0025, "method": "exponential_product"},
+    "output": {"directory": "out", "prefix": "demo"},
+}
+
+
+def test_simulate_and_verify_artifacts_match_reference_rows(tmp_path):
+    # one period of the README demo, written by the CLI and row by row from the same arrays
+    cfg = resolve_run_config(README_DEMO, str(tmp_path))
+    sim, ver = run_simulate(cfg), run_verify(cfg)
+    out = tmp_path / "out"
+    paths = _write_simulate_artifacts(cfg, sim, str(out)) + _write_verify_artifacts(cfg, ver, str(out))
+    sol = sim["sol"]
+    want = {"demo_aux.csv": (["t", "lambda", "gamma", "lambda_dot", "gamma_dot", "lvn_residual"],
+                             [sol.t, sol.lam, sol.gamma, sol.lam_dot, sol.gamma_dot,
+                              sim["lvn_residual"]])}
+    for s, hist in sim["histories"].items():
+        want[f"demo_phases_{'up' if s > 0 else 'down'}.csv"] = (
+            ["t", "phi_dyn", "phi_geo", "phi_total"],
+            [hist.t, hist.phi_dyn, hist.phi_geo, hist.phi_total])
+    for s, (run, fid, phase) in ver["verify_series"].items():
+        want[f"demo_verify_{'up' if s > 0 else 'down'}.csv"] = (
+            ["t", "re_plus", "im_plus", "re_minus", "im_minus", "fidelity", "overlap_phase"],
+            [run.t, run.states[:, 0].real, run.states[:, 0].imag, run.states[:, 1].real,
+             run.states[:, 1].imag, fid, phase])
+    assert sorted(os.path.basename(p) for p in paths if p.endswith(".csv")) == sorted(want)
+    comments = [f"config_sha256={cfg.sha256}"]
+    for name, (header, cols) in want.items():
+        ref = tmp_path / f"reference_{name}"
+        _reference_write_csv(ref, header, zip(*[c.tolist() for c in cols]), comments)
+        assert (out / name).read_bytes() == ref.read_bytes(), name

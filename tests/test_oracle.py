@@ -1,6 +1,7 @@
 """Brute-force propagator: exactness, convergence, overlap diagnostics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,9 +221,10 @@ _STACK = np.stack([rotation_from_angles(0.7, 0.3) @ basis_state(0.5),
 
 # the oracle's one step method, named in each case id as config oracle.method names it
 @pytest.mark.parametrize("method", ["exponential_product"])
-# 0 -> 25 at step 0.01 crosses several 512-sample blocks and ends on a ragged one
+# 0 -> 25 at step 0.01 is 2500 steps: one 2048-step block edge, then a ragged block
 @pytest.mark.parametrize("t0,t_end", [(0.0, 4.0), (4.0, 0.0), (1.5, 1.5), (0.0, 25.0)])
-@pytest.mark.parametrize("thin", [1, 4])
+# thin 5 does not divide the 2048-step block: kept samples straddle block edges
+@pytest.mark.parametrize("thin", [1, 4, 5])
 @pytest.mark.parametrize("m", [1, 3])
 def test_stacked_equals_single_state_runs(method, t0, t_end, thin, m):
     traj = OmegaTrajectory.constant_precession(1.0, 0.5, 1.0)
@@ -262,6 +264,21 @@ def test_unitarity_defect_is_the_max_over_blocks(monkeypatch):
     run = propagate(traj, basis_state(0.5), 25.0, 0.01)
     assert len(rows) > 1 and sum(rows) == 2500
     assert run.unitarity_defect == pytest.approx(2e-6, rel=1e-5)
+
+
+def test_memory_does_not_grow_with_thin():
+    # a block is a fixed number of steps, so keeping fewer samples never costs more memory
+    traj = OmegaTrajectory.constant_precession(1.0, 0.5, 1.0)
+    peaks = {}
+    for thin in (4, 1000):
+        tracemalloc.start()
+        try:
+            run = propagate(traj, basis_state(0.5), 20.0, 1e-3, thin=thin)
+            peaks[thin] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert run.t.size == 20000 // thin + 1
+    assert peaks[1000] <= peaks[4]
 
 
 def test_stack_shape_validation():
