@@ -30,7 +30,6 @@ from .io_utils import format_floats, write_csv, write_json, write_rows
 from .oracle import fidelity, propagate, under_resolved
 from .phases import accumulate_phases, berry_limit_check, lr_states
 from .spectroscopy import spectral_shift
-from .spin_algebra import basis_state, rotation_from_angles
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -182,11 +181,10 @@ def run_verify(cfg: RunConfig) -> dict:
     def oracle(psi0, step, k):
         return propagate(cfg.trajectory, psi0, t_end, step, t0=t0, thin=k).unstack()
 
-    # every sigma rides one oracle chain per grid
-    sigmas = list(result["histories"])
-    rotation = rotation_from_angles(float(sol.lam[0]), float(sol.gamma[0]))
-    psi0 = np.stack([rotation @ basis_state(s) for s in sigmas])
+    # every sigma rides one oracle chain per grid, from the LR state it is compared with
     states = {s: lr_states(sol, hist) for s, hist in result["histories"].items()}
+    sigmas = list(states)
+    psi0 = np.stack([states[s][0] for s in sigmas])
     series = {}
     for s, run in zip(sigmas, oracle(psi0, oracle_step, thin)):
         fid, phase = fidelity(run, sol.t, states[s])
@@ -203,9 +201,15 @@ def run_verify(cfg: RunConfig) -> dict:
     failing = [j for j, s in enumerate(sigmas) if not report["per_sigma"][_sigma_key(s)]["pass"]]
     if failing:
         # convergence diagnostic: a mismatch that drops ~16x on halving
-        # the oracle step is discretization, not a physics disagreement
-        for j, half in zip(failing, oracle(psi0[failing], oracle_step / 2.0, 2 * thin)):
+        # the oracle step is discretization, not a physics disagreement;
+        # a half-step grid above the sample cap is skipped and reported as null
+        halves = ([None] * len(failing) if 2 * n_oracle + 1 > MAX_SAMPLES
+                  else oracle(psi0[failing], oracle_step / 2.0, 2 * thin))
+        for j, half in zip(failing, halves):
             entry = report["per_sigma"][_sigma_key(sigmas[j])]
+            if half is None:
+                entry["phase_mismatch_at_half_step_rad"] = None
+                continue
             _, phase_half = fidelity(half, sol.t, states[sigmas[j]])
             mismatch_half = float(np.abs(phase_half).max())
             entry["phase_mismatch_at_half_step_rad"] = mismatch_half

@@ -14,6 +14,10 @@ the angles obey
 where (th, ph) parametrize w(t). The rotation V = exp(beta S+ - beta* S-),
 beta = -(lam/2) e^{-i gamma}, diagonalizes it: V^dag I V = S3.
 
+Equivalently I = n . S with n = (sin lam cos gamma, sin lam sin gamma, cos lam).
+With [a.S, b.S] = i (a x b).S the LvN residual dI/dt - i [I, H] is
+(dn/dt + n x w).S, whose Frobenius norm is |dn/dt + n x w| / sqrt(2).
+
 cot(lam) makes lam = 0 and lam = pi singular; integration runs inside a
 guard band and aborts (rather than regularizing) if the solution reaches
 it, since a clipped cot corrupts dgamma/dt and with it the geometric phase.
@@ -264,29 +268,14 @@ def solve_precession_lambda(omega0: float, Omega: float, theta: float) -> float:
 
 
 def _residual_norms(lam, gamma, lam_dot, gamma_dot, omegas) -> np.ndarray:
-    """Vectorized |dI/dt - i[I, H]|_F over stacked samples."""
-    lam = np.asarray(lam)
-    c, s = np.cos(lam), np.sin(lam)
-    e = np.exp(-1j * np.asarray(gamma))
-    n = lam.shape[0]
-    im = np.empty((n, 2, 2), dtype=complex)
-    im[:, 0, 0] = 0.5 * c
-    im[:, 0, 1] = 0.5 * s * e
-    im[:, 1, 0] = np.conj(im[:, 0, 1])
-    im[:, 1, 1] = -0.5 * c
-    di = np.empty_like(im)
-    off = 0.5 * (c * lam_dot - 1j * s * gamma_dot) * e
-    di[:, 0, 0] = -0.5 * s * lam_dot
-    di[:, 0, 1] = off
-    di[:, 1, 0] = np.conj(off)
-    di[:, 1, 1] = 0.5 * s * lam_dot
-    hm = np.empty((n, 2, 2), dtype=complex)
-    hm[:, 0, 0] = 0.5 * omegas[:, 2]
-    hm[:, 0, 1] = 0.5 * (omegas[:, 0] - 1j * omegas[:, 1])
-    hm[:, 1, 0] = np.conj(hm[:, 0, 1])
-    hm[:, 1, 1] = -0.5 * omegas[:, 2]
-    r = di - 1j * (im @ hm - hm @ im)
-    return np.sqrt(np.sum(np.abs(r) ** 2, axis=(1, 2)))
+    """|dI/dt - i[I, H]|_F = |dn/dt + n x w| / sqrt(2) over stacked samples."""
+    cl, sl = np.cos(lam), np.sin(lam)
+    cg, sg = np.cos(gamma), np.sin(gamma)
+    n = np.stack([sl * cg, sl * sg, cl], axis=-1)
+    dn = np.stack([lam_dot * cl * cg - gamma_dot * sl * sg,
+                   lam_dot * cl * sg + gamma_dot * sl * cg,
+                   -lam_dot * sl], axis=-1)
+    return np.linalg.norm(dn + np.cross(n, omegas), axis=-1) / math.sqrt(2.0)
 
 
 def _grid_omega(sol: AuxiliarySolution) -> np.ndarray:

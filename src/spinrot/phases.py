@@ -11,6 +11,12 @@ phi_geo depends only on the (lam, gamma) path, not on how fast it is
 traversed, and reduces per closed adiabatic cycle to the solid-angle value
 2 pi sigma (1 - cos th) returned by `berry_limit_check`.
 
+Near lam = pi that integrand spikes like 2 cot(lam), narrower than a step:
+the Dirac string of the north-pole gauge of V (Wu & Yang, Phys. Rev. D 12,
+3845 (1975)). On samples with cos(lam) < -cos(pi/4) phi_geo therefore takes
+the increments of the south chart 2 (gamma - gamma_0) - int dgamma/dt (1 + cos lam),
+which equals the north one exactly and has no spike at lam = pi.
+
 The particular solution carrying these phases is
 
     |psi_sigma(t)> = exp(-i [phi_dyn + phi_geo]) V(t) |sigma>,
@@ -141,12 +147,29 @@ def dynamical_phase(sol: AuxiliarySolution, sigma: float) -> np.ndarray:
 
 
 def geometric_phase(sol: AuxiliarySolution, sigma: float) -> np.ndarray:
-    """Running geometric phase; independent of w0 given the angle history."""
+    """Running geometric phase; independent of w0 given the angle history.
+
+    Each maximal run of samples on one side of the chart threshold takes its
+    increments from that side's chart, both integrated over the whole grid;
+    neighbouring runs share their edge sample. A run that never crosses it
+    is the north chart alone.
+    """
     validate_sigma(sigma)
     if sol.n_samples == 1:
         return np.zeros(1)
-    integrand = sol.gamma_dot * (1.0 - np.cos(sol.lam))
-    return sigma * _cumulative_simpson(integrand, sol.t)
+    cos_lam = np.cos(sol.lam)
+    north = _cumulative_simpson(sol.gamma_dot * (1.0 - cos_lam), sol.t)
+    south = cos_lam < -np.cos(np.pi / 4.0)
+    if not south.any():
+        return sigma * north
+    south_chart = 2.0 * (sol.gamma - sol.gamma[0]) - _cumulative_simpson(
+        sol.gamma_dot * (1.0 + cos_lam), sol.t)
+    edges = [0, *(np.flatnonzero(south[1:] != south[:-1]) + 1), sol.n_samples - 1]
+    phase = np.zeros(sol.n_samples)
+    for a, b in zip(edges[:-1], edges[1:]):
+        chart = south_chart if south[a] else north
+        phase[a:b + 1] = phase[a] + (chart[a:b + 1] - chart[a])
+    return sigma * phase
 
 
 def accumulate_phases(sol: AuxiliarySolution, traj: OmegaTrajectory, sigma: float) -> PhaseHistory:

@@ -4,15 +4,13 @@ Natural units (hbar = 1) throughout. Basis ordering is (|+1/2>, |-1/2>)
 and the ladder convention is fixed to S+ = [[0, 1], [0, 0]], so that
 S+ |-1/2> = |+1/2> and S+- = S1 +- i S2 hold exactly.
 
-All exponentials here are evaluated in closed form: a traceless 2x2
-generator A satisfies A^2 = -det(A) * 1, which collapses the series to a
-cosine/sine pair. No generic matrix-exponential routine is involved.
+Both exponentials, the frame rotation `rotation_stack` (the only SU(2)
+rotation; its columns are the states V |sigma>) and the oracle's steps
+`spin_rotation_propagators`, are closed forms: a traceless 2x2 generator A
+satisfies A^2 = -det(A) * 1, which collapses the series to a cosine/sine pair.
 """
 
 from __future__ import annotations
-
-import cmath
-import math
 
 import numpy as np
 
@@ -41,40 +39,12 @@ def validate_sigma(sigma: float) -> float:
     raise ValueError(f"sigma must be +0.5 or -0.5, got {sigma!r}")
 
 
-def basis_state(sigma: float) -> np.ndarray:
-    """Eigenvector of S3 for the given projection, |+1/2> = (1, 0)."""
-    validate_sigma(sigma)
-    if sigma > 0:
-        return np.array([1.0 + 0.0j, 0.0 + 0.0j])
-    return np.array([0.0 + 0.0j, 1.0 + 0.0j])
-
-
-def exp_su2(beta: complex) -> np.ndarray:
-    """exp(beta S+ - conj(beta) S-), exactly unitary.
-
-    The exponent A = [[0, beta], [-beta*, 0]] satisfies A^2 = -|beta|^2 1,
-    hence exp(A) = cos|beta| 1 + (sin|beta|/|beta|) A.
-    """
-    b = complex(beta)
-    if not (math.isfinite(b.real) and math.isfinite(b.imag)):
-        raise ValueError(f"beta must be finite, got {beta!r}")
-    r = abs(b)
-    s = 1.0 if r == 0.0 else math.sin(r) / r
-    c = math.cos(r)
-    return np.array([[c, s * b], [-s * b.conjugate(), c]])
-
-
-def rotation_from_angles(lam: float, gamma: float) -> np.ndarray:
-    """exp(beta S+ - beta* S-) with beta = -(lam/2) exp(-i gamma).
-
-    This is the rotation taking S3 into the (lam, gamma) spin direction:
-    V S3 V^dag = sin(lam)(cos(gamma) S1 + sin(gamma) S2) + cos(lam) S3.
-    """
-    return exp_su2(-(lam / 2.0) * cmath.exp(-1j * gamma))
-
-
 def rotation_stack(lam: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Vectorized rotation_from_angles: (N,) angles -> (N, 2, 2) unitaries."""
+    """V = exp(beta S+ - beta* S-), beta = -(lam/2) e^{-i gamma}, per sample: (N,) -> (N, 2, 2).
+
+    V takes S3 into the spin direction: V S3 V^dag = sin(lam)(cos(gamma) S1
+    + sin(gamma) S2) + cos(lam) S3.
+    """
     lam = np.asarray(lam, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
     c = np.cos(lam / 2.0)

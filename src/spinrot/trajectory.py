@@ -5,13 +5,13 @@ A trajectory is the spherical-angle parametrization
     w(t) = w0 (sin th(t) cos ph(t), sin th(t) sin ph(t), cos th(t)),
 
 with w0 fixed, so |w(t)| = w0 holds by construction. The direction
-kinematics also define the precession-driving effective field
+n = w/w0 also defines the precession-driving effective field, for every
+kind one expression in the angles and their rates:
 
-    B(t) = (w x dw/dt) / w0^2,
+    B = n x dn/dt = (-th' sin ph - ph' sin th cos th cos ph,
+                     th' cos ph - ph' sin th cos th sin ph, ph' sin^2 th),
 
-which for a constant-speed cone (th const, dph/dt = Omega) is
-B = Omega sin th (-cos th cos Omega t, -cos th sin Omega t, sin th),
-perpendicular to w(t).
+perpendicular to w(t); on a cone (th' = 0, ph' = Omega) |B| = |Omega| sin th.
 
 Angles are kept continuous: ph is never reduced mod 2pi (tabulated input
 is unwrapped on load), since downstream ODEs need smooth ph - gamma.
@@ -160,32 +160,16 @@ class OmegaTrajectory:
         """w(t); shape (3,) for scalar t, (N, 3) for array t."""
         return omega_from_angles(self.omega0, *self.angles(t))
 
-    def omega_dot(self, t):
-        """dw/dt via the chain rule on the angle rates."""
+    def effective_field(self, t):
+        """B(t) = n x dn/dt, n = w/w0, from the angles and their rates; zero when w0 = 0."""
+        if self.omega0 == 0.0:
+            return np.zeros(np.shape(t) + (3,))
         th, ph = self.angles(t)
         thd, phd = self.angle_rates(t)
         st, ct = np.sin(th), np.cos(th)
         sp, cp = np.sin(ph), np.cos(ph)
-        return self.omega0 * np.stack(
-            [thd * ct * cp - phd * st * sp,
-             thd * ct * sp + phd * st * cp,
-             -thd * st], axis=-1)
-
-    def effective_field(self, t):
-        """B(t) = (w x dw/dt)/w0^2; zero when w0 = 0.
-
-        The constant-precession kind returns its closed form exactly.
-        """
-        if self.kind == KIND_CONSTANT_PRECESSION:
-            Om = self.params["Omega"]
-            th = self.params["theta"]
-            ph = self.params["phi0"] + Om * np.asarray(t, dtype=float)
-            st, ct = math.sin(th), math.cos(th)
-            return Om * st * np.stack(
-                [-ct * np.cos(ph), -ct * np.sin(ph), np.full(np.shape(t), st)], axis=-1)
-        if self.omega0 == 0.0:
-            return np.zeros(np.shape(t) + (3,))
-        return np.cross(self.omega(t), self.omega_dot(t)) / self.omega0**2
+        tilt = phd * st * ct
+        return np.stack([-thd * sp - tilt * cp, thd * cp - tilt * sp, phd * st * st], axis=-1)
 
     def period(self) -> float | None:
         """Precession period 2pi/|Omega|, when defined."""

@@ -1,7 +1,8 @@
-"""Test drives and exact references.
+"""Test drives, states and exact references.
 
 `spline_drive` builds a cubic-spline table through given angle functions;
-`cone_propagators` is the exact propagator of a constant-precession cone.
+`basis_state` is an S3 eigenvector; `cone_propagators` is the exact
+propagator of a constant-precession cone.
 """
 
 import numpy as np
@@ -17,6 +18,12 @@ def spline_drive(omega0, theta_fn, phi_fn, t_end, n, t0=0.0):
     """
     t = np.linspace(t0, t_end, n)
     return OmegaTrajectory.from_table(omega0, t, theta_fn(t), phi_fn(t))
+
+
+def basis_state(sigma):
+    """Eigenvector of S3 for the projection sigma: |+1/2> = (1, 0), |-1/2> = (0, 1)."""
+    assert sigma in (0.5, -0.5)
+    return np.array([1.0 + 0.0j, 0.0j]) if sigma > 0 else np.array([0.0j, 1.0 + 0.0j])
 
 
 def cone_propagators(omega0, Omega, theta, phi0, t):

@@ -507,6 +507,26 @@ def test_verify_coarse_step_fails_with_diagnostics(tmp_path):
     assert worst["phase_convergence_ratio"] == pytest.approx(16.0, rel=0.1)
 
 
+@pytest.mark.parametrize("cap, skipped", [(2514, True), (2515, False)])
+def test_half_step_rerun_above_sample_cap_is_skipped(tmp_path, monkeypatch, cap, skipped):
+    # the coarse demo's oracle grid has 1258 samples and its half-step grid 2515:
+    # above the cap the rerun is skipped and reported as null; verify still exits 4
+    monkeypatch.setattr("spinrot.cli.MAX_SAMPLES", cap)
+    monkeypatch.setattr("spinrot.trajectory.MAX_SAMPLES", cap)
+    path = write_config(tmp_path, demo_config(**_COARSE))
+    out = tmp_path / "out"
+    assert main(["verify", "--config", path, "--output-dir", str(out)]) == 4
+    report = json.loads((out / "demo_verify_report.json").read_text())
+    assert report["pass"] is False
+    for entry in report["per_sigma"].values():
+        assert entry["pass"] is False
+        if skipped:
+            assert entry["phase_mismatch_at_half_step_rad"] is None
+            assert "phase_convergence_ratio" not in entry
+        else:
+            assert entry["phase_convergence_ratio"] == pytest.approx(16.0, rel=0.1)
+
+
 def _smooth_table_config(tmp_path):
     """2000 spline knots over 20 s: slow nutation and a wobbling precession."""
     t = np.linspace(0.0, 20.0, 2000)
@@ -554,7 +574,6 @@ def _reference_verify(cfg):
     from spinrot.cli import _sigma_key, run_pipeline
     from spinrot.oracle import PropagatorRun, fidelity, propagate
     from spinrot.phases import lr_states
-    from spinrot.spin_algebra import basis_state, rotation_from_angles
 
     def thinned(run, k):
         if k < 1 or (run.t.size - 1) % k != 0:
@@ -577,11 +596,10 @@ def _reference_verify(cfg):
     all_pass = True
     series = {}
     for s, hist in result["histories"].items():
-        lam0, gam0 = float(sol.lam[0]), float(sol.gamma[0])
-        psi0 = rotation_from_angles(lam0, gam0) @ basis_state(s)
+        states = lr_states(sol, hist)
+        psi0 = states[0]
         run = thinned(propagate(cfg.trajectory, psi0, float(sol.t[-1]), oracle_step,
                                 t0=float(sol.t[0])), thin)
-        states = lr_states(sol, hist)
         fid, phase = fidelity(run, sol.t, states)
         entry = {"min_fidelity": float(fid.min()),
                  "max_overlap_phase_rad": float(np.abs(phase).max()),

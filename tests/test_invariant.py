@@ -12,8 +12,8 @@ from spinrot.errors import NoSolutionError, OutOfDomainError, SingularityError
 from spinrot.invariant import (EPS_LAMBDA, AuxiliarySolution, integrate_auxiliary,
                                lvn_residual_samples, lvn_residual_series,
                                solve_precession_lambda)
-from spinrot.spin_algebra import S1, S3, rotation_from_angles
-from spinrot.trajectory import OmegaTrajectory
+from spinrot.spin_algebra import S1, S2, S3, rotation_stack
+from spinrot.trajectory import OmegaTrajectory, omega_from_angles
 
 W0, OM, TH = 1.0, 0.5, math.pi / 3.0  # reference precession case; lam* = pi/2
 
@@ -127,19 +127,19 @@ def test_invariant_eigenvalues_are_half(lam, gam):
 
 
 def test_transform_identity_at_zero():
-    assert np.allclose(rotation_from_angles(0.0, 0.7), np.eye(2), atol=1e-16)
+    assert np.allclose(rotation_stack(0.0, 0.7), np.eye(2), atol=1e-16)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.floats(0.0, math.pi), st.floats(-20.0, 20.0))
 def test_transform_diagonalizes_invariant(lam, gam):
-    v = rotation_from_angles(lam, gam)
+    v = rotation_stack(lam, gam)
     m = invariant_matrix(lam, gam)
     assert np.linalg.norm(v.conj().T @ m @ v - S3) < 1e-11
 
 
 def test_transform_maps_s1_eigenvectors():
-    v = rotation_from_angles(math.pi / 2.0, 0.0)
+    v = rotation_stack(math.pi / 2.0, 0.0)
     plus_x = np.array([1.0, 1.0]) / math.sqrt(2.0)  # S1 eigenvector, +1/2
     mapped = v.conj().T @ plus_x
     assert abs(abs(mapped[0]) - 1.0) < 1e-14 and abs(mapped[1]) < 1e-14
@@ -251,7 +251,7 @@ def test_transform_diagonalizes_along_run():
     sol = integrate_auxiliary(traj, 1.2, 0.3, 8.0, 0.01)
     for i in range(0, sol.n_samples, 101):
         m = invariant_matrix(sol.lam[i], sol.gamma[i])
-        v = rotation_from_angles(sol.lam[i], sol.gamma[i])
+        v = rotation_stack(sol.lam[i], sol.gamma[i])
         assert np.linalg.norm(v.conj().T @ m @ v - S3) < 1e-11
 
 
@@ -403,6 +403,34 @@ def test_residual_zero_for_rhs_rates_anywhere():
     lam, gam, t = (np.array(x) for x in zip(*draws))
     ld, gd = np.array([auxiliary_rhs(traj, *x) for x in zip(t, lam, gam)]).T
     assert _residual(traj, t, lam, gam, ld, gd).max() < 1e-13
+
+
+def _commutator_residual(lam, gamma, lam_dot, gamma_dot, w):
+    """|dI/dt - i [I, H]|_F from 2x2 matrices: I, its chain-rule derivative and H = w.S."""
+    c, s = math.cos(lam), math.sin(lam)
+    e = complex(math.cos(gamma), -math.sin(gamma))  # e^{-i gamma}
+    off = 0.5 * (c * lam_dot - 1j * s * gamma_dot) * e
+    di = np.array([[-0.5 * s * lam_dot, off], [off.conjugate(), 0.5 * s * lam_dot]])
+    im = invariant_matrix(lam, gamma)
+    h = w[0] * S1 + w[1] * S2 + w[2] * S3
+    return np.linalg.norm(di - 1j * (im @ h - h @ im))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.01, 1e3), st.integers(0, 2**32 - 1))
+def test_bloch_residual_matches_commutator_reference(w0, seed):
+    # |dn/dt + n x w| / sqrt(2) is the Frobenius norm of the matrix residual
+    rng = np.random.default_rng(seed)
+    n = 40
+    lam, th = rng.uniform(0.0, math.pi, (2, n))
+    gam, ph = rng.uniform(-20.0, 20.0, (2, n))
+    lam_dot, gam_dot = w0 * rng.uniform(-3.0, 3.0, (2, n))
+    traj = OmegaTrajectory.constant_precession(w0, 0.0, 1.0)
+    sol = AuxiliarySolution(traj, np.arange(n, dtype=float), lam, gam, lam_dot, gam_dot,
+                            th, ph, step=1.0)
+    ref = [_commutator_residual(*x)
+           for x in zip(lam, gam, lam_dot, gam_dot, omega_from_angles(w0, th, ph))]
+    assert np.abs(lvn_residual_samples(sol) - ref).max() <= 1e-14 * max(1.0, w0)
 
 
 def test_residual_samples_tiny_along_run():

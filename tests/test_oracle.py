@@ -8,12 +8,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from drives import cone_propagators, spline_drive
+from drives import basis_state, cone_propagators, spline_drive
 from spinrot.errors import GridMismatchError
 from spinrot.invariant import MAX_SAMPLES, integrate_auxiliary, solve_precession_lambda
 from spinrot.oracle import fidelity, propagate, under_resolved
 from spinrot.phases import accumulate_phases, lr_states
-from spinrot.spin_algebra import basis_state, rotation_from_angles, spin_rotation_propagators
+from spinrot.spin_algebra import rotation_stack, spin_rotation_propagators
 from spinrot.trajectory import OmegaTrajectory
 
 
@@ -125,7 +125,7 @@ def test_magnus_state_error_fourth_order():
     # against the exact cone propagator, halving the step cuts the error ~16x
     w0, Om, th = 1.0, 0.5, math.pi / 3.0
     traj = OmegaTrajectory.constant_precession(w0, Om, th)
-    psi0 = rotation_from_angles(0.7, 0.3) @ basis_state(0.5)
+    psi0 = rotation_stack(0.7, 0.3) @ basis_state(0.5)
     t_end = 2.0 * 2.0 * math.pi / Om
     errs = []
     for h in (0.08, 0.04, 0.02):
@@ -137,22 +137,23 @@ def test_magnus_state_error_fourth_order():
     assert errs[1] / errs[2] >= 14.0
 
 
-_C_ORDER4 = 0.2  # observed worst C here: 0.045 (pipeline), 0.003 (oracle)
+_C_ORDER4 = 0.2  # observed worst C here: 0.13 (pipeline), 0.003 (oracle)
+_POLE_GAP = 0.1  # the auxiliary ODE stiffens near the cot(lambda) poles
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.floats(0.5, 2.0), st.floats(-0.5, 0.5), st.floats(0.3, math.pi / 2.0),
+@given(st.floats(0.5, 2.0), st.floats(-0.5, 0.5), st.floats(0.3, math.pi - 0.3),
        st.floats(0.0, 2.0 * math.pi), st.floats(-0.2, 0.2), st.floats(-0.2, 0.2),
        st.floats(0.005, 0.05), st.sampled_from([0.5, -0.5]))
 def test_oracle_and_pipeline_match_exact_cone(w0, ratio, th, ph0, dlam, dgam, w0h, sigma):
-    # both converge to U(t) psi0 at fourth order, over w0 t = 10
+    # both converge to U(t) psi0 at fourth order, over w0 t = 10; theta past
+    # pi/2 takes lambda close to pi, where the geometric phase needs the south chart
     Om = ratio * w0
     lam0 = solve_precession_lambda(w0, Om, th) + dlam
-    assume(0.3 < lam0 < math.pi - 0.3)
+    assume(_POLE_GAP < lam0 < math.pi - _POLE_GAP)
     traj = OmegaTrajectory.constant_precession(w0, Om, th, ph0)
     sol = integrate_auxiliary(traj, lam0, ph0 + dgam, 10.0 / w0, w0h / w0)
-    # the auxiliary ODE stiffens near the cot(lambda) poles
-    assume(0.3 < sol.lam.min() and sol.lam.max() < math.pi - 0.3)
+    assume(_POLE_GAP < sol.lam.min() and sol.lam.max() < math.pi - _POLE_GAP)
     states = lr_states(sol, accumulate_phases(sol, traj, sigma))
     exact = cone_propagators(w0, Om, th, ph0, sol.t) @ states[0]
     bound = _C_ORDER4 * (w0 * sol.step) ** 4 + 1e-11
@@ -171,7 +172,7 @@ def test_oracle_validates_particular_solution():
     for sigma in (0.5, -0.5):
         hist = accumulate_phases(sol, traj, sigma)
         states = lr_states(sol, hist)
-        psi0 = rotation_from_angles(lam, 0.0) @ basis_state(sigma)
+        psi0 = rotation_stack(lam, 0.0) @ basis_state(sigma)
         n = sol.n_samples - 1
         run = propagate(traj, psi0, t_end, t_end / (n * 4), thin=4)
         fid, phase = fidelity(run, sol.t, states)
@@ -214,8 +215,8 @@ def _reference_propagate(traj, psi0, t_end, step, t0):
     return t, states, defect
 
 
-_STACK = np.stack([rotation_from_angles(0.7, 0.3) @ basis_state(0.5),
-                   rotation_from_angles(0.7, 0.3) @ basis_state(-0.5),
+_STACK = np.stack([rotation_stack(0.7, 0.3) @ basis_state(0.5),
+                   rotation_stack(0.7, 0.3) @ basis_state(-0.5),
                    np.array([0.6, 0.8j])])
 
 

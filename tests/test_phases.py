@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson, cumulative_trapezoid, simpson
 
-from drives import spline_drive
+from drives import basis_state, cone_propagators, spline_drive
 from spinrot.invariant import (AuxiliarySolution, integrate_auxiliary,
                                solve_precession_lambda)
 from spinrot.phases import (_cumulative_simpson, _simpson, accumulate_phases,
                             berry_limit_check, dynamical_phase, geometric_phase, lr_states,
                             quadrature_error_estimate)
-from spinrot.spin_algebra import basis_state, rotation_from_angles, validate_sigma
+from spinrot.spin_algebra import rotation_stack, validate_sigma
 from spinrot.trajectory import OmegaTrajectory
 
 W0, OM, TH = 1.0, 0.5, math.pi / 3.0
@@ -42,7 +42,7 @@ def _synthetic_solution(traj, t, lam, gamma, gamma_dot):
 def assemble_state(lam, gamma, phi_total, sigma):
     """exp(-i phi_total) V(lam, gamma) |sigma>, one sample at a time."""
     validate_sigma(sigma)
-    return np.exp(-1j * phi_total) * (rotation_from_angles(lam, gamma) @ basis_state(sigma))
+    return np.exp(-1j * phi_total) * (rotation_stack(lam, gamma) @ basis_state(sigma))
 
 
 def trapezoid_geo_phase(sol, sigma):
@@ -294,6 +294,33 @@ def test_quadrature_ports_reject_unordered_grid():
         _simpson(np.ones(5), np.array([0.0, 1.0, 0.5, 2.0, 3.0]))
 
 
+# -- near the poles ---------------------------------------------------------------------
+
+# lambda passes within 0.005 of pi; the mirror image through the equator
+# (theta, lambda -> pi - theta, pi - lambda; Omega, phi0, gamma0 -> minus) within 0.005 of 0
+_SOUTH_POLE_RUN = (1.670, 1.230, 1.066, 3.192, 1.811, 4.539)
+_MIRRORED_RUN = (1.670, -1.230, math.pi - 1.066, -3.192, math.pi - 1.811, -4.539)
+
+
+def _exact_cone_phase_error(w0, Om, th, ph0, lam0, gam0, step, sigma):
+    """Largest overlap phase between lr_states and the exact cone propagation over w0 t = 10."""
+    traj = OmegaTrajectory.constant_precession(w0, Om, th, ph0)
+    sol = integrate_auxiliary(traj, lam0, gam0, 10.0 / w0, step)
+    states = lr_states(sol, accumulate_phases(sol, traj, sigma))
+    exact = cone_propagators(w0, Om, th, ph0, sol.t) @ states[0]
+    return float(np.abs(np.angle(np.sum(np.conj(exact) * states, axis=1))).max())
+
+
+@pytest.mark.parametrize("sigma", [0.5, -0.5])
+@pytest.mark.parametrize("run", [_SOUTH_POLE_RUN, _MIRRORED_RUN], ids=["south", "mirrored"])
+def test_geometric_phase_near_a_pole_converges(run, sigma):
+    # the north-chart integrand spikes like 2 cot(lambda) near lambda = pi,
+    # narrower than a step; the south chart keeps the phase at fourth order
+    errs = [_exact_cone_phase_error(*run, 0.00697 / k, sigma) for k in (1, 2, 4)]
+    assert errs[0] <= 2e-6
+    assert errs[0] / errs[1] >= 14.0 and errs[1] / errs[2] >= 14.0
+
+
 # -- state assembly --------------------------------------------------------------------
 
 def test_assemble_state_initial():
@@ -310,7 +337,7 @@ def test_assemble_state_norm_and_structure():
         psi = assemble_state(lam, gam, phi, -0.5)
         assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
         # equals V |sigma> up to the phase factor
-        ref = rotation_from_angles(lam, gam) @ basis_state(-0.5)
+        ref = rotation_stack(lam, gam) @ basis_state(-0.5)
         assert np.abs(psi - np.exp(-1j * phi) * ref).max() < 1e-14
 
 

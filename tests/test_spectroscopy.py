@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from drives import spline_drive
+from drives import basis_state, spline_drive
 from spinrot import spectroscopy
 from spinrot.constants import HBAR_EV_S
 from spinrot.errors import GridMismatchError, NoSolutionError
@@ -16,7 +16,7 @@ from spinrot.spectroscopy import (EnergyLevel, PerturbationModel,
                                   line_table, peak_frequency,
                                   resonance_scan, spectral_shift,
                                   transition_amplitude, _amplitude_integrand)
-from spinrot.spin_algebra import basis_state, rotation_from_angles, rotation_stack
+from spinrot.spin_algebra import rotation_stack
 from spinrot.trajectory import OmegaTrajectory
 
 
@@ -94,7 +94,7 @@ def test_total_phase_matches_oracle_reconstruction():
     v = rotation_stack(sol.lam, sol.gamma)
     for sigma in (0.5, -0.5):
         hists[sigma] = accumulate_phases(sol, traj, sigma)
-        psi0 = rotation_from_angles(1.1, 0.0) @ basis_state(sigma)
+        psi0 = rotation_stack(1.1, 0.0) @ basis_state(sigma)
         run = propagate(traj, psi0, t_end, t_end / (n * 4), thin=4)
         # <sigma| V^dag(t) psi(t)> = e^{-i phi_sigma(t)}
         col = 0 if sigma > 0 else 1
@@ -310,7 +310,6 @@ def test_amplitude_with_oracle_extracted_phases():
         {(2, 1): 0.005 * HBAR_EV_S * np.array([[0.2, 1.0], [1.0, -0.2]])})
     a_pipe = transition_amplitude(pert, levels[0], levels[1], sol, hists)
 
-    from spinrot.spin_algebra import rotation_stack
     v = rotation_stack(sol.lam, sol.gamma)
     n = sol.n_samples - 1
     t_end = float(sol.t[-1])

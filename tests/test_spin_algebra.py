@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from drives import basis_state
 from spinrot.spin_algebra import (IDENTITY2, S1, S2, S3, S_MINUS, S_PLUS,
-                                  basis_state, exp_su2, rotation_from_angles,
                                   rotation_stack, spin_rotation_propagators,
                                   validate_sigma)
 
@@ -105,7 +105,7 @@ def test_validate_sigma():
         validate_sigma(0)
 
 
-# -- exp_su2 -----------------------------------------------------------------
+# -- rotation_stack ------------------------------------------------------------
 
 def _taylor_exp(beta, terms=30):
     a = np.array([[0.0, beta], [-np.conj(beta), 0.0]], dtype=complex)
@@ -125,48 +125,37 @@ def _scaling_squaring(beta, squarings=40):
     return m
 
 
-def test_exp_su2_zero_is_identity():
-    assert np.array_equal(exp_su2(0.0), IDENTITY2)
+def test_rotation_stack_zero_is_identity():
+    assert np.array_equal(rotation_stack(0.0, 0.7), IDENTITY2)
 
 
-def test_exp_su2_pi_rotation():
+def test_rotation_stack_pi_rotation():
     # beta = -(lam/2) e^{-i gamma} with lam = pi, gamma = 0
-    v = exp_su2(-math.pi / 2.0)
+    v = rotation_stack(math.pi, 0.0)
     assert np.allclose(v, [[0.0, -1.0], [1.0, 0.0]], atol=1e-15)
     # independent scaling-and-squaring oracle
     assert np.allclose(v, _scaling_squaring(-math.pi / 2.0), atol=1e-10)
 
 
-def test_exp_su2_rejects_non_finite():
-    for bad in (float("nan"), float("inf"), complex(0, float("inf"))):
-        with pytest.raises(ValueError):
-            exp_su2(bad)
-
-
-_beta = st.builds(
-    lambda lam, gamma: -(lam / 2.0) * cmath.exp(-1j * gamma),
-    st.floats(min_value=0.0, max_value=math.pi),
-    st.floats(min_value=-math.pi, max_value=math.pi),
-)
+_angles = st.lists(st.tuples(st.floats(min_value=0.0, max_value=math.pi),
+                             st.floats(min_value=-math.pi, max_value=math.pi)),
+                   min_size=1, max_size=8)
 
 
 @settings(max_examples=60, deadline=None)
-@given(_beta)
-def test_exp_su2_unitary(beta):
-    v = exp_su2(beta)
-    assert np.linalg.norm(v.conj().T @ v - np.eye(2)) < 1e-14
+@given(_angles)
+def test_rotation_stack_unitary(angles):
+    v = rotation_stack(*np.array(angles).T)
+    gram = np.conj(np.swapaxes(v, -1, -2)) @ v
+    assert np.abs(gram - np.eye(2)).max() < 1e-15
+    assert np.abs(np.linalg.det(v) - 1.0).max() < 1e-15
 
 
 @settings(max_examples=60, deadline=None)
-@given(_beta)
-def test_exp_su2_inverse(beta):
-    assert np.linalg.norm(exp_su2(beta) @ exp_su2(-beta) - np.eye(2)) < 1e-13
-
-
-@settings(max_examples=60, deadline=None)
-@given(_beta)
-def test_exp_su2_matches_taylor_series(beta):
-    assert np.abs(exp_su2(beta) - _taylor_exp(beta)).max() < 1e-12
+@given(_angles)
+def test_rotation_stack_inverse(angles):
+    lam, gam = np.array(angles).T
+    assert np.abs(rotation_stack(lam, gam) @ rotation_stack(-lam, gam) - np.eye(2)).max() < 1e-15
 
 
 def test_rotation_stack_matches_scalar():
@@ -175,7 +164,16 @@ def test_rotation_stack_matches_scalar():
     gam = rng.uniform(-10.0, 10.0, 50)
     stack = rotation_stack(lam, gam)
     for i in range(50):
-        assert np.abs(stack[i] - rotation_from_angles(lam[i], gam[i])).max() < 1e-14
+        assert np.abs(stack[i] - rotation_stack(lam[i], gam[i])).max() < 1e-14
+
+
+@settings(max_examples=60, deadline=None)
+@given(_angles)
+def test_rotation_stack_matches_taylor_series(angles):
+    # each sample is the Taylor series of exp(beta S+ - beta* S-), beta = -(lam/2) e^{-i gamma}
+    v = rotation_stack(*np.array(angles).T)
+    for (lam, gam), row in zip(angles, v):
+        assert np.abs(row - _taylor_exp(-(lam / 2.0) * cmath.exp(-1j * gam))).max() < 1e-12
 
 
 # -- propagator factors -------------------------------------------------------

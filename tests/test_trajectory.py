@@ -78,9 +78,9 @@ def test_effective_field_closed_form_and_orthogonality():
 
 
 def test_effective_field_cross_product_route_matches():
-    # a tabulated kind goes through w x dw/dt; must agree with the
-    # constant-precession closed form (the spline of a constant theta and
-    # a linear phi is exact)
+    # a tabulated kind takes its rates from the spline; it must agree with
+    # the constant-precession cone (the spline of a constant theta and a
+    # linear phi is exact)
     w0, Om, th = 2.0, 0.7, 1.0
     closed = OmegaTrajectory.constant_precession(w0, Om, th)
     generic = spline_drive(w0, lambda t: np.full_like(t, th), lambda t: Om * t, 2.5, 11)
@@ -88,17 +88,20 @@ def test_effective_field_cross_product_route_matches():
         assert np.allclose(generic.effective_field(t), closed.effective_field(t), atol=1e-13)
 
 
-def test_fd_omega_dot_matches_analytic_second_order():
-    # central differences of w(t) on a precessing cone converge to the
-    # chain-rule derivative at order >= 1.9
-    traj = OmegaTrajectory.constant_precession(2.0, 0.8, 1.1, phi0=0.3)
-    t = 1.7
-    exact = traj.omega_dot(t)
+def test_effective_field_matches_central_difference():
+    # a nutating tabulated drive (dtheta/dt != 0): B = w x dw/dt / w0^2 with
+    # dw/dt from central differences of w(t), converging at second order
+    w0 = 2.0
+    traj = spline_drive(w0, lambda t: 1.0 + 0.3 * np.sin(0.7 * t),
+                        lambda t: 0.8 * t + 0.2 * np.cos(0.5 * t), 10.0, 201)
+    t = np.array([1.7, 4.05, 8.3])
+    assert np.abs(traj.angle_rates(t)[0]).min() > 0.05
+    exact = traj.effective_field(t)
     errs = []
     hs = [1e-2, 5e-3, 2.5e-3]
     for h in hs:
-        fd = (traj.omega(t + h) - traj.omega(t - h)) / (2.0 * h)
-        errs.append(np.abs(fd - exact).max())
+        w_dot = (traj.omega(t + h) - traj.omega(t - h)) / (2.0 * h)
+        errs.append(np.abs(np.cross(traj.omega(t), w_dot) / w0**2 - exact).max())
     order = math.log(errs[0] / errs[2]) / math.log(hs[0] / hs[2])
     assert order >= 1.9
     assert errs[-1] < 1e-5
@@ -280,7 +283,7 @@ def test_scalar_and_array_evaluation_agree():
     t = np.linspace(0.0, 7.5, 9)
     for traj in (OmegaTrajectory.constant_precession(2.0, 0.8, 1.1, phi0=0.3),
                  OmegaTrajectory.from_table(2.0, *_sample_table())):
-        for name in ("omega", "omega_dot", "effective_field"):
+        for name in ("omega", "effective_field"):
             vec = getattr(traj, name)(t)
             assert vec.shape == (t.size, 3)
             for i in range(t.size):
