@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoSolutionError, SingularityError
+from .errors import ConfigError, NoSolutionError, SingularityError
 from .io_utils import write_csv
 from .trajectory import MAX_SAMPLES, OmegaTrajectory, _grid_steps, omega_from_angles
 
@@ -170,7 +170,8 @@ def integrate_auxiliary(traj: OmegaTrajectory, lambda0: float, gamma0: float,
     OutOfDomainError
         If [t0, t_end] leaves a tabulated drive's domain.
     ValueError
-        On non-positive step, or a grid above MAX_SAMPLES samples.
+        On non-positive step, or a grid above MAX_SAMPLES samples; a
+        ConfigError when adaptive halving takes the grid past the cap.
     """
     if not (step > 0.0 and math.isfinite(step)):
         raise ValueError(f"step must be positive and finite, got {step!r}")
@@ -223,7 +224,7 @@ def integrate_auxiliary(traj: OmegaTrajectory, lambda0: float, gamma0: float,
         n *= 2
         halvings += 1
         if n + 1 > MAX_SAMPLES:  # _grid_steps checked the first grid
-            raise ValueError(f"a grid of {n + 1} samples exceeds the cap of {MAX_SAMPLES}")
+            raise ConfigError(f"a grid of {n + 1} samples exceeds the cap of {MAX_SAMPLES}")
     meta = {}
     if adaptive and worst_rate > tol:
         meta["error_rate_tol_exceeded"] = True

@@ -113,12 +113,42 @@ def _simpson(y: np.ndarray, x: np.ndarray):
         return _basic_simpson(y, dx, n - 2)
     if n == 2:  # scipy adds this to a zero start, so -0.0 comes out 0.0
         return 0.0 + 0.5 * dx[-1] * (y[..., -1] + y[..., -2])
+    alpha, beta, eta = _last_interval_weights(dx)
+    last = alpha*y[..., -1] + beta*y[..., -2] - eta*y[..., -3]
+    return _basic_simpson(y, dx, n - 3) + last + 0.0
+
+
+def _last_interval_weights(dx: np.ndarray):
+    """Cartwright's correction: the weights of y[-1], y[-2] and -y[-3]."""
     h0, h1 = dx[-2, ...], dx[-1, ...]  # 0-d arrays, so ** runs the ufunc as in scipy
     alpha = (2 * h1 ** 2 + 3 * h0 * h1) / (6 * (h1 + h0))
     beta = (h1 ** 2 + 3.0 * h0 * h1) / (6 * h0)
     eta = h1 ** 3 / (6 * h0 * (h0 + h1))
-    last = alpha*y[..., -1] + beta*y[..., -2] - eta*y[..., -3]
-    return _basic_simpson(y, dx, n - 3) + last + 0.0
+    return alpha, beta, eta
+
+
+def _simpson_weights(x: np.ndarray) -> np.ndarray:
+    """Weights w with w @ y equal to _simpson(y, x) up to rounding: the same
+    per-pair coefficients, and Cartwright's correction for an even count."""
+    n = x.size
+    w = np.zeros(n)
+    if n < 2:
+        return w
+    dx = _intervals(x)
+    if n == 2:
+        return w + 0.5 * dx[-1]
+    stop = n - 2 if n % 2 == 1 else n - 3
+    h0, h1 = dx[0:stop:2], dx[1:stop + 1:2]
+    hsum, h0divh1 = h0 + h1, h0 / h1
+    w[0:stop:2] += hsum/6.0 * (2.0 - 1.0 / h0divh1)
+    w[1:stop + 1:2] += hsum/6.0 * (hsum * (hsum / (h0 * h1)))
+    w[2:stop + 2:2] += hsum/6.0 * (2.0 - h0divh1)
+    if n % 2 == 0:
+        alpha, beta, eta = _last_interval_weights(dx)
+        w[-1] += alpha
+        w[-2] += beta
+        w[-3] -= eta
+    return w
 
 
 def _check_series(sol: AuxiliarySolution, traj: OmegaTrajectory) -> None:

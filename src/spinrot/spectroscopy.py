@@ -35,11 +35,11 @@ import numpy as np
 from .constants import HBAR_EV_S
 from .errors import GridMismatchError
 from .invariant import AuxiliarySolution, solve_precession_lambda
-from .phases import PhaseHistory, _simpson
+from .phases import PhaseHistory, _simpson, _simpson_weights
 from .spin_algebra import rotation_stack, validate_sigma
 
 _FIRST_ORDER_WARN = 0.1  # |a| beyond this leaves the first-order regime
-_SCAN_BLOCK = 1 << 16  # elements of the (frequencies x samples) table per block
+_GRID_ULPS = 8  # a scan frequency may sit this many ulps off f0 + k df
 
 
 @dataclass(frozen=True)
@@ -140,10 +140,13 @@ def _amplitude_integrand(pert, from_level, to_level, sol, phase_histories):
         if hist.t.shape != sol.t.shape or not np.allclose(
                 hist.t, sol.t, rtol=0.0, atol=1e-12 * max(1.0, float(abs(sol.t[-1])))):
             raise GridMismatchError("phase history is not on the solution grid")
-    block = pert.block(to_level.n, from_level.n)
+    b = pert.block(to_level.n, from_level.n)
     v = rotation_stack(sol.lam, sol.gamma)
-    dressed = np.einsum("nji,jk,nkl->nil", v.conj(), block, v)
-    elem = dressed[:, _spin_index(to_level.sigma), _spin_index(from_level.sigma)] / HBAR_EV_S
+    to = v[:, :, _spin_index(to_level.sigma)].conj()
+    fr = v[:, :, _spin_index(from_level.sigma)]
+    # <to| V^dag b V |from>: the two columns V|sigma'>, V|sigma> around the block
+    elem = (to[:, 0] * (b[0, 0] * fr[:, 0] + b[0, 1] * fr[:, 1])
+            + to[:, 1] * (b[1, 0] * fr[:, 0] + b[1, 1] * fr[:, 1])) / HBAR_EV_S
     phi_tot = (hist_from.phi_total + from_level.epsilon_rad_s * sol.t) \
         - (hist_to.phi_total + to_level.epsilon_rad_s * sol.t)
     return -1j * elem * np.exp(-1j * phi_tot)
@@ -179,22 +182,60 @@ def transition_amplitude(pert: PerturbationModel, from_level: EnergyLevel,
 def resonance_scan(pert: PerturbationModel, from_level: EnergyLevel,
                    to_level: EnergyLevel, sol: AuxiliarySolution,
                    phase_histories, frequencies) -> np.ndarray:
-    """|a(t_end)|^2 versus monochromatic drive frequency, in frequency blocks.
+    """|a(t_end)|^2 versus monochromatic drive frequency, by chirp-z transforms.
 
-    One flat entry per frequency. Each block of the cos(f t) table holds
-    about _SCAN_BLOCK elements, and Simpson reduces every row on its own,
-    so the result does not depend on the block size.
+    One flat entry per frequency. With y = w g, g the amplitude integrand
+    on the uniform grid t_n = t0 + n h and w the weights of the Simpson
+    rule `_simpson` applies, the drive cos(f t) gives
+    |1/2 (G(f_k) + G(-f_k))|^2, G(f) = sum_n y_n e^{i f t_n}. On a uniform
+    frequency grid f_k = f0 + k df, nk = (n^2 + k^2 - (k - n)^2)/2 turns
+    each G into one Bluestein chirp-z: a convolution with the chirp
+    e^{-i a j^2/2}, a = df h, done by FFTs of length >= N + M - 1. The
+    cost is O((N + M) log(N + M)) time and O(N + M) memory for N samples
+    and M frequencies.
+
+    The frequencies (any shape, flattened) must be uniform: each within
+    a few ulps of f0 + k df, as `np.linspace` makes them, or ValueError.
+    The chirp phase a j^2/2, j up to max(N, M), is rounded with an
+    absolute error of about eps |a| max(N, M)^2 / 2 rad (eps = 2.2e-16),
+    which bounds the phase error of each term of G.
     """
     freqs = np.asarray(frequencies, dtype=float).ravel()
     g = _amplitude_integrand(pert, from_level, to_level, sol, phase_histories)
-    g_re, g_im = np.ascontiguousarray(g.real), np.ascontiguousarray(g.imag)
-    out = np.empty(freqs.size)
-    rows = max(1, _SCAN_BLOCK // sol.t.size)
-    for k in range(0, freqs.size, rows):
-        c = np.outer(freqs[k:k + rows], sol.t)
-        np.cos(c, out=c)
-        out[k:k + rows] = _simpson(c * g_re, sol.t)**2 + _simpson(c * g_im, sol.t)**2
-    return out
+    return _cosine_response(g, sol.t, freqs)
+
+
+def _cosine_response(g: np.ndarray, t: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """|Simpson integral of g(t) cos(f t)|^2 for each f of a flat uniform grid."""
+    m, n = freqs.size, t.size
+    if m == 0:
+        return np.empty(0)
+    f0 = freqs[0]
+    df = (freqs[-1] - f0) / (m - 1) if m > 1 else 0.0
+    k = np.arange(m)
+    tol = _GRID_ULPS * np.finfo(float).eps * max(abs(f0), abs(freqs[-1]))
+    if not np.all(np.abs(freqs - (f0 + k * df)) <= tol):
+        raise ValueError("scan frequencies must be finite and uniformly spaced")
+    h = (t[-1] - t[0]) / (n - 1) if n > 1 else 0.0
+    a = df * h
+    j = np.arange(max(m, n), dtype=float)
+    chirp = np.exp(1j * (0.5 * a * (j * j)))  # e^{i a j^2/2}
+    y = _simpson_weights(t) * g
+    pre = np.exp(1j * f0 * t) * chirp[:n]
+    post = np.exp(1j * (k * df) * t[0]) * chirp[:m]
+    size = 1 << (n + m - 2).bit_length()  # >= n + m - 1
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:m] = chirp[:m].conj()  # e^{-i a j^2/2}, j = 0 .. m - 1
+    kernel[size - n + 1:] = chirp[n - 1:0:-1].conj()  # j = -(n - 1) .. -1
+    spec = np.fft.fft(kernel)
+    # G(-f) = conj(sum conj(y) e^{ift}): both transforms share the chirp
+    gs = []
+    for u in (y, y.conj()):
+        x = np.fft.fft(u * pre, size)
+        x *= spec
+        gs.append(post * np.fft.ifft(x)[:m])
+    z = 0.5 * (gs[0] + gs[1].conj())
+    return z.real**2 + z.imag**2
 
 
 def peak_frequency(frequencies, response) -> float:

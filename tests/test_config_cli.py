@@ -527,6 +527,24 @@ def test_half_step_rerun_above_sample_cap_is_skipped(tmp_path, monkeypatch, cap,
             assert entry["phase_convergence_ratio"] == pytest.approx(16.0, rel=0.1)
 
 
+def test_adaptive_halving_past_sample_cap_is_config_error(tmp_path, monkeypatch, capsys):
+    # step 0.5 over 20 s halves 41 -> 81 -> 161 samples, past a cap of 100
+    for module in ("cli", "trajectory", "invariant"):
+        monkeypatch.setattr(f"spinrot.{module}.MAX_SAMPLES", 100)
+    monkeypatch.setenv("SPINROT_WORKERS", "1")
+    cfg = demo_config(initial_conditions="aligned",
+                      integrator={"step": 0.5, "t_end": 20.0, "adaptive": True})
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--output-dir", str(out)]) == EXIT_CONFIG
+    assert "config error: a grid of 161 samples exceeds the cap of 100" in capsys.readouterr().err
+    spath = tmp_path / "sweep.json"
+    spath.write_text(json.dumps({"sweep": [{"path": "trajectory.Omega", "values": [0.5]}]}))
+    assert main(["sweep", "--config", path, "--sweep", str(spath), "--output-dir", str(out)]) == 0
+    [row] = read_csv_rows(out / "demo_sweep.csv")
+    assert row["status"] == "config-invalid"
+
+
 def _smooth_table_config(tmp_path):
     """2000 spline knots over 20 s: slow nutation and a wobbling precession."""
     t = np.linspace(0.0, 20.0, 2000)

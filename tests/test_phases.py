@@ -11,9 +11,9 @@ from scipy.integrate import cumulative_simpson, cumulative_trapezoid, simpson
 from drives import basis_state, cone_propagators, spline_drive
 from spinrot.invariant import (AuxiliarySolution, integrate_auxiliary,
                                solve_precession_lambda)
-from spinrot.phases import (_cumulative_simpson, _simpson, accumulate_phases,
-                            berry_limit_check, dynamical_phase, geometric_phase, lr_states,
-                            quadrature_error_estimate)
+from spinrot.phases import (_cumulative_simpson, _simpson, _simpson_weights,
+                            accumulate_phases, berry_limit_check, dynamical_phase,
+                            geometric_phase, lr_states, quadrature_error_estimate)
 from spinrot.spin_algebra import rotation_stack, validate_sigma
 from spinrot.trajectory import OmegaTrajectory
 
@@ -285,6 +285,21 @@ def test_quadrature_ports_keep_scipy_signed_zeros(n):
     assert _cumulative_simpson(y, x).tobytes() == \
         cumulative_simpson(y, x=x, initial=0.0).tobytes()
     assert np.asarray(_simpson(y, x)).tobytes() == np.asarray(simpson(y, x=x)).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 1001, 1002])
+def test_simpson_weights_reproduce_simpson(n):
+    # w @ y is _simpson(y, x) summed in another order, odd and even counts
+    rng = np.random.default_rng(n)
+    for x in (np.linspace(-1.0, 2.0, n), np.cumsum(rng.uniform(1e-3, 1.0, n))):
+        w = _simpson_weights(x)
+        assert w.shape == (n,)
+        for _ in range(5):
+            y = rng.normal(size=n)
+            assert w @ y == pytest.approx(_simpson(y, x), rel=0.0,
+                                          abs=1e-14 * max(1e-300, np.abs(w) @ np.abs(y)))
+    if n == 1:
+        assert not w.any()
 
 
 def test_quadrature_ports_reject_unordered_grid():

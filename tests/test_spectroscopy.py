@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drives import basis_state, spline_drive
 from spinrot import spectroscopy
@@ -47,8 +49,10 @@ def _phi_tot(from_level, to_level, sol, hists):
     pert = PerturbationModel({(to_level.n, from_level.n): block})
     g = _amplitude_integrand(pert, from_level, to_level, sol, hists)
     v = rotation_stack(sol.lam, sol.gamma)
-    dressed = np.einsum("nji,jk,nkl->nil", v.conj(), block, v)
-    elem = dressed[:, 0 if to_level.sigma > 0 else 1, 0 if from_level.sigma > 0 else 1]
+    to = v[:, :, 0 if to_level.sigma > 0 else 1].conj()
+    fr = v[:, :, 0 if from_level.sigma > 0 else 1]
+    elem = (to[:, 0] * (block[0, 0] * fr[:, 0] + block[0, 1] * fr[:, 1])
+            + to[:, 1] * (block[1, 0] * fr[:, 0] + block[1, 1] * fr[:, 1])) / HBAR_EV_S
     return -np.unwrap(np.angle(1j * g) - np.angle(elem))
 
 
@@ -271,14 +275,25 @@ def test_resonance_scan_peaks_at_shift():
 
 
 def _one_shot_scan(pert, from_level, to_level, sol, hists, frequencies):
-    """The whole (frequencies x samples) table at once, as the scan was first written."""
+    """The whole (frequencies x samples) cosine table at once: the direct reference."""
     g = _amplitude_integrand(pert, from_level, to_level, sol, hists)
-    y = g[None, :] * np.cos(np.outer(frequencies, sol.t))
-    return _simpson(y.real, sol.t)**2 + _simpson(y.imag, sol.t)**2
+    return _direct_response(g, sol.t, frequencies)
 
 
-@pytest.mark.parametrize("t_end", [10.0, 10.01])  # 1001 and 1002 samples
-def test_resonance_scan_blocks_are_bit_identical(t_end):
+def _direct_response(g, t, frequencies):
+    y = g[None, :] * np.cos(np.outer(frequencies, t))
+    return _simpson(y.real, t)**2 + _simpson(y.imag, t)**2
+
+
+def _assert_near_table(got, want):
+    # the chirp-z sums in another order than the table: 1e-12 of the peak response
+    assert got.shape == want.shape
+    if want.size:
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("t_end", [0.0, 0.01, 0.02, 10.0, 10.01])  # 1, 2, 3, 1001, 1002 samples
+def test_resonance_scan_matches_direct_table(t_end):
     traj = OmegaTrajectory.constant_precession(1.0, 0.1, math.pi / 6.0)
     sol = integrate_auxiliary(traj, solve_precession_lambda(1.0, 0.1, math.pi / 6.0),
                               0.0, t_end, 0.01)
@@ -286,19 +301,68 @@ def test_resonance_scan_blocks_are_bit_identical(t_end):
     hists = [accumulate_phases(sol, traj, s) for s in (0.5, -0.5)]
     levels = (EnergyLevel(1, 0.5, _rad(1.0)), EnergyLevel(2, -0.5, 0.0))
     pert = PerturbationModel({(2, 1): 0.002 * HBAR_EV_S * np.array([[0.3, 1.0], [1.0, -0.2]])})
-    rows = spectroscopy._SCAN_BLOCK // sol.n_samples
-    assert rows > 2
-    for count in (1, rows - 1, rows, rows + 1, 200):
-        freqs = np.linspace(0.5, 1.5, count)
-        got = resonance_scan(pert, levels[0], levels[1], sol, hists, freqs)
-        assert got.shape == (count,)
-        assert np.array_equal(got, _one_shot_scan(pert, levels[0], levels[1], sol, hists, freqs))
+    for count in (0, 1, 2, 200):
+        for freqs in (np.linspace(0.5, 1.5, count), np.linspace(1.5, 0.5, count)):
+            got = resonance_scan(pert, levels[0], levels[1], sol, hists, freqs)
+            assert got.shape == (count,)
+            _assert_near_table(got, _one_shot_scan(pert, levels[0], levels[1], sol, hists, freqs))
     # a 0-d frequency and a 2-D grid come back flat, as np.outer made them
-    for freqs in (np.float64(1.05), np.linspace(0.5, 1.5, 3 * rows).reshape(3, rows)):
+    for freqs in (np.float64(1.05), np.linspace(0.5, 1.5, 30).reshape(3, 10)):
         got = resonance_scan(pert, levels[0], levels[1], sol, hists, freqs)
         want = _one_shot_scan(pert, levels[0], levels[1], sol, hists, freqs)
         assert got.shape == want.shape == (np.size(freqs),)
-        assert np.array_equal(got, want)
+        _assert_near_table(got, want)
+    if sol.n_samples == 1:  # no interval to integrate over
+        assert not resonance_scan(pert, levels[0], levels[1], sol, hists, freqs).any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 300), m=st.integers(0, 250),
+       t0=st.floats(-5.0, 5.0), h=st.floats(1e-3, 0.05),
+       f0=st.floats(-5.0, 5.0), df=st.floats(-0.05, 0.05),
+       seed=st.integers(0, 2**32 - 1))
+def test_cosine_response_matches_table_on_uniform_grids(n, m, t0, h, f0, df, seed):
+    rng = np.random.default_rng(seed)
+    t = np.linspace(t0, t0 + (n - 1) * h, n)
+    freqs = np.linspace(f0, f0 + (m - 1) * df, m)
+    g = rng.normal(size=n) + 1j * rng.normal(size=n)
+    _assert_near_table(spectroscopy._cosine_response(g, t, freqs), _direct_response(g, t, freqs))
+
+
+def test_resonance_scan_rejects_non_uniform_grid():
+    _, sol, hists = _locked(periods=0.25)
+    levels = (EnergyLevel(1, 0.5, _rad(1.0)), EnergyLevel(2, -0.5, 0.0))
+    pert = PerturbationModel({(2, 1): 0.002 * HBAR_EV_S * np.eye(2)})
+    freqs = np.linspace(0.5, 1.5, 50)
+    freqs[17] = np.nextafter(freqs[17], 2.0)  # an ulp off the line is still uniform
+    resonance_scan(pert, levels[0], levels[1], sol, hists, freqs)
+    for bad in (1e-9, np.nan):
+        grid = freqs.copy()
+        grid[17] += bad
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            resonance_scan(pert, levels[0], levels[1], sol, hists, grid)
+
+
+@pytest.mark.parametrize("to_sigma, from_sigma", [(0.5, 0.5), (0.5, -0.5), (-0.5, 0.5), (-0.5, -0.5)])
+def test_dressed_element_matches_einsum(to_sigma, from_sigma):
+    # the element from two columns of V equals the (N, 2, 2) einsum form, to
+    # 1e-15 of |b|/hbar, the scale of <to| V^dag b V |from> for unit columns
+    _, sol, hists = _locked(periods=0.5)
+    rng = np.random.default_rng(7)
+    levels = (EnergyLevel(1, from_sigma, _rad(0.3)), EnergyLevel(1, to_sigma, _rad(0.3)))
+    v = rotation_stack(sol.lam, sol.gamma)
+    hist = {h.sigma: h for h in hists}
+    phi_tot = (hist[from_sigma].phi_total + levels[0].epsilon_rad_s * sol.t) \
+        - (hist[to_sigma].phi_total + levels[1].epsilon_rad_s * sol.t)
+    for _ in range(20):
+        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        block = 0.01 * HBAR_EV_S * (a + a.conj().T)
+        pert = PerturbationModel({(1, 1): block})
+        dressed = np.einsum("nji,jk,nkl->nil", v.conj(), block, v)
+        elem = dressed[:, 0 if to_sigma > 0 else 1, 0 if from_sigma > 0 else 1] / HBAR_EV_S
+        want = -1j * elem * np.exp(-1j * phi_tot)
+        got = _amplitude_integrand(pert, levels[0], levels[1], sol, hists)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(block).max() / HBAR_EV_S
 
 
 def test_amplitude_with_oracle_extracted_phases():
