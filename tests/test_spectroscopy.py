@@ -313,6 +313,7 @@ def test_resonance_scan_matches_direct_table(t_end):
         assert got.shape == want.shape == (np.size(freqs),)
         _assert_near_table(got, want)
     if sol.n_samples == 1:  # no interval to integrate over
+        freqs = np.linspace(0.5, 1.5, 200)
         assert not resonance_scan(pert, levels[0], levels[1], sol, hists, freqs).any()
 
 
