@@ -24,12 +24,12 @@ from .config import (RunConfig, apply_overrides, config_sha256,
                      validate_run_config)
 from .errors import (ConfigError, NoSolutionError, OutOfDomainError,
                      SingularityError, SpinRotError)
-from .invariant import (MAX_SAMPLES, integrate_auxiliary, lvn_residual_samples,
-                        lvn_residual_series)
+from .invariant import integrate_auxiliary, lvn_residual_samples, lvn_residual_series
 from .io_utils import format_floats, write_csv, write_json, write_rows
-from .oracle import fidelity, propagate, under_resolved
+from .oracle import fidelity, propagate
 from .phases import accumulate_phases, berry_limit_check, lr_states
 from .spectroscopy import spectral_shift
+from .trajectory import check_sample_cap
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -45,16 +45,6 @@ def _sigma_tag(sigma: float) -> str:
 
 def _sigma_key(sigma: float) -> str:
     return "+0.5" if sigma > 0 else "-0.5"
-
-
-def _check_grid(key: str, step: float, n_steps: float) -> None:
-    """Reject a grid above the integrator's sample cap before it is allocated.
-
-    n_steps is a float, inf for a subnormal step, so the count cannot overflow.
-    """
-    if n_steps + 1 > MAX_SAMPLES:
-        raise ConfigError(
-            f"{key} = {step!r} gives {n_steps + 1:.0f} samples, above the cap of {MAX_SAMPLES}")
 
 
 def _cannot_write(path: str, errnum: int) -> ConfigError:
@@ -80,7 +70,7 @@ def _output_dir(path: str) -> str:
 
 def run_pipeline(cfg: RunConfig) -> dict:
     """Integrate, accumulate phases, and collect summary numbers (no LvN residuals)."""
-    _check_grid("integrator.step", cfg.step, np.rint(cfg.t_end / cfg.step))
+    check_sample_cap(np.rint(cfg.t_end / cfg.step) + 1, cfg.step, "integrator.step")
     lam0, gam0 = cfg.initial_conditions()
     sol = integrate_auxiliary(
         cfg.trajectory, lam0, gam0, cfg.t_end, cfg.step, adaptive=cfg.adaptive)
@@ -166,17 +156,12 @@ def run_verify(cfg: RunConfig) -> dict:
     # oracle step snapped to an integer divisor of the dense-output step so
     # the two grids share sample times exactly
     thin = max(1.0, np.rint(sol.step / oracle_cfg["step"]))
-    _check_grid("oracle.step", oracle_cfg["step"], (sol.n_samples - 1) * thin)
+    check_sample_cap((sol.n_samples - 1) * thin + 1, oracle_cfg["step"], "oracle.step")
     thin = int(thin)
     t0, t_end = float(sol.t[0]), float(sol.t[-1])
     n_oracle = (sol.n_samples - 1) * thin
     oracle_step = (t_end - t0) / n_oracle if n_oracle else oracle_cfg["step"]
     tol = cfg.data["verify"]
-    report = {"config_sha256": cfg.sha256, "tolerances": tol,
-              "oracle_method": oracle_cfg["method"],
-              "oracle_step": oracle_step,
-              "oracle_under_resolved": under_resolved(cfg.trajectory, oracle_step, sol.t),
-              "per_sigma": {}}
 
     def oracle(psi0, step, k):
         return propagate(cfg.trajectory, psi0, t_end, step, t0=t0, thin=k).unstack()
@@ -185,8 +170,14 @@ def run_verify(cfg: RunConfig) -> dict:
     states = {s: lr_states(sol, hist) for s, hist in result["histories"].items()}
     sigmas = list(states)
     psi0 = np.stack([states[s][0] for s in sigmas])
+    runs = oracle(psi0, oracle_step, thin)
+    report = {"config_sha256": cfg.sha256, "tolerances": tol,
+              "oracle_method": oracle_cfg["method"],
+              "oracle_step": oracle_step,
+              "oracle_under_resolved": runs[0].under_resolved,
+              "per_sigma": {}}
     series = {}
-    for s, run in zip(sigmas, oracle(psi0, oracle_step, thin)):
+    for s, run in zip(sigmas, runs):
         fid, phase = fidelity(run, sol.t, states[s])
         entry = {
             "min_fidelity": float(fid.min()),
@@ -203,8 +194,12 @@ def run_verify(cfg: RunConfig) -> dict:
         # convergence diagnostic: a mismatch that drops ~16x on halving
         # the oracle step is discretization, not a physics disagreement;
         # a half-step grid above the sample cap is skipped and reported as null
-        halves = ([None] * len(failing) if 2 * n_oracle + 1 > MAX_SAMPLES
-                  else oracle(psi0[failing], oracle_step / 2.0, 2 * thin))
+        try:
+            check_sample_cap(2 * n_oracle + 1, oracle_step / 2.0, "oracle.step")
+        except ConfigError:
+            halves = [None] * len(failing)
+        else:
+            halves = oracle(psi0[failing], oracle_step / 2.0, 2 * thin)
         for j, half in zip(failing, halves):
             entry = report["per_sigma"][_sigma_key(sigmas[j])]
             if half is None:

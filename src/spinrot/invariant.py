@@ -36,9 +36,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NoSolutionError, SingularityError
+from .errors import NoSolutionError, SingularityError
 from .io_utils import write_csv
-from .trajectory import MAX_SAMPLES, OmegaTrajectory, _grid_steps, omega_from_angles
+from .trajectory import OmegaTrajectory, _grid_steps, check_sample_cap, omega_from_angles
 
 EPS_LAMBDA = 1e-6  # guard band (rad) around the cot(lambda) singularities
 
@@ -170,8 +170,8 @@ def integrate_auxiliary(traj: OmegaTrajectory, lambda0: float, gamma0: float,
     OutOfDomainError
         If [t0, t_end] leaves a tabulated drive's domain.
     ValueError
-        On non-positive step, or a grid above MAX_SAMPLES samples; a
-        ConfigError when adaptive halving takes the grid past the cap.
+        On a step that is not positive and finite; a ConfigError when the
+        first or a halved grid is above the sample cap.
     """
     if not (step > 0.0 and math.isfinite(step)):
         raise ValueError(f"step must be positive and finite, got {step!r}")
@@ -223,8 +223,7 @@ def integrate_auxiliary(traj: OmegaTrajectory, lambda0: float, gamma0: float,
             break
         n *= 2
         halvings += 1
-        if n + 1 > MAX_SAMPLES:  # _grid_steps checked the first grid
-            raise ConfigError(f"a grid of {n + 1} samples exceeds the cap of {MAX_SAMPLES}")
+        check_sample_cap(n + 1, abs(t_end - t0) / n, "halved step")
     meta = {}
     if adaptive and worst_rate > tol:
         meta["error_rate_tol_exceeded"] = True

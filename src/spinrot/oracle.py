@@ -14,10 +14,11 @@ and exactly unitary: total-phase comparisons against the invariant
 solution are meaningful down to ~1e-12. The global error is O(h^4)
 (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)).
 
-The field samples and step propagators are built per block of 2048 steps,
-and the under-resolution test reads the field per block too: past the time
-grid itself (8 bytes a step), memory grows with the kept samples, not with
-`thin`. Every step sees the same floats as in one whole-grid pass.
+The step times, field samples and step propagators are built per block of
+2048 steps, and the under-resolution test reads the field per block too:
+memory grows with the kept samples, not with `thin`. Block times are formed
+as `np.linspace` forms them, so every step sees the same floats as in one
+whole-grid pass.
 """
 
 from __future__ import annotations
@@ -46,17 +47,19 @@ class PropagatorRun:
 
     `states` has shape (N, 2) for one initial state, with a float
     `unitarity_defect`, and (N, m, 2) for a stack of m, with one defect per
-    state in an array of shape (m,). `step` is the spacing of `t`.
+    state in an array of shape (m,). `step` is the spacing of `t`;
+    `under_resolved` tells whether `under_resolved` holds on the step grid.
     """
 
     step: float
     t: np.ndarray
     states: np.ndarray
     unitarity_defect: float | np.ndarray
+    under_resolved: bool
 
     def unstack(self) -> list["PropagatorRun"]:
         """One single-state run per member of a stacked run, in stack order."""
-        return [PropagatorRun(self.step, self.t, self.states[:, j], float(d))
+        return [PropagatorRun(self.step, self.t, self.states[:, j], float(d), self.under_resolved)
                 for j, d in enumerate(self.unitarity_defect)]
 
     def to_csv(self, path, fidelity=None, overlap_phase=None, comments=None, t_text=None):
@@ -82,8 +85,7 @@ def under_resolved(traj: OmegaTrajectory, step: float, t: np.ndarray) -> bool:
     the field turns (|Omega| sin theta on a cone); either one at 0.1 rad per
     step or more leaves under ~63 steps per turn.
     """
-    turn = max(float(np.linalg.norm(traj.effective_field(t[k:k + _BLOCK]), axis=-1).max())
-               for k in range(0, t.size, _BLOCK))
+    turn = float(np.linalg.norm(traj.effective_field(t), axis=-1).max())
     return max(traj.omega0, turn) * abs(step) >= 0.1
 
 
@@ -95,7 +97,7 @@ def propagate(traj: OmegaTrajectory, psi0: np.ndarray, t_end: float, step: float
     states share the grid, the step propagators and one step loop, and each
     comes out bit-identical to its own single-state run. The first sample
     and every `thin`-th after it are kept; `thin` must divide the step count.
-    A grid above MAX_SAMPLES samples is a ValueError, raised before it is built.
+    A grid above the sample cap is a ConfigError, raised before it is built.
     """
     if not (step > 0.0 and math.isfinite(step)):
         raise ValueError(f"step must be positive and finite, got {step!r}")
@@ -106,28 +108,33 @@ def propagate(traj: OmegaTrajectory, psi0: np.ndarray, t_end: float, step: float
     n = _grid_steps(t0, t_end, step)
     if thin < 1 or n % thin != 0:
         raise ValueError(f"cannot thin {n} steps by {thin}")
-    t = np.linspace(t0, t_end, n + 1)
     h = (t_end - t0) / n if n else step
-    if under_resolved(traj, h, t):
+    # (c+, c-) of every state, flat: the step loop indexes it in pairs
+    kept, defect, coarse = _propagate_exponential(
+        traj, psi0.reshape(-1).tolist(), t0, t_end, n, h, thin)
+    if coarse:
         warnings.warn("max(omega0, |B|)*step >= 0.1; the propagator is under-resolved",
                       stacklevel=2)
-    # (c+, c-) of every state, flat: the step loop indexes it in pairs
-    kept, defect = _propagate_exponential(traj, psi0.reshape(-1).tolist(), t, h, thin)
+    # np.linspace(t0, t_end, n + 1)[::thin], bit for bit: k h + t0, the last sample t_end
+    t = np.arange(0, n + 1, thin) * h + t0
+    if n:
+        t[-1] = t_end
     states = np.array(kept, dtype=complex).reshape(len(kept), -1, 2)
     if psi0.ndim == 1:
-        return PropagatorRun(h * thin, t[::thin], states[:, 0], defect)
-    return PropagatorRun(h * thin, t[::thin], states, np.full(len(psi0), defect))
+        return PropagatorRun(h * thin, t, states[:, 0], defect, coarse)
+    return PropagatorRun(h * thin, t, states, np.full(len(psi0), defect), coarse)
 
 
-def _propagate_exponential(traj, amps, t, h, thin):
-    """Kept amplitude tuples and the worst step-propagator unitarity defect."""
+def _propagate_exponential(traj, amps, t0, t_end, n, h, thin):
+    """Kept amplitude tuples, the worst step-propagator defect and the under-resolution flag."""
     pairs = range(0, len(amps), 2)
     kept = [tuple(amps)]
     defect = 0.0
-    starts = t[:-1]
+    coarse = under_resolved(traj, h, np.array([t_end]))
     left = thin  # steps to the next kept sample, which may lie in a later block
-    for k in range(0, starts.size, _BLOCK):
-        tk = starts[k:k + _BLOCK]
+    for k in range(0, n, _BLOCK):
+        tk = np.arange(k, min(k + _BLOCK, n)) * h + t0  # the step starts, as np.linspace forms them
+        coarse = coarse or under_resolved(traj, h, tk)
         w1 = traj.omega(tk + (0.5 - _GAUSS_OFFSET) * h)
         w2 = traj.omega(tk + (0.5 + _GAUSS_OFFSET) * h)
         u = spin_rotation_propagators(
@@ -149,7 +156,7 @@ def _propagate_exponential(traj, amps, t, h, thin):
             if not left:
                 kept.append(tuple(amps))
                 left = thin
-    return kept, defect
+    return kept, defect, coarse
 
 
 def fidelity(run: PropagatorRun, lr_t: np.ndarray, lr_states: np.ndarray

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import GridMismatchError
 from .invariant import AuxiliarySolution
 from .spin_algebra import rotation_stack, validate_sigma
 from .trajectory import OmegaTrajectory
@@ -221,10 +222,16 @@ def berry_limit_check(theta: float, sigma: float) -> float:
     return 2.0 * np.pi * sigma * (1.0 - np.cos(theta))
 
 
+def _on_grid(sol: AuxiliarySolution, history: PhaseHistory) -> PhaseHistory:
+    """history, or GridMismatchError when its t is not exactly sol.t, which it carries."""
+    if not np.array_equal(history.t, sol.t):
+        raise GridMismatchError("phase history is not on the solution grid")
+    return history
+
+
 def lr_states(sol: AuxiliarySolution, history: PhaseHistory) -> np.ndarray:
     """Particular-solution states on the solution grid, shape (N, 2)."""
-    if history.t.shape != sol.t.shape or not np.array_equal(history.t, sol.t):
-        raise ValueError("phase history is not on the solution grid")
+    _on_grid(sol, history)
     v = rotation_stack(sol.lam, sol.gamma)
     col = 0 if history.sigma > 0 else 1
     return np.exp(-1j * history.phi_total)[:, None] * v[:, :, col]

@@ -33,9 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR_EV_S
-from .errors import GridMismatchError
 from .invariant import AuxiliarySolution, solve_precession_lambda
-from .phases import PhaseHistory, _simpson, _simpson_weights
+from .phases import PhaseHistory, _on_grid, _simpson, _simpson_weights
 from .spin_algebra import rotation_stack, validate_sigma
 
 _FIRST_ORDER_WARN = 0.1  # |a| beyond this leaves the first-order regime
@@ -125,21 +124,17 @@ def spectral_shift(sigma: float, sigma_p: float, omega0: float, Omega: float,
     return (sigma - sigma_p) * rate * HBAR_EV_S
 
 
-def _phase_history_for(phase_histories, sigma: float) -> PhaseHistory:
+def _phase_history_for(sol, phase_histories, sigma: float) -> PhaseHistory:
     for hist in phase_histories:
         if hist.sigma == sigma:
-            return hist
+            return _on_grid(sol, hist)
     raise ValueError(f"missing phase history for sigma = {sigma}")
 
 
 def _amplitude_integrand(pert, from_level, to_level, sol, phase_histories):
     """-i (dressed element / hbar) e^{-i phi_tot} on the solution grid, sans drive."""
-    hist_from = _phase_history_for(phase_histories, from_level.sigma)
-    hist_to = _phase_history_for(phase_histories, to_level.sigma)
-    for hist in (hist_from, hist_to):
-        if hist.t.shape != sol.t.shape or not np.allclose(
-                hist.t, sol.t, rtol=0.0, atol=1e-12 * max(1.0, float(abs(sol.t[-1])))):
-            raise GridMismatchError("phase history is not on the solution grid")
+    hist_from = _phase_history_for(sol, phase_histories, from_level.sigma)
+    hist_to = _phase_history_for(sol, phase_histories, to_level.sigma)
     b = pert.block(to_level.n, from_level.n)
     v = rotation_stack(sol.lam, sol.gamma)
     to = v[:, :, _spin_index(to_level.sigma)].conj()
@@ -168,7 +163,7 @@ def transition_amplitude(pert: PerturbationModel, from_level: EnergyLevel,
         i_end = int(round((t_end - sol.t[0]) / sol.step))
         if i_end < 0 or i_end >= sol.n_samples or abs(sol.t[i_end] - t_end) > 1e-9 * max(1.0, abs(t_end)):
             raise ValueError(f"t_end = {t_end} is not a solution grid sample")
-    if i_end < 2:
+    if i_end == 0:
         return 0.0 + 0.0j
     tt, y = sol.t[: i_end + 1], g[: i_end + 1]
     a = complex(_simpson(y.real, tt) + 1j * _simpson(y.imag, tt))

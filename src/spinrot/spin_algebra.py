@@ -18,20 +18,6 @@ SIGMA_UP = 0.5
 SIGMA_DOWN = -0.5
 
 
-def _frozen(rows) -> np.ndarray:
-    m = np.array(rows, dtype=complex)
-    m.flags.writeable = False
-    return m
-
-
-S1 = _frozen([[0.0, 0.5], [0.5, 0.0]])
-S2 = _frozen([[0.0, -0.5j], [0.5j, 0.0]])
-S3 = _frozen([[0.5, 0.0], [0.0, -0.5]])
-S_PLUS = _frozen([[0.0, 1.0], [0.0, 0.0]])
-S_MINUS = _frozen([[0.0, 0.0], [1.0, 0.0]])
-IDENTITY2 = _frozen([[1.0, 0.0], [0.0, 1.0]])
-
-
 def validate_sigma(sigma: float) -> float:
     """Check that sigma is one of the two admitted spin projections."""
     if sigma == SIGMA_UP or sigma == SIGMA_DOWN:

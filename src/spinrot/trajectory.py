@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .errors import OutOfDomainError
+from .errors import ConfigError, OutOfDomainError
 
 KIND_CONSTANT_PRECESSION = "constant_precession"
 KIND_TABULATED = "tabulated"
@@ -310,15 +310,24 @@ def omega_from_angles(omega0: float, th, ph) -> np.ndarray:
     return omega0 * np.stack([s * np.cos(ph), s * np.sin(ph), np.cos(th)], axis=-1)
 
 
+def check_sample_cap(samples: float, step: float, key: str) -> None:
+    """The one sample-cap test: ConfigError, naming `key = step`, above MAX_SAMPLES samples.
+
+    MAX_SAMPLES is read here, at call time. samples is a float, inf for a
+    subnormal step, so the count cannot overflow.
+    """
+    if not samples <= MAX_SAMPLES:  # also true for inf and nan
+        raise ConfigError(
+            f"{key} = {float(step)!r} gives {samples:.0f} samples, above the cap of {MAX_SAMPLES}")
+
+
 def _grid_steps(t0: float, t_end: float, step: float) -> int:
     """Step count max(1, rint(|t_end - t0| / step)) of a uniform grid, 0 when t_end == t0.
 
-    Raises ValueError, before any grid exists, when the count is not finite
-    (a subnormal step) or the grid would exceed MAX_SAMPLES samples.
+    Checks the sample cap before any grid exists.
     """
     if t_end == t0:
         return 0
     n = np.rint(abs(t_end - t0) / step)
-    if not n + 1 <= MAX_SAMPLES:  # also false for inf and nan
-        raise ValueError(f"a grid of {n + 1:.0f} samples exceeds the cap of {MAX_SAMPLES}")
+    check_sample_cap(n + 1, step, "step")
     return max(1, int(n))

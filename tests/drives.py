@@ -1,14 +1,30 @@
-"""Test drives, states and exact references.
+"""Test drives, states, spin matrices and exact references.
 
 `spline_drive` builds a cubic-spline table through given angle functions;
 `basis_state` is an S3 eigenvector; `cone_propagators` is the exact
-propagator of a constant-precession cone.
+propagator of a constant-precession cone. The read-only spin-1/2 matrices
+S1, S2, S3, S_PLUS, S_MINUS and IDENTITY2 follow the basis ordering
+(|+1/2>, |-1/2>) and the ladder convention of `spinrot.spin_algebra`.
 """
 
 import numpy as np
 
 from spinrot.spin_algebra import spin_rotation_propagators
 from spinrot.trajectory import OmegaTrajectory, omega_from_angles
+
+
+def _frozen(rows) -> np.ndarray:
+    m = np.array(rows, dtype=complex)
+    m.flags.writeable = False
+    return m
+
+
+S1 = _frozen([[0.0, 0.5], [0.5, 0.0]])
+S2 = _frozen([[0.0, -0.5j], [0.5j, 0.0]])
+S3 = _frozen([[0.5, 0.0], [0.0, -0.5]])
+S_PLUS = _frozen([[0.0, 1.0], [0.0, 0.0]])
+S_MINUS = _frozen([[0.0, 0.0], [1.0, 0.0]])
+IDENTITY2 = _frozen([[1.0, 0.0], [0.0, 1.0]])
 
 
 def spline_drive(omega0, theta_fn, phi_fn, t_end, n, t0=0.0):

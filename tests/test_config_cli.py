@@ -18,7 +18,7 @@ from spinrot.cli import EXIT_CONFIG, main
 from spinrot.config import (apply_overrides, config_sha256, resolve_run_config,
                             validate_run_config)
 from spinrot.errors import ConfigError
-from spinrot.invariant import MAX_SAMPLES
+from spinrot.trajectory import MAX_SAMPLES
 
 W0, OM, TH = 1.0, 0.5, math.pi / 3.0
 
@@ -511,7 +511,6 @@ def test_verify_coarse_step_fails_with_diagnostics(tmp_path):
 def test_half_step_rerun_above_sample_cap_is_skipped(tmp_path, monkeypatch, cap, skipped):
     # the coarse demo's oracle grid has 1258 samples and its half-step grid 2515:
     # above the cap the rerun is skipped and reported as null; verify still exits 4
-    monkeypatch.setattr("spinrot.cli.MAX_SAMPLES", cap)
     monkeypatch.setattr("spinrot.trajectory.MAX_SAMPLES", cap)
     path = write_config(tmp_path, demo_config(**_COARSE))
     out = tmp_path / "out"
@@ -529,20 +528,45 @@ def test_half_step_rerun_above_sample_cap_is_skipped(tmp_path, monkeypatch, cap,
 
 def test_adaptive_halving_past_sample_cap_is_config_error(tmp_path, monkeypatch, capsys):
     # step 0.5 over 20 s halves 41 -> 81 -> 161 samples, past a cap of 100
-    for module in ("cli", "trajectory", "invariant"):
-        monkeypatch.setattr(f"spinrot.{module}.MAX_SAMPLES", 100)
+    monkeypatch.setattr("spinrot.trajectory.MAX_SAMPLES", 100)
     monkeypatch.setenv("SPINROT_WORKERS", "1")
     cfg = demo_config(initial_conditions="aligned",
                       integrator={"step": 0.5, "t_end": 20.0, "adaptive": True})
     path = write_config(tmp_path, cfg)
     out = tmp_path / "out"
     assert main(["simulate", "--config", path, "--output-dir", str(out)]) == EXIT_CONFIG
-    assert "config error: a grid of 161 samples exceeds the cap of 100" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "config error: halved step = 0.125 gives 161 samples, above the cap of 100\n")
     spath = tmp_path / "sweep.json"
     spath.write_text(json.dumps({"sweep": [{"path": "trajectory.Omega", "values": [0.5]}]}))
     assert main(["sweep", "--config", path, "--sweep", str(spath), "--output-dir", str(out)]) == 0
     [row] = read_csv_rows(out / "demo_sweep.csv")
     assert row["status"] == "config-invalid"
+
+
+def test_one_cap_binding_moves_every_cap_check(tmp_path, monkeypatch, capsys):
+    # the coarse demo at integrator step 0.18 fails verify: 699 integrator samples,
+    # 1397 oracle samples and 2793 at the half step. Patching the one binding moves
+    # the simulate and oracle pre-checks, the half-step skip and adaptive halving.
+    out = str(tmp_path / "out")
+
+    def run(command, cap, cfg):
+        monkeypatch.setattr("spinrot.trajectory.MAX_SAMPLES", cap)
+        code = main([command, "--config", write_config(tmp_path, cfg), "--output-dir", out])
+        return code, capsys.readouterr().err
+
+    coarse = demo_config(**dict(_COARSE, integrator={"step": 0.18, "periods": 10.0}))
+    assert run("simulate", 698, coarse) == (
+        EXIT_CONFIG, "config error: integrator.step = 0.18 gives 699 samples, above the cap of 698\n")
+    assert run("verify", 1396, coarse) == (
+        EXIT_CONFIG, "config error: oracle.step = 0.1 gives 1397 samples, above the cap of 1396\n")
+    assert run("verify", 2792, coarse)[0] == 4
+    report = json.loads((tmp_path / "out" / "demo_verify_report.json").read_text())
+    assert all(e["phase_mismatch_at_half_step_rad"] is None for e in report["per_sigma"].values())
+    adaptive = demo_config(initial_conditions="aligned",
+                           integrator={"step": 0.5, "t_end": 20.0, "adaptive": True})
+    assert run("simulate", 100, adaptive)[1] == (
+        "config error: halved step = 0.125 gives 161 samples, above the cap of 100\n")
 
 
 def _smooth_table_config(tmp_path):
@@ -596,7 +620,8 @@ def _reference_verify(cfg):
     def thinned(run, k):
         if k < 1 or (run.t.size - 1) % k != 0:
             raise ValueError(f"cannot thin {run.t.size - 1} steps by {k}")
-        return PropagatorRun(run.step * k, run.t[::k], run.states[::k], run.unitarity_defect)
+        return PropagatorRun(run.step * k, run.t[::k], run.states[::k], run.unitarity_defect,
+                             run.under_resolved)
 
     result = run_pipeline(cfg)
     sol = result["sol"]
@@ -606,7 +631,9 @@ def _reference_verify(cfg):
     n_oracle = (sol.n_samples - 1) * thin
     oracle_step = duration / n_oracle if n_oracle else oracle_cfg["step"]
     tol = cfg.data["verify"]
-    turn = float(np.linalg.norm(cfg.trajectory.effective_field(sol.t), axis=1).max())
+    # max |B| over every sample of the oracle's own step grid
+    oracle_t = np.linspace(float(sol.t[0]), float(sol.t[-1]), n_oracle + 1)
+    turn = float(np.linalg.norm(cfg.trajectory.effective_field(oracle_t), axis=1).max())
     report = {"config_sha256": cfg.sha256, "tolerances": tol,
               "oracle_method": oracle_cfg["method"], "oracle_step": oracle_step,
               "oracle_under_resolved": max(cfg.trajectory.omega0, turn) * oracle_step >= 0.1,
@@ -700,8 +727,10 @@ def test_verify_reports_under_resolved_oracle(tmp_path):
     report = json.loads((out / "demo_verify_report.json").read_text())
     assert report["oracle_step"] >= 0.1
     assert report["oracle_under_resolved"] is True
-    assert main(["verify", "--config", write_config(tmp_path, demo_config()),
-                 "--output-dir", str(out)]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the flag is false exactly when no warning is raised
+        assert main(["verify", "--config", write_config(tmp_path, demo_config()),
+                     "--output-dir", str(out)]) == 0
     report = json.loads((out / "demo_verify_report.json").read_text())
     assert report["oracle_under_resolved"] is False
 

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drives import spline_drive
+from drives import S1, S2, S3, spline_drive
 from spinrot.errors import NoSolutionError, OutOfDomainError, SingularityError
 from spinrot.invariant import (EPS_LAMBDA, AuxiliarySolution, integrate_auxiliary,
                                lvn_residual_samples, lvn_residual_series,
                                solve_precession_lambda)
-from spinrot.spin_algebra import S1, S2, S3, rotation_stack
+from spinrot.spin_algebra import rotation_stack
 from spinrot.trajectory import OmegaTrajectory, omega_from_angles
 
 W0, OM, TH = 1.0, 0.5, math.pi / 3.0  # reference precession case; lam* = pi/2

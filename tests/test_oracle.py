@@ -5,16 +5,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from drives import basis_state, cone_propagators, spline_drive
-from spinrot.errors import GridMismatchError
-from spinrot.invariant import MAX_SAMPLES, integrate_auxiliary, solve_precession_lambda
+from spinrot.errors import ConfigError, GridMismatchError
+from spinrot.invariant import integrate_auxiliary, solve_precession_lambda
 from spinrot.oracle import fidelity, propagate, under_resolved
 from spinrot.phases import accumulate_phases, lr_states
 from spinrot.spin_algebra import rotation_stack, spin_rotation_propagators
-from spinrot.trajectory import OmegaTrajectory
+from spinrot.trajectory import MAX_SAMPLES, OmegaTrajectory
 
 
 def test_static_field_exact_phase():
@@ -82,22 +82,25 @@ def test_invalid_inputs():
 def test_subnormal_step_is_value_error():
     # |t_end - t0| / 1e-320 is inf: the step count must not overflow int()
     traj = OmegaTrajectory.constant_precession(1.0, 0.5, 1.0)
-    with pytest.raises(ValueError, match="inf samples exceeds the cap"):
+    with pytest.raises(ValueError, match="gives inf samples, above the cap"):
         propagate(traj, basis_state(0.5), 1.0, 1e-320)
-    with pytest.raises(ValueError, match="inf samples exceeds the cap"):
+    with pytest.raises(ValueError, match="gives inf samples, above the cap"):
         integrate_auxiliary(traj, 1.0, 0.0, 1.0, 1e-320)
 
 
 def test_grid_above_sample_cap_rejected_before_it_is_built(monkeypatch):
+    # a canary: every block of step times, and t_end, goes through under_resolved
     from spinrot import oracle
 
     def grid_built(*args):
-        raise AssertionError("the grid was built")
+        raise AssertionError("a grid was built")
 
     monkeypatch.setattr(oracle, "under_resolved", grid_built)
     traj = OmegaTrajectory.constant_precession(1.0, 0.5, 1.0)
-    with pytest.raises(ValueError, match=f"{MAX_SAMPLES + 1} samples exceeds the cap"):
+    with pytest.raises(ConfigError, match=f"gives {MAX_SAMPLES + 1} samples, above the cap"):
         propagate(traj, basis_state(0.5), 0.5 * MAX_SAMPLES, 0.5)
+    with pytest.raises(AssertionError, match="a grid was built"):
+        propagate(traj, basis_state(0.5), 0.5 * MAX_SAMPLES - 0.5, 0.5)
 
 
 def test_fidelity_trivial_cases():
@@ -280,6 +283,24 @@ def test_memory_does_not_grow_with_thin():
             tracemalloc.stop()
         assert run.t.size == 20000 // thin + 1
     assert peaks[1000] <= peaks[4]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(-50.0, 50.0), st.floats(1e-3, 100.0), st.booleans(),
+       st.sampled_from([0, 1, 7, 2047, 2048, 2049, 4096, 4097, 6147]), st.integers(0, 3))
+# 7 * (31.42 / 7) - 21.62 rounds below 9.8: np.linspace pins its last sample to t_end
+@example(-21.62, 31.42, False, 7, 1)
+def test_kept_times_are_linspace_bit_for_bit(t0, span, backward, n, pick):
+    # block edges at multiples of 2048 steps; thin 3 does not divide a block
+    thins = [k for k in (1, 3, 7, 2048) if n % k == 0]
+    thin = thins[pick % len(thins)]
+    t_end = t0 if n == 0 else (t0 - span if backward else t0 + span)
+    traj = OmegaTrajectory.constant_precession(0.0, 0.0, 1.0)
+    run = propagate(traj, basis_state(0.5), t_end, abs(t_end - t0) / n if n else 0.1, t0=t0,
+                    thin=thin)
+    assert (run.t.size - 1) * thin == n
+    expected = np.linspace(t0, t_end, n + 1)[::thin]
+    assert run.t.tobytes() == expected.tobytes()
 
 
 def test_stack_shape_validation():

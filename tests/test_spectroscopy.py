@@ -227,6 +227,20 @@ def test_amplitude_t_end_must_be_on_grid():
                              t_end=float(sol.t[3]) + 0.3 * sol.step)
 
 
+def test_amplitude_over_the_first_steps():
+    # one step is the trapezoid rule, as in _simpson and the scan's weights;
+    # only t_end at the first sample gives 0
+    _, sol, hists = _locked(periods=0.5)
+    levels = (EnergyLevel(1, 0.5, _rad(1.3)), EnergyLevel(2, -0.5, 0.0))
+    pert = PerturbationModel({(2, 1): 0.01 * HBAR_EV_S * np.array([[1.0, 0.5], [0.5, -1.0]])})
+    g = _amplitude_integrand(pert, *levels, sol, hists)
+    assert transition_amplitude(pert, *levels, sol, hists, t_end=float(sol.t[0])) == 0.0
+    for i in (1, 2, 3):
+        a = transition_amplitude(pert, *levels, sol, hists, t_end=float(sol.t[i]))
+        t, y = sol.t[:i + 1], g[:i + 1]
+        assert a == complex(_simpson(y.real, t) + 1j * _simpson(y.imag, t)) != 0.0
+
+
 def test_total_transition_probability_bounded():
     # complete final basis: sum of |a|^2 stays within first-order unitarity
     _, sol, hists = _locked(periods=1.0, step=0.005)

@@ -10,10 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from drives import basis_state
-from spinrot.spin_algebra import (IDENTITY2, S1, S2, S3, S_MINUS, S_PLUS,
-                                  rotation_stack, spin_rotation_propagators,
-                                  validate_sigma)
+from drives import IDENTITY2, S1, S2, S3, S_MINUS, S_PLUS, basis_state
+from spinrot.spin_algebra import rotation_stack, spin_rotation_propagators, validate_sigma
 
 
 def hamiltonian(omega_vec):
