@@ -173,8 +173,6 @@ def integrate_auxiliary(traj: OmegaTrajectory, lambda0: float, gamma0: float,
         On a step that is not positive and finite; a ConfigError when the
         first or a halved grid is above the sample cap.
     """
-    if not (step > 0.0 and math.isfinite(step)):
-        raise ValueError(f"step must be positive and finite, got {step!r}")
     eps_lambda = EPS_LAMBDA
     if not (eps_lambda < lambda0 < math.pi - eps_lambda):
         raise SingularityError(

@@ -99,8 +99,6 @@ def propagate(traj: OmegaTrajectory, psi0: np.ndarray, t_end: float, step: float
     and every `thin`-th after it are kept; `thin` must divide the step count.
     A grid above the sample cap is a ConfigError, raised before it is built.
     """
-    if not (step > 0.0 and math.isfinite(step)):
-        raise ValueError(f"step must be positive and finite, got {step!r}")
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.ndim not in (1, 2) or psi0.shape[-1] != 2 or psi0.size == 0:
         raise ValueError(
@@ -110,23 +108,7 @@ def propagate(traj: OmegaTrajectory, psi0: np.ndarray, t_end: float, step: float
         raise ValueError(f"cannot thin {n} steps by {thin}")
     h = (t_end - t0) / n if n else step
     # (c+, c-) of every state, flat: the step loop indexes it in pairs
-    kept, defect, coarse = _propagate_exponential(
-        traj, psi0.reshape(-1).tolist(), t0, t_end, n, h, thin)
-    if coarse:
-        warnings.warn("max(omega0, |B|)*step >= 0.1; the propagator is under-resolved",
-                      stacklevel=2)
-    # np.linspace(t0, t_end, n + 1)[::thin], bit for bit: k h + t0, the last sample t_end
-    t = np.arange(0, n + 1, thin) * h + t0
-    if n:
-        t[-1] = t_end
-    states = np.array(kept, dtype=complex).reshape(len(kept), -1, 2)
-    if psi0.ndim == 1:
-        return PropagatorRun(h * thin, t, states[:, 0], defect, coarse)
-    return PropagatorRun(h * thin, t, states, np.full(len(psi0), defect), coarse)
-
-
-def _propagate_exponential(traj, amps, t0, t_end, n, h, thin):
-    """Kept amplitude tuples, the worst step-propagator defect and the under-resolution flag."""
+    amps = psi0.reshape(-1).tolist()
     pairs = range(0, len(amps), 2)
     kept = [tuple(amps)]
     defect = 0.0
@@ -156,7 +138,17 @@ def _propagate_exponential(traj, amps, t0, t_end, n, h, thin):
             if not left:
                 kept.append(tuple(amps))
                 left = thin
-    return kept, defect, coarse
+    if coarse:
+        warnings.warn("max(omega0, |B|)*step >= 0.1; the propagator is under-resolved",
+                      stacklevel=2)
+    # np.linspace(t0, t_end, n + 1)[::thin], bit for bit: k h + t0, the last sample t_end
+    t = np.arange(0, n + 1, thin) * h + t0
+    if n:
+        t[-1] = t_end
+    states = np.array(kept, dtype=complex).reshape(len(kept), -1, 2)
+    if psi0.ndim == 1:
+        return PropagatorRun(h * thin, t, states[:, 0], defect, coarse)
+    return PropagatorRun(h * thin, t, states, np.full(len(psi0), defect), coarse)
 
 
 def fidelity(run: PropagatorRun, lr_t: np.ndarray, lr_states: np.ndarray

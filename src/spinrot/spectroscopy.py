@@ -163,8 +163,6 @@ def transition_amplitude(pert: PerturbationModel, from_level: EnergyLevel,
         i_end = int(round((t_end - sol.t[0]) / sol.step))
         if i_end < 0 or i_end >= sol.n_samples or abs(sol.t[i_end] - t_end) > 1e-9 * max(1.0, abs(t_end)):
             raise ValueError(f"t_end = {t_end} is not a solution grid sample")
-    if i_end == 0:
-        return 0.0 + 0.0j
     tt, y = sol.t[: i_end + 1], g[: i_end + 1]
     a = complex(_simpson(y.real, tt) + 1j * _simpson(y.imag, tt))
     if abs(a) > _FIRST_ORDER_WARN:

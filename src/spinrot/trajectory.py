@@ -324,8 +324,10 @@ def check_sample_cap(samples: float, step: float, key: str) -> None:
 def _grid_steps(t0: float, t_end: float, step: float) -> int:
     """Step count max(1, rint(|t_end - t0| / step)) of a uniform grid, 0 when t_end == t0.
 
-    Checks the sample cap before any grid exists.
+    A step not positive and finite is a ValueError; the cap is checked before any grid exists.
     """
+    if not (step > 0.0 and math.isfinite(step)):
+        raise ValueError(f"step must be positive and finite, got {step!r}")
     if t_end == t0:
         return 0
     n = np.rint(abs(t_end - t0) / step)

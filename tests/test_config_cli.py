@@ -728,7 +728,8 @@ def test_verify_reports_under_resolved_oracle(tmp_path):
     assert report["oracle_step"] >= 0.1
     assert report["oracle_under_resolved"] is True
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # the flag is false exactly when no warning is raised
+        # the flag is false exactly when the propagator does not warn
+        warnings.filterwarnings("error", message=".*under-resolved", category=UserWarning)
         assert main(["verify", "--config", write_config(tmp_path, demo_config()),
                      "--output-dir", str(out)]) == 0
     report = json.loads((out / "demo_verify_report.json").read_text())

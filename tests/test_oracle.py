@@ -89,17 +89,20 @@ def test_subnormal_step_is_value_error():
 
 
 def test_grid_above_sample_cap_rejected_before_it_is_built(monkeypatch):
-    # a canary: every block of step times, and t_end, goes through under_resolved
+    # a canary: every block of step times goes through under_resolved, so
+    # it fires on the first block; t_end alone is one sample and passes
     from spinrot import oracle
 
-    def grid_built(*args):
-        raise AssertionError("a grid was built")
+    def grid_built(traj, step, t):
+        if t.size > 1:
+            raise AssertionError(f"a block of {t.size} step times was built")
+        return False
 
     monkeypatch.setattr(oracle, "under_resolved", grid_built)
     traj = OmegaTrajectory.constant_precession(1.0, 0.5, 1.0)
     with pytest.raises(ConfigError, match=f"gives {MAX_SAMPLES + 1} samples, above the cap"):
         propagate(traj, basis_state(0.5), 0.5 * MAX_SAMPLES, 0.5)
-    with pytest.raises(AssertionError, match="a grid was built"):
+    with pytest.raises(AssertionError, match="a block of 2048 step times was built"):
         propagate(traj, basis_state(0.5), 0.5 * MAX_SAMPLES - 0.5, 0.5)
 
 
