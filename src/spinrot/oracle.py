@@ -15,10 +15,10 @@ solution are meaningful down to ~1e-12. The global error is O(h^4)
 (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)).
 
 The step times, field samples and step propagators are built per block of
-2048 steps, and the under-resolution test reads the field per block too:
-memory grows with the kept samples, not with `thin`. Block times are formed
-as `np.linspace` forms them, so every step sees the same floats as in one
-whole-grid pass.
+2048 steps, and the under-resolution test reads the field per block too;
+the kept amplitudes fill one preallocated complex array. Memory grows with
+the kept samples, not with `thin`. Block times are formed as `np.linspace`
+forms them, so every step sees the same floats as in one whole-grid pass.
 """
 
 from __future__ import annotations
@@ -107,10 +107,17 @@ def propagate(traj: OmegaTrajectory, psi0: np.ndarray, t_end: float, step: float
     if thin < 1 or n % thin != 0:
         raise ValueError(f"cannot thin {n} steps by {thin}")
     h = (t_end - t0) / n if n else step
+    # np.linspace(t0, t_end, n + 1)[::thin], bit for bit: k h + t0, the last sample t_end
+    t = np.arange(0, n + 1, thin, dtype=float)
+    t *= h
+    t += t0
+    if n:
+        t[-1] = t_end
     # (c+, c-) of every state, flat: the step loop indexes it in pairs
     amps = psi0.reshape(-1).tolist()
     pairs = range(0, len(amps), 2)
-    kept = [tuple(amps)]
+    kept = np.empty((n // thin + 1, len(amps)), dtype=complex)
+    kept[0] = amps
     defect = 0.0
     coarse = under_resolved(traj, h, np.array([t_end]))
     left = thin  # steps to the next kept sample, which may lie in a later block
@@ -135,17 +142,13 @@ def propagate(traj: OmegaTrajectory, psi0: np.ndarray, t_end: float, step: float
                     amps[j], amps[j + 1] = u00 * cp + u01 * cm, u10 * cp + u11 * cm
             rest -= run
             left -= run
-            if not left:
-                kept.append(tuple(amps))
+            if not left:  # k + tk.size - rest steps are done, a multiple of thin
+                kept[(k + tk.size - rest) // thin] = amps
                 left = thin
     if coarse:
         warnings.warn("max(omega0, |B|)*step >= 0.1; the propagator is under-resolved",
                       stacklevel=2)
-    # np.linspace(t0, t_end, n + 1)[::thin], bit for bit: k h + t0, the last sample t_end
-    t = np.arange(0, n + 1, thin) * h + t0
-    if n:
-        t[-1] = t_end
-    states = np.array(kept, dtype=complex).reshape(len(kept), -1, 2)
+    states = kept.reshape(len(kept), -1, 2)
     if psi0.ndim == 1:
         return PropagatorRun(h * thin, t, states[:, 0], defect, coarse)
     return PropagatorRun(h * thin, t, states, np.full(len(psi0), defect), coarse)
