@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .io_utils import format_floats, write_csv, write_json, write_rows
 from .oracle import fidelity, propagate
 from .phases import accumulate_phases, berry_limit_check, lr_states
 from .spectroscopy import spectral_shift
+from .spin_algebra import rotation_stack, time_reverse
 from .trajectory import check_sample_cap
 
 EXIT_OK = 0
@@ -148,11 +150,11 @@ def _write_simulate_artifacts(cfg: RunConfig, result: dict, out_dir: str) -> lis
 
 def run_verify(cfg: RunConfig) -> dict:
     """Pipeline plus oracle cross-validation of the particular solution."""
-    result = run_pipeline(cfg)
-    sol = result["sol"]
     oracle_cfg = cfg.data.get("oracle")
     if not oracle_cfg or not oracle_cfg.get("enabled", True):
-        raise ConfigError("cmd_verify requires an enabled oracle section")
+        raise ConfigError("verify requires an enabled oracle section")
+    result = run_pipeline(cfg)
+    sol = result["sol"]
     # oracle step snapped to an integer divisor of the dense-output step so
     # the two grids share sample times exactly
     thin = max(1.0, np.rint(sol.step / oracle_cfg["step"]))
@@ -162,15 +164,17 @@ def run_verify(cfg: RunConfig) -> dict:
     n_oracle = (sol.n_samples - 1) * thin
     oracle_step = (t_end - t0) / n_oracle if n_oracle else oracle_cfg["step"]
     tol = cfg.data["verify"]
+    psi0 = rotation_stack(sol.lam[0], sol.gamma[0])[:, 0]  # V(0)|+1/2>
 
-    def oracle(psi0, step, k):
-        return propagate(cfg.trajectory, psi0, t_end, step, t0=t0, thin=k).unstack()
+    def oracle(step, k, sigmas):
+        # one chain per grid, from V(0)|+1/2>; the spin-down run is its time reverse
+        up = propagate(cfg.trajectory, psi0, t_end, step, t0=t0, thin=k)
+        return [up if s > 0 else replace(up, states=time_reverse(up.states)) for s in sigmas]
 
-    # every sigma rides one oracle chain per grid, from the LR state it is compared with
+    # each sigma is compared with the pipeline's own LR states for that sigma
     states = {s: lr_states(sol, hist) for s, hist in result["histories"].items()}
     sigmas = list(states)
-    psi0 = np.stack([states[s][0] for s in sigmas])
-    runs = oracle(psi0, oracle_step, thin)
+    runs = oracle(oracle_step, thin, sigmas)
     report = {"config_sha256": cfg.sha256, "tolerances": tol,
               "oracle_method": oracle_cfg["method"],
               "oracle_step": oracle_step,
@@ -189,21 +193,21 @@ def run_verify(cfg: RunConfig) -> dict:
             and entry["max_overlap_phase_rad"] <= tol["max_phase_mismatch_rad"])
         report["per_sigma"][_sigma_key(s)] = entry
         series[s] = (run, fid, phase)
-    failing = [j for j, s in enumerate(sigmas) if not report["per_sigma"][_sigma_key(s)]["pass"]]
+    failing = [s for s in sigmas if not report["per_sigma"][_sigma_key(s)]["pass"]]
     if failing:
         # convergence diagnostic: a mismatch that drops ~16x on halving
         # the oracle step is discretization, not a physics disagreement;
         # a half-step grid above the sample cap is skipped and reported as null
         try:
-            halves = oracle(psi0[failing], oracle_step / 2.0, 2 * thin)
+            halves = oracle(oracle_step / 2.0, 2 * thin, failing)
         except ConfigError:
             halves = [None] * len(failing)
-        for j, half in zip(failing, halves):
-            entry = report["per_sigma"][_sigma_key(sigmas[j])]
+        for s, half in zip(failing, halves):
+            entry = report["per_sigma"][_sigma_key(s)]
             if half is None:
                 entry["phase_mismatch_at_half_step_rad"] = None
                 continue
-            _, phase_half = fidelity(half, sol.t, states[sigmas[j]])
+            _, phase_half = fidelity(half, sol.t, states[s])
             mismatch_half = float(np.abs(phase_half).max())
             entry["phase_mismatch_at_half_step_rad"] = mismatch_half
             if mismatch_half > 0.0:
@@ -219,7 +223,7 @@ def _write_verify_artifacts(cfg: RunConfig, result: dict, out_dir: str) -> list[
     prefix = cfg.data["output"]["prefix"]
     comments = [f"config_sha256={cfg.sha256}"]
     paths = []
-    # the runs of one stacked propagation share the oracle's kept grid
+    # every sigma's run shares the oracle's kept grid
     t_text = None
     for s, (run, fid, phase) in result["verify_series"].items():
         if t_text is None:

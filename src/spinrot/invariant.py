@@ -66,16 +66,15 @@ class AuxiliarySolution:
     def n_samples(self) -> int:
         return int(self.t.size)
 
-    def to_csv(self, path, comments: list[str] | None = None,
-               residual: np.ndarray | None = None, t_text: list[str] | None = None) -> None:
-        """Emit t, lambda, gamma, lambda_dot, gamma_dot, lvn_residual (given or computed).
+    def to_csv(self, path, comments: list[str] | None = None, *, residual: np.ndarray,
+               t_text: list[str] | None = None) -> None:
+        """Emit t, lambda, gamma, lambda_dot, gamma_dot and the given lvn_residual.
 
         t_text, when given, is the `format_floats` text of t, shared with other files.
         """
-        res = lvn_residual_samples(self) if residual is None else residual
         t = self.t if t_text is None else t_text
         write_csv(path, ["t", "lambda", "gamma", "lambda_dot", "gamma_dot", "lvn_residual"],
-                  [t, self.lam, self.gamma, self.lam_dot, self.gamma_dot, res], comments)
+                  [t, self.lam, self.gamma, self.lam_dot, self.gamma_dot, residual], comments)
 
 
 def _guard_error(lam: float, eps_lambda: float, t: float) -> SingularityError:

@@ -14,10 +14,12 @@ and exactly unitary: total-phase comparisons against the invariant
 solution are meaningful down to ~1e-12. The global error is O(h^4)
 (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)).
 
-The step times, field samples and step propagators are built per block of
-2048 steps, and the under-resolution test reads the field per block too;
-the kept amplitudes fill one preallocated complex array. Memory grows with
-the kept samples, not with `thin`. Block times are formed as `np.linspace`
+`propagate` takes one state. The spin-down run of a spin-up run is its
+`spin_algebra.time_reverse`, so no second state rides the step loop. The
+step times, field samples and step propagators are built per block of 2048
+steps, and the under-resolution test reads the field per block too; the
+kept amplitudes fill one preallocated complex array. Memory grows with the
+kept samples, not with `thin`. Block times are formed as `np.linspace`
 forms them, so every step sees the same floats as in one whole-grid pass.
 """
 
@@ -43,39 +45,28 @@ _BLOCK = 2048
 
 @dataclass
 class PropagatorRun:
-    """Kept samples of one propagation on a uniform grid.
+    """Kept samples of one state's propagation on a uniform grid.
 
-    `states` has shape (N, 2) for one initial state, with a float
-    `unitarity_defect`, and (N, m, 2) for a stack of m, with one defect per
-    state in an array of shape (m,). `step` is the spacing of `t`;
+    `states` has shape (N, 2); `step` is the spacing of `t`;
     `under_resolved` tells whether `under_resolved` holds on the step grid.
     """
 
     step: float
     t: np.ndarray
     states: np.ndarray
-    unitarity_defect: float | np.ndarray
+    unitarity_defect: float
     under_resolved: bool
 
-    def unstack(self) -> list["PropagatorRun"]:
-        """One single-state run per member of a stacked run, in stack order."""
-        return [PropagatorRun(self.step, self.t, self.states[:, j], float(d), self.under_resolved)
-                for j, d in enumerate(self.unitarity_defect)]
-
-    def to_csv(self, path, fidelity=None, overlap_phase=None, comments=None, t_text=None):
-        """Emit t, re/im of both amplitudes and, when given, the overlap series.
+    def to_csv(self, path, fidelity, overlap_phase, comments=None, t_text=None):
+        """Emit t, re/im of both amplitudes and the overlap series.
 
         t_text, when given, is the `format_floats` text of t, shared with other files.
         """
-        if self.states.ndim != 2:
-            raise ValueError("to_csv writes one state; unstack() a stacked run first")
-        cols = ["t", "re_plus", "im_plus", "re_minus", "im_minus"]
-        data = [self.t if t_text is None else t_text, self.states[:, 0].real,
-                self.states[:, 0].imag, self.states[:, 1].real, self.states[:, 1].imag]
-        if fidelity is not None:
-            cols += ["fidelity", "overlap_phase"]
-            data += [fidelity, overlap_phase]
-        write_csv(path, cols, data, comments)
+        write_csv(path, ["t", "re_plus", "im_plus", "re_minus", "im_minus", "fidelity",
+                         "overlap_phase"],
+                  [self.t if t_text is None else t_text, self.states[:, 0].real,
+                   self.states[:, 0].imag, self.states[:, 1].real, self.states[:, 1].imag,
+                   fidelity, overlap_phase], comments)
 
 
 def under_resolved(traj: OmegaTrajectory, step: float, t: np.ndarray) -> bool:
@@ -91,18 +82,15 @@ def under_resolved(traj: OmegaTrajectory, step: float, t: np.ndarray) -> bool:
 
 def propagate(traj: OmegaTrajectory, psi0: np.ndarray, t_end: float, step: float,
               t0: float = 0.0, thin: int = 1) -> PropagatorRun:
-    """Propagate psi0 from t0 to t_end with the given step.
+    """Propagate the 2-spinor psi0, shape (2,), from t0 to t_end with the given step.
 
-    psi0 is one 2-spinor, shape (2,), or a stack of them, shape (m, 2). All
-    states share the grid, the step propagators and one step loop, and each
-    comes out bit-identical to its own single-state run. The first sample
-    and every `thin`-th after it are kept; `thin` must divide the step count.
-    A grid above the sample cap is a ConfigError, raised before it is built.
+    The first sample and every `thin`-th after it are kept; `thin` must
+    divide the step count. A grid above the sample cap is a ConfigError,
+    raised before it is built.
     """
     psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.ndim not in (1, 2) or psi0.shape[-1] != 2 or psi0.size == 0:
-        raise ValueError(
-            f"psi0 must be a 2-spinor or a stack of them, got shape {psi0.shape}")
+    if psi0.shape != (2,):
+        raise ValueError(f"psi0 must be a 2-spinor, got shape {psi0.shape}")
     n = _grid_steps(t0, t_end, step)
     if thin < 1 or n % thin != 0:
         raise ValueError(f"cannot thin {n} steps by {thin}")
@@ -113,11 +101,9 @@ def propagate(traj: OmegaTrajectory, psi0: np.ndarray, t_end: float, step: float
     t += t0
     if n:
         t[-1] = t_end
-    # (c+, c-) of every state, flat: the step loop indexes it in pairs
-    amps = psi0.reshape(-1).tolist()
-    pairs = range(0, len(amps), 2)
-    kept = np.empty((n // thin + 1, len(amps)), dtype=complex)
-    kept[0] = amps
+    cp, cm = psi0.tolist()
+    kept = np.empty((n // thin + 1, 2), dtype=complex)
+    kept[0] = cp, cm
     defect = 0.0
     coarse = under_resolved(traj, h, np.array([t_end]))
     left = thin  # steps to the next kept sample, which may lie in a later block
@@ -137,21 +123,16 @@ def propagate(traj: OmegaTrajectory, psi0: np.ndarray, t_end: float, step: float
         while rest:
             run = min(left, rest)
             for u00, u01, u10, u11 in islice(steps, run):
-                for j in pairs:
-                    cp, cm = amps[j], amps[j + 1]
-                    amps[j], amps[j + 1] = u00 * cp + u01 * cm, u10 * cp + u11 * cm
+                cp, cm = u00 * cp + u01 * cm, u10 * cp + u11 * cm
             rest -= run
             left -= run
             if not left:  # k + tk.size - rest steps are done, a multiple of thin
-                kept[(k + tk.size - rest) // thin] = amps
+                kept[(k + tk.size - rest) // thin] = cp, cm
                 left = thin
     if coarse:
         warnings.warn("max(omega0, |B|)*step >= 0.1; the propagator is under-resolved",
                       stacklevel=2)
-    states = kept.reshape(len(kept), -1, 2)
-    if psi0.ndim == 1:
-        return PropagatorRun(h * thin, t, states[:, 0], defect, coarse)
-    return PropagatorRun(h * thin, t, states, np.full(len(psi0), defect), coarse)
+    return PropagatorRun(h * thin, t, kept, defect, coarse)
 
 
 def fidelity(run: PropagatorRun, lr_t: np.ndarray, lr_states: np.ndarray

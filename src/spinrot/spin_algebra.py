@@ -8,6 +8,7 @@ Both exponentials, the frame rotation `rotation_stack` (the only SU(2)
 rotation; its columns are the states V |sigma>) and the oracle's steps
 `spin_rotation_propagators`, are closed forms: a traceless 2x2 generator A
 satisfies A^2 = -det(A) * 1, which collapses the series to a cosine/sine pair.
+The time reversal `time_reverse` commutes with every such propagator.
 """
 
 from __future__ import annotations
@@ -42,6 +43,17 @@ def rotation_stack(lam: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     out[..., 1, 0] = s * phase
     out[..., 1, 1] = c
     return out
+
+
+def time_reverse(states: np.ndarray) -> np.ndarray:
+    """Theta = -i sigma_y K over the last axis: (psi0, psi1) -> (-psi1*, psi0*).
+
+    Theta commutes with every SU(2) propagator and takes V|+1/2> to
+    V|-1/2>, so it maps a spin-up run onto the spin-down run. The `+ 0.0`
+    turns the -0.0 parts of the conjugates into the 0.0 a direct run holds.
+    """
+    states = np.asarray(states, dtype=complex)
+    return np.stack((-states[..., 1].conj(), states[..., 0].conj()), axis=-1) + 0.0
 
 
 def spin_rotation_propagators(omegas: np.ndarray, dt: float) -> np.ndarray:

@@ -674,7 +674,7 @@ _VERIFY_CASES = {
 }
 
 
-@pytest.mark.parametrize("sigmas", [[0.5, -0.5], [-0.5, 0.5], [0.5]])
+@pytest.mark.parametrize("sigmas", [[0.5, -0.5], [-0.5, 0.5], [0.5], [-0.5]])
 @pytest.mark.parametrize("case", sorted(_VERIFY_CASES))
 def test_run_verify_matches_per_sigma_reference(case, sigmas):
     from spinrot.cli import run_verify
@@ -695,7 +695,7 @@ def test_run_verify_matches_per_sigma_reference(case, sigmas):
 @pytest.mark.parametrize("case,calls", [("pass", 1), ("fail", 2)])
 def test_verify_propagates_once_per_grid(tmp_path, monkeypatch, case, calls):
     # the step propagators are built in blocks, but every step of every grid
-    # gets exactly one, shared by all sigmas
+    # gets exactly one; one chain serves every sigma, whichever sigmas are listed
     from spinrot import cli, oracle
     steps, rows = [], []
 
@@ -710,11 +710,14 @@ def test_verify_propagates_once_per_grid(tmp_path, monkeypatch, case, calls):
 
     monkeypatch.setattr(cli, "propagate", counted_propagate)
     monkeypatch.setattr(oracle, "spin_rotation_propagators", counted_propagators)
-    path = write_config(tmp_path, _VERIFY_CASES[case])
-    code = main(["verify", "--config", path, "--output-dir", str(tmp_path / "out")])
-    assert code == (0 if case == "pass" else 4)
-    assert len(steps) == calls
-    assert sum(rows) == sum(steps)
+    for sigmas in ([0.5, -0.5], [-0.5], [0.5]):
+        steps.clear()
+        rows.clear()
+        path = write_config(tmp_path, dict(_VERIFY_CASES[case], sigmas=sigmas))
+        code = main(["verify", "--config", path, "--output-dir", str(tmp_path / "out")])
+        assert code == (0 if case == "pass" else 4)
+        assert len(steps) == calls
+        assert sum(rows) == sum(steps)
 
 
 def test_verify_reports_under_resolved_oracle(tmp_path):
@@ -744,11 +747,22 @@ def test_retired_oracle_method_is_config_error(tmp_path, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
-def test_verify_requires_oracle(tmp_path):
-    cfg = demo_config()
-    del cfg["oracle"]
-    path = write_config(tmp_path, cfg)
-    assert main(["verify", "--config", path, "--output-dir", str(tmp_path / "o")]) == 2
+def test_verify_requires_oracle(tmp_path, monkeypatch, capsys):
+    # refused before any integration, and no output directory is made
+    from spinrot import cli
+    integrated = []
+    monkeypatch.setattr(cli, "integrate_auxiliary", lambda *a, **k: integrated.append(a))
+    missing = demo_config()
+    del missing["oracle"]
+    disabled = demo_config(oracle={"enabled": False, "step": 0.0025,
+                                   "method": "exponential_product"})
+    for cfg in (missing, disabled):
+        path = write_config(tmp_path, cfg)
+        assert main(["verify", "--config", path, "--output-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == \
+            "config error: verify requires an enabled oracle section\n"
+        assert not integrated
+        assert not (tmp_path / "o").exists()
 
 
 # -- sweep ---------------------------------------------------------------------------

@@ -455,7 +455,7 @@ def test_solution_csv_columns(tmp_path):
     traj = _precession()
     sol = integrate_auxiliary(traj, 1.2, 0.3, 1.0, 0.1)
     path = tmp_path / "aux.csv"
-    sol.to_csv(path, comments=["config_sha256=deadbeef"])
+    sol.to_csv(path, comments=["config_sha256=deadbeef"], residual=lvn_residual_samples(sol))
     lines = path.read_text().splitlines()
     assert lines[0] == "# config_sha256=deadbeef"
     assert lines[1] == "t,lambda,gamma,lambda_dot,gamma_dot,lvn_residual"

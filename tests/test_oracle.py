@@ -13,7 +13,7 @@ from spinrot.errors import ConfigError, GridMismatchError
 from spinrot.invariant import integrate_auxiliary, solve_precession_lambda
 from spinrot.oracle import fidelity, propagate, under_resolved
 from spinrot.phases import accumulate_phases, lr_states
-from spinrot.spin_algebra import rotation_stack, spin_rotation_propagators
+from spinrot.spin_algebra import rotation_stack, spin_rotation_propagators, time_reverse
 from spinrot.trajectory import MAX_SAMPLES, OmegaTrajectory
 
 
@@ -197,7 +197,7 @@ def test_thin_validation():
 
 
 def _reference_propagate(traj, psi0, t_end, step, t0):
-    """Per-state loop storing every step: a copy of the unstacked propagator."""
+    """One state's loop storing every step: a copy of the propagator without blocks or thinning."""
     if t_end == t0:
         return np.array([t0]), np.asarray(psi0, dtype=complex)[None, :].copy(), 0.0
     n = max(1, round(abs(t_end - t0) / step))
@@ -221,9 +221,9 @@ def _reference_propagate(traj, psi0, t_end, step, t0):
     return t, states, defect
 
 
-_STACK = np.stack([rotation_stack(0.7, 0.3) @ basis_state(0.5),
-                   rotation_stack(0.7, 0.3) @ basis_state(-0.5),
-                   np.array([0.6, 0.8j])])
+_STATES = np.stack([rotation_stack(0.7, 0.3) @ basis_state(0.5),
+                    rotation_stack(0.7, 0.3) @ basis_state(-0.5),
+                    np.array([0.6, 0.8j])])
 
 
 # the oracle's one step method, named in each case id as config oracle.method names it
@@ -232,23 +232,14 @@ _STACK = np.stack([rotation_stack(0.7, 0.3) @ basis_state(0.5),
 @pytest.mark.parametrize("t0,t_end", [(0.0, 4.0), (4.0, 0.0), (1.5, 1.5), (0.0, 25.0)])
 # thin 5 does not divide the 2048-step block: kept samples straddle block edges
 @pytest.mark.parametrize("thin", [1, 4, 5])
-@pytest.mark.parametrize("m", [1, 3])
-def test_stacked_equals_single_state_runs(method, t0, t_end, thin, m):
+# each of the first n_states states of _STATES in its own run
+@pytest.mark.parametrize("n_states", [1, 3])
+def test_stacked_equals_single_state_runs(method, t0, t_end, thin, n_states):
     traj = OmegaTrajectory.constant_precession(1.0, 0.5, 1.0)
-    stack = _STACK[:m]
-    run = propagate(traj, stack, t_end, 0.01, t0=t0, thin=thin)
-    assert run.states.shape == (run.t.size, m, 2)
-    assert run.unitarity_defect.shape == (m,)
-    for j, member in enumerate(run.unstack()):
-        single = propagate(traj, stack[j], t_end, 0.01, t0=t0, thin=thin)
-        assert np.array_equal(single.t, run.t)
-        assert np.array_equal(single.states, run.states[:, j])
-        assert np.array_equal(single.unitarity_defect, run.unitarity_defect[j])
-        assert single.step == run.step
-        assert np.array_equal(member.states, single.states)
-        assert member.unitarity_defect == single.unitarity_defect
-        # and the single-state run is the every-step loop, thinned
-        t, states, defect = _reference_propagate(traj, stack[j], t_end, 0.01, t0)
+    for psi0 in _STATES[:n_states]:
+        single = propagate(traj, psi0, t_end, 0.01, t0=t0, thin=thin)
+        # the single-state run is the every-step loop, thinned
+        t, states, defect = _reference_propagate(traj, psi0, t_end, 0.01, t0)
         assert np.array_equal(single.t, t[::thin])
         assert np.array_equal(single.states, states[::thin])
         assert single.unitarity_defect == defect
@@ -307,9 +298,11 @@ def test_kept_times_are_linspace_bit_for_bit(t0, span, backward, n, pick):
 
 
 def test_stack_shape_validation():
+    # one 2-spinor only: a stack of them, shape (m, 2), is rejected as well
     traj = OmegaTrajectory.constant_precession(1.0, 0.0, 1.0)
-    for bad in (np.ones((2, 3)), np.ones((0, 2)), np.ones((1, 2, 2)), np.array(1.0)):
-        with pytest.raises(ValueError):
+    for bad in (np.ones((2, 3)), np.ones((0, 2)), np.ones((1, 2, 2)), np.array(1.0),
+                np.ones(3), _STATES, _STATES[:1]):
+        with pytest.raises(ValueError, match="must be a 2-spinor"):
             propagate(traj, bad, 1.0, 0.01)
 
 
@@ -323,6 +316,30 @@ def test_csv_emission(tmp_path):
     assert lines[0] == "# config_sha256=abc"
     assert lines[1] == "t,re_plus,im_plus,re_minus,im_minus,fidelity,overlap_phase"
     assert len(lines) == 2 + run.t.size
-    stacked = propagate(traj, np.stack([basis_state(0.5), basis_state(-0.5)]), 1.0, 0.1)
-    with pytest.raises(ValueError, match="unstack"):
-        stacked.to_csv(tmp_path / "stacked.csv")
+
+
+# 2055 steps, a multiple of 3 and 5, cross the 2048-step block edge
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.just(0.0), st.floats(0.1, 2.0)), st.floats(-1.0, 1.0),
+       st.floats(0.25, math.pi - 0.25), st.floats(0.0, 2.0 * math.pi), st.booleans(),
+       st.booleans(), st.sampled_from([1, 3, 5]), st.floats(0.0, math.pi),
+       st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 2.0 * math.pi))
+@example(0.0, 0.5, 1.0, 0.0, False, False, 1, 0.0, 0.0, 0.0)  # omega0 = 0 from |+1/2>
+@example(1.0, 0.0, 1.0, 0.0, True, True, 5, math.pi, 0.0, 0.0)  # static axis, from |-1/2>
+def test_time_reverse_commutes_with_propagate(w0, Om, th, ph0, spline, backward, thin,
+                                              lam, gam, chi):
+    # Theta = -i sigma_y K commutes with every step, bit for bit, signed zeros included
+    span = 5.0
+    if spline:
+        traj = spline_drive(w0, lambda x: th + 0.2 * np.sin(1.3 * x),
+                            lambda x: ph0 + Om * x + 0.3 * np.sin(0.7 * x), span, 200)
+    else:
+        traj = OmegaTrajectory.constant_precession(w0, Om, th, ph0)
+    t0, t_end = (span, 0.0) if backward else (0.0, span)
+    psi = np.exp(1j * chi) * rotation_stack(lam, gam)[:, 0]
+    up = propagate(traj, psi, t_end, span / 2055, t0=t0, thin=thin)
+    down = propagate(traj, time_reverse(psi), t_end, span / 2055, t0=t0, thin=thin)
+    assert up.t.size == 2055 // thin + 1
+    assert time_reverse(up.states).tobytes() == down.states.tobytes()
+    assert up.t.tobytes() == down.t.tobytes()
+    assert up.unitarity_defect == down.unitarity_defect
