@@ -42,7 +42,7 @@ from .trajectory import OmegaTrajectory, _grid_steps, check_sample_cap, omega_fr
 
 EPS_LAMBDA = 1e-6  # guard band (rad) around the cot(lambda) singularities
 
-_BLOCK = 512  # RK4 steps whose drive samples come from one vectorized call
+_BLOCK = 512  # RK4 steps per kernel chain, their drive samples from one vectorized call
 
 
 @dataclass
@@ -61,6 +61,8 @@ class AuxiliarySolution:
     n_halvings: int = 0
     max_error_rate: float = 0.0  # adaptive mode: max local error per unit time
     meta: dict = field(default_factory=dict)
+    # (sigma, phi_dyn, phi_geo) of the first phases asked for, kept by `phases`
+    _phase_series: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_samples(self) -> int:
@@ -83,50 +85,119 @@ def _guard_error(lam: float, eps_lambda: float, t: float) -> SingularityError:
         f"(eps = {eps_lambda:g}) at t = {t:.12g}", time=t)
 
 
-def _rk4_step(t, lam, gam, h, a, b, c, w0, eps):
-    """One RK4 step from (lam, gam) at t.
+def _rk4_step(t, lam, gam, h, a, b, c, w0, eps, lam_out, gam_out, starts=None):
+    """A chain of RK4 steps, one per entry of the step times t; returns the last result.
 
-    a, b, c are the drive's (sin th, cos th, ph) at t, t + h/2 and t + h.
-    Every stage's lambda must sit inside the cot guard band.
+    a, b, c are the drive's (sin th, cos th, ph) lists at t, t + h/2 and
+    t + h. Step k starts from the result of step k - 1, the first from
+    (lam, gam), or, given starts = (lams, gams), from (lams[k], gams[k]).
+    Each result is appended to lam_out and gam_out. Every stage's lambda,
+    the start's included, must sit inside the cot guard band; the first
+    that does not raises, after the results before it were appended.
     """
+    sin, cos = math.sin, math.cos
     hi = math.pi - eps
-    if not eps < lam < hi:
-        raise _guard_error(lam, eps, t)
-    s, co, ph = a
-    d = ph - gam
-    k1l = w0 * s * math.sin(d)
-    k1g = w0 * (co - s * math.cos(d) * math.cos(lam) / math.sin(lam))
-    y = lam + 0.5 * h * k1l
-    if not eps < y < hi:
-        raise _guard_error(y, eps, t + 0.5 * h)
-    s, co, ph = b
-    d = ph - (gam + 0.5 * h * k1g)
-    k2l = w0 * s * math.sin(d)
-    k2g = w0 * (co - s * math.cos(d) * math.cos(y) / math.sin(y))
-    y = lam + 0.5 * h * k2l
-    if not eps < y < hi:
-        raise _guard_error(y, eps, t + 0.5 * h)
-    d = ph - (gam + 0.5 * h * k2g)
-    k3l = w0 * s * math.sin(d)
-    k3g = w0 * (co - s * math.cos(d) * math.cos(y) / math.sin(y))
-    y = lam + h * k3l
-    if not eps < y < hi:
-        raise _guard_error(y, eps, t + h)
-    s, co, ph = c
-    d = ph - (gam + h * k3g)
-    k4l = w0 * s * math.sin(d)
-    k4g = w0 * (co - s * math.cos(d) * math.cos(y) / math.sin(y))
-    return (lam + (h / 6.0) * (k1l + 2.0 * k2l + 2.0 * k3l + k4l),
-            gam + (h / 6.0) * (k1g + 2.0 * k2g + 2.0 * k3g + k4g))
+    hh, h6 = 0.5 * h, h / 6.0
+    sa, ca, pa = a
+    sb, cb, pb = b
+    sc, cc, pc = c
+    lams, gams = starts if starts is not None else (None, None)
+    put_lam, put_gam = lam_out.append, gam_out.append
+    for k in range(len(t)):
+        if lams is not None:
+            lam, gam = lams[k], gams[k]
+        if not eps < lam < hi:
+            raise _guard_error(lam, eps, t[k])
+        s = sa[k]
+        d = pa[k] - gam
+        k1l = w0 * s * sin(d)
+        k1g = w0 * (ca[k] - s * cos(d) * cos(lam) / sin(lam))
+        y = lam + hh * k1l
+        if not eps < y < hi:
+            raise _guard_error(y, eps, t[k] + hh)
+        s, co, ph = sb[k], cb[k], pb[k]
+        d = ph - (gam + hh * k1g)
+        k2l = w0 * s * sin(d)
+        k2g = w0 * (co - s * cos(d) * cos(y) / sin(y))
+        y = lam + hh * k2l
+        if not eps < y < hi:
+            raise _guard_error(y, eps, t[k] + hh)
+        d = ph - (gam + hh * k2g)
+        k3l = w0 * s * sin(d)
+        k3g = w0 * (co - s * cos(d) * cos(y) / sin(y))
+        y = lam + h * k3l
+        if not eps < y < hi:
+            raise _guard_error(y, eps, t[k] + h)
+        s = sc[k]
+        d = pc[k] - (gam + h * k3g)
+        k4l = w0 * s * sin(d)
+        k4g = w0 * (cc[k] - s * cos(d) * cos(y) / sin(y))
+        lam, gam = (lam + h6 * (k1l + 2.0 * k2l + 2.0 * k3l + k4l),
+                    gam + h6 * (k1g + 2.0 * k2g + 2.0 * k3g + k4g))
+        put_lam(lam)
+        put_gam(gam)
+    return lam, gam
 
 
 def _drive_stages(traj: OmegaTrajectory, times: list) -> list:
-    """Per stage-time array, an iterator of the drive's (sin th, cos th, ph) float tuples."""
+    """Per stage-time array, the drive's (sin th, cos th, ph) there as three float lists."""
     q = np.stack(times)
     th, ph = traj.angles(q.ravel())
     th = np.reshape(th, q.shape)
-    s, c, p = np.sin(th).tolist(), np.cos(th).tolist(), np.reshape(ph, q.shape).tolist()
-    return [zip(*cols) for cols in zip(s, c, p)]
+    return list(zip(np.sin(th).tolist(), np.cos(th).tolist(), np.reshape(ph, q.shape).tolist()))
+
+
+def _interleave(x: list, y: list) -> list:
+    """[x0, y0, x1, y1, ...] for lists of one length."""
+    z = x + y
+    z[::2] = x
+    z[1::2] = y
+    return z
+
+
+def _adaptive_block(traj, tb, h, lk, gk, w0, eps, tol, may_halve, worst_rate, lam, gam):
+    """One block of adaptive steps from (lk, gk); appends the accepted samples to lam, gam.
+
+    The block's half steps run as one chain: its even samples are the
+    accepted ones, and each full step then runs from its accepted start.
+    A pass stops at its first guard hit. The outcomes are then read step by
+    step in the order of a step-by-step loop: the full step's guard, the
+    half steps' guards, the rate test, and (as the next step's start) the
+    accepted sample's guard. Returns (lk, gk, worst_rate, ok); ok is False
+    when a rate above tol calls for a halving, which may_halve allows.
+    """
+    mid = tb + 0.5 * h
+    a, b, c, aq, bq, c2 = _drive_stages(
+        traj, [tb, mid, tb + h, tb + 0.25 * h, mid + 0.25 * h, mid + 0.5 * h])
+    tl = tb.tolist()
+    acc_l, acc_g = array("d", [lk]), array("d", [gk])
+    half_hit = full_hit = None
+    half = [tuple(map(_interleave, x, y)) for x, y in ((a, b), (aq, bq), (b, c2))]
+    try:
+        _rk4_step(_interleave(tl, mid.tolist()), lk, gk, 0.5 * h, *half, w0, eps, acc_l, acc_g)
+    except SingularityError as hit:
+        half_hit = hit
+    nf = min(len(tl), (len(acc_l) + 1) // 2)  # the steps whose start the chain reached
+    full_l, full_g = array("d"), array("d")
+    try:
+        _rk4_step(tl[:nf], lk, gk, h, a, b, c, w0, eps, full_l, full_g,
+                  starts=(acc_l[:2 * nf:2], acc_g[:2 * nf:2]))
+    except SingularityError as hit:
+        full_hit = hit
+    for k in range(nf):
+        if k == len(full_l):
+            raise full_hit
+        if 2 * k + 2 >= len(acc_l):
+            raise half_hit
+        lk, gk = acc_l[2 * k + 2], acc_g[2 * k + 2]
+        err = max(abs(full_l[k] - lk), abs(full_g[k] - gk))
+        rate = err / abs(h)
+        worst_rate = max(worst_rate, rate)
+        if rate > tol and may_halve:
+            return lk, gk, worst_rate, False
+        lam.append(lk)
+        gam.append(gk)
+    return lk, gk, worst_rate, True
 
 
 def integrate_auxiliary(traj: OmegaTrajectory, lambda0: float, gamma0: float,
@@ -153,11 +224,14 @@ def integrate_auxiliary(traj: OmegaTrajectory, lambda0: float, gamma0: float,
     The drive is never evaluated per RK4 stage. The grid is walked in
     blocks of `_BLOCK` steps; for each block one vectorized `traj.angles`
     call samples the drive at every stage time of its steps (the same
-    floats t_k + h/2, t_k + h, ... the step arithmetic produces), and the
-    loop does only the (lambda, gamma) arithmetic on Python floats. The
-    cot guard still applies to every stage's lambda and to every accepted
-    sample. A tabulated drive checks its domain once, on [t0, t_end],
-    before the first step. One more vectorized call samples the drive on
+    floats t_k + h/2, t_k + h, ... the step arithmetic produces), and one
+    `_rk4_step` call runs the block's steps as a chain, doing only the
+    (lambda, gamma) arithmetic on Python floats. An adaptive block has
+    half as many steps: its half steps run as one chain, then each full
+    step from its accepted start, and the outcomes are read in step order
+    (`_adaptive_block`). The cot guard still applies to every stage's
+    lambda and to every accepted sample. A tabulated drive checks its
+    domain once, on [t0, t_end], before the first step. One more vectorized call samples the drive on
     the output grid; those angles are kept on the solution, and the stored
     rates are the right-hand side evaluated on them.
 
@@ -181,6 +255,7 @@ def integrate_auxiliary(traj: OmegaTrajectory, lambda0: float, gamma0: float,
     tol = 1e-9 * w0
     traj.angles(np.array([t0, t_end]))  # a tabulated drive checks its domain here, once
     n = _grid_steps(t0, t_end, step)
+    size = (_BLOCK + 1) // 2 if adaptive else _BLOCK  # a half-step chain of about _BLOCK steps
     halvings = 0
     while True:
         t = np.linspace(t0, t_end, n + 1)
@@ -190,37 +265,25 @@ def integrate_auxiliary(traj: OmegaTrajectory, lambda0: float, gamma0: float,
         lk, gk = lambda0, gamma0
         worst_rate = 0.0
         ok = True
-        for k0 in range(0, n, _BLOCK):
-            tb = t[k0:min(k0 + _BLOCK, n)]
-            mid = tb + 0.5 * h
-            times = [tb, mid, tb + h]
-            if adaptive:  # the half steps' own stage times
-                times += [tb + 0.25 * h, mid + 0.25 * h, mid + 0.5 * h]
-            for tk, a, m, e, *half in zip(tb.tolist(), *_drive_stages(traj, times)):
-                if adaptive:
-                    aq, mq, e2 = half
-                    full = _rk4_step(tk, lk, gk, h, a, m, e, w0, eps_lambda)
-                    hl, hg = _rk4_step(tk, lk, gk, 0.5 * h, a, aq, m, w0, eps_lambda)
-                    lk, gk = _rk4_step(tk + 0.5 * h, hl, hg, 0.5 * h, m, mq, e2, w0, eps_lambda)
-                    err = max(abs(full[0] - lk), abs(full[1] - gk))
-                    rate = err / abs(h)
-                    worst_rate = max(worst_rate, rate)
-                    if rate > tol and halvings < max_halvings:
-                        ok = False
-                        break
-                else:
-                    lk, gk = _rk4_step(tk, lk, gk, h, a, m, e, w0, eps_lambda)
-                if not (eps_lambda < lk < math.pi - eps_lambda):
-                    raise _guard_error(lk, eps_lambda, float(t[len(lam)]))
-                lam.append(lk)
-                gam.append(gk)
-            if not ok:
-                break
+        for k0 in range(0, n, size):
+            tb = t[k0:min(k0 + size, n)]
+            if adaptive:
+                lk, gk, worst_rate, ok = _adaptive_block(
+                    traj, tb, h, lk, gk, w0, eps_lambda, tol, halvings < max_halvings,
+                    worst_rate, lam, gam)
+                if not ok:
+                    break
+            else:
+                lk, gk = _rk4_step(tb.tolist(), lk, gk, h,
+                                   *_drive_stages(traj, [tb, tb + 0.5 * h, tb + h]),
+                                   w0, eps_lambda, lam, gam)
         if ok:
             break
         n *= 2
         halvings += 1
         check_sample_cap(n + 1, abs(t_end - t0) / n, "halved step")
+    if not (eps_lambda < lk < math.pi - eps_lambda):  # each other sample was a step's start
+        raise _guard_error(lk, eps_lambda, float(t[n]))
     meta = {}
     if adaptive and worst_rate > tol:
         meta["error_rate_tol_exceeded"] = True

@@ -7,6 +7,9 @@ with composite Simpson quadrature on the same grid (no interpolation):
                                      + sin(lam) sin(th) cos(gamma - ph)] dt'
     phi_geo(t) = sigma * int_0^t dgamma/dt (1 - cos(lam)) dt'
 
+Both are integrated once per solution: sigma only scales them, so the
+other sigma's series are the exact negation of the first one's.
+
 phi_geo depends only on the (lam, gamma) path, not on how fast it is
 traversed, and reduces per closed adiabatic cycle to the solid-angle value
 2 pi sigma (1 - cos th) returned by `berry_limit_check`.
@@ -165,34 +168,45 @@ def _check_series(sol: AuxiliarySolution, traj: OmegaTrajectory) -> None:
         raise ValueError("trajectory does not match the auxiliary series (angles differ)")
 
 
-def dynamical_phase(sol: AuxiliarySolution, sigma: float) -> np.ndarray:
-    """Running dynamical phase on the solution grid, from its drive samples."""
-    validate_sigma(sigma)
+def _phase_series(sol: AuxiliarySolution, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """(phi_dyn, phi_geo) at sigma, integrated once per solution.
+
+    The first sigma's series are kept on the solution, read-only, and
+    returned as they are for that sigma. The other sigma's are their
+    negation, which is sigma * integral bit for bit.
+    """
     if sol.n_samples == 1:
-        return np.zeros(1)
+        return np.zeros(1), np.zeros(1)
+    if sol._phase_series is None:
+        dyn, geo = sigma * _dynamical_integral(sol), sigma * _geometric_integral(sol)
+        dyn.flags.writeable = geo.flags.writeable = False
+        sol._phase_series = (sigma, dyn, geo)
+    first, dyn, geo = sol._phase_series
+    return (dyn, geo) if sigma == first else (-dyn, -geo)
+
+
+def _dynamical_integral(sol: AuxiliarySolution) -> np.ndarray:
+    """The running dynamical phase at sigma = 1, from the solution's drive samples."""
     integrand = sol.traj.omega0 * (
         np.cos(sol.lam) * np.cos(sol.theta)
         + np.sin(sol.lam) * np.sin(sol.theta) * np.cos(sol.gamma - sol.phi)
     )
-    return sigma * _cumulative_simpson(integrand, sol.t)
+    return _cumulative_simpson(integrand, sol.t)
 
 
-def geometric_phase(sol: AuxiliarySolution, sigma: float) -> np.ndarray:
-    """Running geometric phase; independent of w0 given the angle history.
+def _geometric_integral(sol: AuxiliarySolution) -> np.ndarray:
+    """The running geometric phase at sigma = 1.
 
     Each maximal run of samples on one side of the chart threshold takes its
     increments from that side's chart, both integrated over the whole grid;
     neighbouring runs share their edge sample. A run that never crosses it
     is the north chart alone.
     """
-    validate_sigma(sigma)
-    if sol.n_samples == 1:
-        return np.zeros(1)
     cos_lam = np.cos(sol.lam)
     north = _cumulative_simpson(sol.gamma_dot * (1.0 - cos_lam), sol.t)
     south = cos_lam < -np.cos(np.pi / 4.0)
     if not south.any():
-        return sigma * north
+        return north
     south_chart = 2.0 * (sol.gamma - sol.gamma[0]) - _cumulative_simpson(
         sol.gamma_dot * (1.0 + cos_lam), sol.t)
     edges = [0, *(np.flatnonzero(south[1:] != south[:-1]) + 1), sol.n_samples - 1]
@@ -200,18 +214,25 @@ def geometric_phase(sol: AuxiliarySolution, sigma: float) -> np.ndarray:
     for a, b in zip(edges[:-1], edges[1:]):
         chart = south_chart if south[a] else north
         phase[a:b + 1] = phase[a] + (chart[a:b + 1] - chart[a])
-    return sigma * phase
+    return phase
+
+
+def dynamical_phase(sol: AuxiliarySolution, sigma: float) -> np.ndarray:
+    """Running dynamical phase on the solution grid, from its drive samples."""
+    return _phase_series(sol, validate_sigma(sigma))[0]
+
+
+def geometric_phase(sol: AuxiliarySolution, sigma: float) -> np.ndarray:
+    """Running geometric phase; independent of w0 given the angle history."""
+    return _phase_series(sol, validate_sigma(sigma))[1]
 
 
 def accumulate_phases(sol: AuxiliarySolution, traj: OmegaTrajectory, sigma: float) -> PhaseHistory:
     """Both running phases; traj must be the solution's drive or an equivalent one."""
     _check_series(sol, traj)
-    return PhaseHistory(
-        sigma=validate_sigma(sigma),
-        t=sol.t,
-        phi_dyn=dynamical_phase(sol, sigma),
-        phi_geo=geometric_phase(sol, sigma),
-    )
+    sigma = validate_sigma(sigma)
+    phi_dyn, phi_geo = _phase_series(sol, sigma)
+    return PhaseHistory(sigma=sigma, t=sol.t, phi_dyn=phi_dyn, phi_geo=phi_geo)
 
 
 def berry_limit_check(theta: float, sigma: float) -> float:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drives import S1, S2, S3, spline_drive
+from spinrot import invariant
 from spinrot.errors import NoSolutionError, OutOfDomainError, SingularityError
 from spinrot.invariant import (EPS_LAMBDA, AuxiliarySolution, integrate_auxiliary,
                                lvn_residual_samples, lvn_residual_series,
@@ -351,6 +352,8 @@ def _tabulated_500():
 REFERENCE_CASES = {
     "locked-cone": (_precession, (math.pi / 2.0, 0.0, 2.0 * 2.0 * math.pi / OM, 0.01), {}),
     "off-cone-backward": (_precession, (1.2, 0.3, 0.0, 0.01), {"t0": 6.0}),
+    # 600 steps of h = -0.01: the half-step chain crosses a block edge backward in time
+    "off-cone-backward-adaptive": (_precession, (1.2, 0.3, 0.0, 0.01), {"t0": 6.0, "adaptive": True}),
     "tabulated-adaptive": (_tabulated_500, (1.0, 0.2, 9.6, 0.2), {"adaptive": True}),
     "tabulated-fixed": (lambda: spline_drive(W0, lambda t: 1.0 + 0.2 * np.sin(t),
                                              lambda t: 0.7 * t, 5.0, 501),
@@ -378,6 +381,55 @@ def test_stage_table_matches_per_stage_reference(case):
     for key in ("lam", "gamma", "lam_dot", "gamma_dot"):
         y, y_ref = getattr(sol, key), ref[key]
         assert np.all(np.abs(y - y_ref) <= 1e-12 * np.maximum(1.0, np.abs(y_ref))), key
+
+
+def _x_field():
+    # w along x: a start in the y-z plane circles through the poles of lambda
+    return OmegaTrajectory.constant_precession(1.0, 0.0, math.pi / 2.0, 0.0)
+
+
+# case: (drive, args, kwargs, the time that the guard message names, or None)
+BLOCK_CASES = {
+    "cone-forward": (_precession, (1.2, 0.3, 12.0, 0.01), {}, None),
+    "cone-backward": (_precession, (1.2, 0.3, 0.0, 0.01), {"t0": 12.0}, None),
+    "spline-adaptive": (lambda: spline_drive(W0, lambda t: 1.0 + 0.2 * np.sin(t),
+                                             lambda t: 0.7 * t, 5.0, 501),
+                        (1.1, 0.0, 5.0, 0.05), {"adaptive": True}, None),
+    # lambda reaches the pole at step 600
+    "fixed-guard": (_x_field, (0.3, math.pi / 2.0, 8.0, 0.0005), {}, "0.3"),
+    # only the last sample is inside the guard band, none of the stages
+    "fixed-guard-last-sample": (lambda: OmegaTrajectory.constant_precession(1.0, -0.19, 1.89),
+                                (2.21, -1.51, 1.0, 0.05), {}, "1"),
+    # the first step's rate test fails before the coarse run's step near t = 0.3
+    # hits the guard, so the run halves twice and passes the pole
+    "adaptive-rate-before-guard": (_x_field, (0.3, math.pi / 2.0 - 0.01, 1.0, 0.02),
+                                   {"adaptive": True, "max_halvings": 2}, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_block_size_changes_no_bit(case, monkeypatch):
+    # the steps run as chains of one block each; where the blocks end must not
+    # show in the samples, the halvings, the error rate or the guard message
+    make, args, kwargs, guard_time = BLOCK_CASES[case]
+    outcomes = []
+    for block in (1, 3, 512):
+        monkeypatch.setattr(invariant, "_BLOCK", block)
+        try:
+            sol = integrate_auxiliary(make(), *args, **kwargs)
+        except SingularityError as err:
+            outcomes.append(str(err))
+        else:
+            outcomes.append((sol.lam.tobytes(), sol.gamma.tobytes(), sol.n_halvings,
+                             sol.max_error_rate))
+    if guard_time is None:
+        assert not isinstance(outcomes[0], str), outcomes[0]
+    else:
+        assert outcomes[0].endswith(f"at t = {guard_time}"), outcomes[0]
+    if case == "adaptive-rate-before-guard":
+        assert outcomes[0][2] == 2
+    assert outcomes[1] == outcomes[0]
+    assert outcomes[2] == outcomes[0]
 
 
 # -- LvN residual -----------------------------------------------------------------

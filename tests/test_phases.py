@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson, cumulative_trapezoid, simpson
 
 from drives import basis_state, cone_propagators, spline_drive
+from spinrot import phases
 from spinrot.invariant import (AuxiliarySolution, integrate_auxiliary,
                                solve_precession_lambda)
 from spinrot.phases import (_cumulative_simpson, _simpson, _simpson_weights,
@@ -118,6 +119,28 @@ def test_sigma_antisymmetry_exact():
     down = accumulate_phases(sol, traj, -0.5)
     assert np.array_equal(up.phi_dyn, -down.phi_dyn)
     assert np.array_equal(up.phi_geo, -down.phi_geo)
+
+
+@pytest.mark.parametrize("Om, th", [(OM, TH), (2.0, math.pi / 6.0)])  # north, south chart
+def test_phases_integrated_once_per_solution(Om, th, monkeypatch):
+    # the other sigma's series negate the first one's: bit for bit what a
+    # direct integration at that sigma gives, signed zeros included
+    traj, sol = _locked_solution(periods=1.0, Om=Om, th=th)
+    _, fresh = _locked_solution(periods=1.0, Om=Om, th=th)
+    calls = []
+    monkeypatch.setattr(phases, "_cumulative_simpson",
+                        lambda *args: calls.append(1) or _cumulative_simpson(*args))
+    down = accumulate_phases(sol, traj, -0.5)
+    n_calls = len(calls)
+    up = accumulate_phases(sol, traj, 0.5)
+    assert len(calls) == n_calls > 0
+    direct = {s: accumulate_phases(fresh, traj, s) for s in (0.5, -0.5)}
+    for hist in (up, down):
+        for key in ("phi_dyn", "phi_geo"):
+            got, want = getattr(hist, key), getattr(direct[hist.sigma], key)
+            assert got.tobytes() == want.tobytes(), (hist.sigma, key)
+    with pytest.raises(ValueError):
+        down.phi_geo[0] = 1.0  # the kept series are read-only
 
 
 def test_phase_total_is_sum():
