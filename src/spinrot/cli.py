@@ -255,13 +255,15 @@ def _validate_sweep_spec(spec: dict) -> dict:
     dims = spec.get("sweep", [])
     if not isinstance(dims, list):
         raise ConfigError("sweep spec: 'sweep' must be a list")
-    for d in dims:
+    for i, d in enumerate(dims):
         if not isinstance(d, dict) or set(d) != {"path", "values"}:
             raise ConfigError("sweep entries must be {path, values}")
         if not isinstance(d["path"], str):
             raise ConfigError(f"sweep path {d['path']!r} must be a string")
         if not isinstance(d["values"], list):
             raise ConfigError(f"sweep values for {d.get('path')!r} must be a list")
+        if d["path"] in [e["path"] for e in dims[:i]]:
+            raise ConfigError(f"sweep path {d['path']!r} is listed twice")
     sigma = spec.get("sigma", 0.5)
     if sigma not in (0.5, -0.5):
         raise ConfigError(f"sweep sigma must be +-0.5, got {sigma!r}")

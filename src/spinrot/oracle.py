@@ -17,7 +17,7 @@ solution are meaningful down to ~1e-12. The global error is O(h^4)
 `propagate` takes one state. The spin-down run of a spin-up run is its
 `spin_algebra.time_reverse`, so no second state rides the step loop. The
 step times, field samples and step propagators are built per block of 2048
-steps, and the under-resolution test reads the field per block too; the
+steps, and the under-resolution test reads the same node samples; the
 kept amplitudes fill one preallocated complex array. Memory grows with the
 kept samples, not with `thin`. Block times are formed as `np.linspace`
 forms them, so every step sees the same floats as in one whole-grid pass.
@@ -69,15 +69,22 @@ class PropagatorRun:
                    fidelity, overlap_phase], comments)
 
 
-def under_resolved(traj: OmegaTrajectory, step: float, t: np.ndarray) -> bool:
-    """True when max(omega0, max |B|) * step >= 0.1 over the times t.
+def _turn_per_step(w1: np.ndarray, w2: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The field's turn over each step, from (N, 3) node fields w1, w2 and c = w2 x w1.
 
-    omega0 is the Larmor rate and |B| = |w x dw/dt| / w0^2 the rate at which
-    the field turns (|Omega| sin theta on a cone); either one at 0.1 rad per
-    step or more leaves under ~63 steps per turn.
+    The nodes lie step/sqrt(3) apart, so the turn is sqrt(3) atan2(|c|, w1 . w2);
+    on a cone 2 sqrt(3) asin(sin th sin(Omega step / (2 sqrt(3)))), which is
+    |Omega| sin th step to O(step^2).
     """
-    turn = float(np.linalg.norm(traj.effective_field(t), axis=-1).max())
-    return max(traj.omega0, turn) * abs(step) >= 0.1
+    return math.sqrt(3.0) * np.arctan2(np.linalg.norm(c, axis=-1),
+                                       np.einsum("ij,ij->i", w1, w2))
+
+
+def under_resolved(omega0: float, w1: np.ndarray, w2: np.ndarray, c: np.ndarray,
+                   step: float) -> bool:
+    """max(omega0 |step|, max turn per step) >= 0.1: under ~63 steps per turn of either angle."""
+    turn = float(_turn_per_step(w1, w2, c).max(initial=0.0))
+    return max(omega0 * abs(step), turn) >= 0.1
 
 
 def propagate(traj: OmegaTrajectory, psi0: np.ndarray, t_end: float, step: float,
@@ -105,15 +112,17 @@ def propagate(traj: OmegaTrajectory, psi0: np.ndarray, t_end: float, step: float
     kept = np.empty((n // thin + 1, 2), dtype=complex)
     kept[0] = cp, cm
     defect = 0.0
-    coarse = under_resolved(traj, h, np.array([t_end]))
+    coarse = under_resolved(traj.omega0, *np.zeros((3, 0, 3)), h)  # a run with no steps
     left = thin  # steps to the next kept sample, which may lie in a later block
     for k in range(0, n, _BLOCK):
         tk = np.arange(k, min(k + _BLOCK, n)) * h + t0  # the step starts, as np.linspace forms them
-        coarse = coarse or under_resolved(traj, h, tk)
         w1 = traj.omega(tk + (0.5 - _GAUSS_OFFSET) * h)
         w2 = traj.omega(tk + (0.5 + _GAUSS_OFFSET) * h)
-        u = spin_rotation_propagators(
-            0.5 * (w1 + w2) + (math.sqrt(3.0) / 12.0 * h) * np.cross(w2, w1), h)
+        c = np.cross(w2, w1)
+        coarse = coarse or under_resolved(traj.omega0, w1, w2, c, h)
+        v = 0.5 * (w1 + w2) + (math.sqrt(3.0) / 12.0 * h) * c
+        del w1, w2, c  # the node fields are done with; the step loop holds v and u alone
+        u = spin_rotation_propagators(v, h)
         # constructed unitaries [[a, b], [-b*, a*]]: the defect only probes rounding
         defect = max(defect, float(
             np.abs(np.abs(u[:, 0, 0]) ** 2 + np.abs(u[:, 0, 1]) ** 2 - 1.0).max()))
@@ -130,7 +139,8 @@ def propagate(traj: OmegaTrajectory, psi0: np.ndarray, t_end: float, step: float
                 kept[(k + tk.size - rest) // thin] = cp, cm
                 left = thin
     if coarse:
-        warnings.warn("max(omega0, |B|)*step >= 0.1; the propagator is under-resolved",
+        warnings.warn("omega0 * step or the field's turn per step >= 0.1 rad; "
+                      "the propagator is under-resolved",
                       stacklevel=2)
     return PropagatorRun(h * thin, t, kept, defect, coarse)
 

@@ -26,11 +26,12 @@ The particular solution carrying these phases is
 
 assembled on the whole grid by `lr_states`.
 
-The quadratures are numpy ports of scipy 1.17's `cumulative_simpson` and
-`simpson`, same formulas in the same order and so the same bits, so no
-run needs scipy (the tabulated spline is ported in `trajectory`). Both rest on
-Cartwright's unequal-interval Simpson rule (K. V. Cartwright,
-J. Math. Sci. Math. Educ. 12(2), 1 (2017), eqn. 8).
+The running quadrature is a numpy port of scipy 1.17's `cumulative_simpson`,
+same formulas in the same order and so the same bits; a whole integral is a
+dot product with the weights of scipy's `simpson`, equal to it up to
+rounding. So no run needs scipy (the tabulated spline is ported in
+`trajectory`). Both rest on Cartwright's unequal-interval Simpson rule
+(K. V. Cartwright, J. Math. Sci. Math. Educ. 12(2), 1 (2017), eqn. 8).
 """
 
 from __future__ import annotations
@@ -95,45 +96,13 @@ def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.concatenate((np.zeros(y.shape[:-1] + (1,)), res + 0.0), axis=-1)
 
 
-def _basic_simpson(y: np.ndarray, dx: np.ndarray, stop: int):
-    """Composite Simpson over the pairs of intervals that start below index stop."""
-    h0, h1 = dx[0:stop:2], dx[1:stop + 1:2]
-    hsum, h0divh1 = h0 + h1, h0 / h1
-    tmp = hsum/6.0 * (y[..., 0:stop:2] * (2.0 - 1.0 / h0divh1)
-                      + y[..., 1:stop + 1:2] * (hsum * (hsum / (h0 * h1)))
-                      + y[..., 2:stop + 2:2] * (2.0 - h0divh1))
-    return np.sum(tmp, axis=-1)
-
-
-def _simpson(y: np.ndarray, x: np.ndarray):
-    """Integral of y over the 1-D grid x along y's last axis.
-
-    scipy.integrate.simpson(y, x=x, axis=-1): with an even sample count,
-    Simpson on all but the last interval plus Cartwright's correction.
-    """
-    dx = _intervals(x)
-    n = y.shape[-1]
-    if n % 2 == 1:
-        return _basic_simpson(y, dx, n - 2)
-    if n == 2:  # scipy adds this to a zero start, so -0.0 comes out 0.0
-        return 0.0 + 0.5 * dx[-1] * (y[..., -1] + y[..., -2])
-    alpha, beta, eta = _last_interval_weights(dx)
-    last = alpha*y[..., -1] + beta*y[..., -2] - eta*y[..., -3]
-    return _basic_simpson(y, dx, n - 3) + last + 0.0
-
-
-def _last_interval_weights(dx: np.ndarray):
-    """Cartwright's correction: the weights of y[-1], y[-2] and -y[-3]."""
-    h0, h1 = dx[-2, ...], dx[-1, ...]  # 0-d arrays, so ** runs the ufunc as in scipy
-    alpha = (2 * h1 ** 2 + 3 * h0 * h1) / (6 * (h1 + h0))
-    beta = (h1 ** 2 + 3.0 * h0 * h1) / (6 * h0)
-    eta = h1 ** 3 / (6 * h0 * (h0 + h1))
-    return alpha, beta, eta
-
-
 def _simpson_weights(x: np.ndarray) -> np.ndarray:
-    """Weights w with w @ y equal to _simpson(y, x) up to rounding: the same
-    per-pair coefficients, and Cartwright's correction for an even count."""
+    """Weights w with w @ y the Simpson integral of y over the 1-D grid x.
+
+    scipy.integrate.simpson(y, x=x) up to rounding: its per-pair
+    coefficients, and Cartwright's correction on the last interval for an
+    even count.
+    """
     n = x.size
     w = np.zeros(n)
     if n < 2:
@@ -147,11 +116,11 @@ def _simpson_weights(x: np.ndarray) -> np.ndarray:
     w[0:stop:2] += hsum/6.0 * (2.0 - 1.0 / h0divh1)
     w[1:stop + 1:2] += hsum/6.0 * (hsum * (hsum / (h0 * h1)))
     w[2:stop + 2:2] += hsum/6.0 * (2.0 - h0divh1)
-    if n % 2 == 0:
-        alpha, beta, eta = _last_interval_weights(dx)
-        w[-1] += alpha
-        w[-2] += beta
-        w[-3] -= eta
+    if n % 2 == 0:  # Cartwright's correction
+        h0, h1 = dx[-2, ...], dx[-1, ...]  # 0-d arrays, so ** runs the ufunc as in scipy
+        w[-1] += (2 * h1 ** 2 + 3 * h0 * h1) / (6 * (h1 + h0))
+        w[-2] += (h1 ** 2 + 3.0 * h0 * h1) / (6 * h0)
+        w[-3] -= h1 ** 3 / (6 * h0 * (h0 + h1))
     return w
 
 
@@ -270,6 +239,6 @@ def quadrature_error_estimate(y: np.ndarray, t: np.ndarray) -> float:
     if y.size < 5:
         raise ValueError("need at least 5 samples for a Richardson estimate")
     n = y.size if y.size % 2 == 1 else y.size - 1  # odd count: clean halving
-    fine = _simpson(y[:n], t[:n])
-    coarse = _simpson(y[:n:2], t[:n:2])
+    fine = _simpson_weights(t[:n]) @ y[:n]
+    coarse = _simpson_weights(t[:n:2]) @ y[:n:2]
     return abs(fine - coarse) / 15.0

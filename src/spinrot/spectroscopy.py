@@ -34,7 +34,7 @@ import numpy as np
 
 from .constants import HBAR_EV_S
 from .invariant import AuxiliarySolution, solve_precession_lambda
-from .phases import PhaseHistory, _on_grid, _simpson, _simpson_weights
+from .phases import PhaseHistory, _on_grid, _simpson_weights
 from .spin_algebra import rotation_stack, validate_sigma
 
 _FIRST_ORDER_WARN = 0.1  # |a| beyond this leaves the first-order regime
@@ -164,7 +164,7 @@ def transition_amplitude(pert: PerturbationModel, from_level: EnergyLevel,
         if i_end < 0 or i_end >= sol.n_samples or abs(sol.t[i_end] - t_end) > 1e-9 * max(1.0, abs(t_end)):
             raise ValueError(f"t_end = {t_end} is not a solution grid sample")
     tt, y = sol.t[: i_end + 1], g[: i_end + 1]
-    a = complex(_simpson(y.real, tt) + 1j * _simpson(y.imag, tt))
+    a = complex(_simpson_weights(tt) @ y)
     if abs(a) > _FIRST_ORDER_WARN:
         warnings.warn(
             f"|a| = {abs(a):.3g} exceeds the first-order validity window",
@@ -179,7 +179,7 @@ def resonance_scan(pert: PerturbationModel, from_level: EnergyLevel,
 
     One flat entry per frequency. With y = w g, g the amplitude integrand
     on the uniform grid t_n = t0 + n h and w the weights of the Simpson
-    rule `_simpson` applies, the drive cos(f t) gives
+    rule (`_simpson_weights`), the drive cos(f t) gives
     |1/2 (G(f_k) + G(-f_k))|^2, G(f) = sum_n y_n e^{i f t_n}. On a uniform
     frequency grid f_k = f0 + k df, nk = (n^2 + k^2 - (k - n)^2)/2 turns
     each G into one Bluestein chirp-z: a convolution with the chirp

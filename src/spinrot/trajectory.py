@@ -4,14 +4,8 @@ A trajectory is the spherical-angle parametrization
 
     w(t) = w0 (sin th(t) cos ph(t), sin th(t) sin ph(t), cos th(t)),
 
-with w0 fixed, so |w(t)| = w0 holds by construction. The direction
-n = w/w0 also defines the precession-driving effective field, for every
-kind one expression in the angles and their rates:
-
-    B = n x dn/dt = (-th' sin ph - ph' sin th cos th cos ph,
-                     th' cos ph - ph' sin th cos th sin ph, ph' sin^2 th),
-
-perpendicular to w(t); on a cone (th' = 0, ph' = Omega) |B| = |Omega| sin th.
+with w0 fixed, so |w(t)| = w0 holds by construction. Every consumer
+reads the drive through the two angle callables alone.
 
 Angles are kept continuous: ph is never reduced mod 2pi (tabulated input
 is unwrapped on load), since downstream ODEs need smooth ph - gamma.
@@ -33,10 +27,9 @@ MAX_SAMPLES = 4_000_000  # cap on the samples of one time grid
 
 
 class OmegaTrajectory:
-    """Immutable w(t) history from four vectorized angle/rate callables; use the factories."""
+    """Immutable w(t) history from two vectorized angle callables; use the factories."""
 
-    def __init__(self, omega0, kind, theta, phi, theta_rate, phi_rate,
-                 t_min=-math.inf, t_max=math.inf, params=None):
+    def __init__(self, omega0, kind, theta, phi, t_min=-math.inf, t_max=math.inf, params=None):
         omega0 = float(omega0)
         if not math.isfinite(omega0) or omega0 < 0.0:
             raise ValueError(f"omega0 must be finite and >= 0, got {omega0!r}")
@@ -47,8 +40,6 @@ class OmegaTrajectory:
         self.params = dict(params or {})
         self._theta = theta
         self._phi = phi
-        self._theta_rate = theta_rate
-        self._phi_rate = phi_rate
 
     # -- factories ---------------------------------------------------------
 
@@ -67,8 +58,6 @@ class OmegaTrajectory:
             omega0, KIND_CONSTANT_PRECESSION,
             theta=lambda t: np.full(np.shape(t), theta),
             phi=lambda t: phi0 + Omega * t,
-            theta_rate=lambda t: np.zeros(np.shape(t)),
-            phi_rate=lambda t: np.full(np.shape(t), Omega),
             params={"Omega": Omega, "theta": theta, "phi0": phi0},
         )
 
@@ -78,10 +67,9 @@ class OmegaTrajectory:
 
         t must be strictly increasing with at least 4 samples and every
         sample finite; phi is unwrapped so the interpolant never jumps by
-        2pi. Derivatives come from the spline, so the samples should resolve
-        the motion. The spline is a numpy port of scipy 1.17's default
-        `CubicSpline` and its `derivative()`: the same values and rates to
-        the bit (see `_not_a_knot_coefficients` and `_evaluate_pieces`).
+        2pi. The samples should resolve the motion. The spline is a numpy
+        port of scipy 1.17's default `CubicSpline`: the same values to the
+        bit (see `_not_a_knot_coefficients` and `_evaluate_pieces`).
         """
         t = np.asarray(t, dtype=float)
         theta = np.asarray(theta, dtype=float)
@@ -102,13 +90,10 @@ class OmegaTrajectory:
         theta = np.clip(theta, 0.0, math.pi)
         phi = np.unwrap(phi)
         th_c, ph_c = _not_a_knot_coefficients(t, (theta, phi))
-        th_d, ph_d = th_c[:-1] * _RATE_FACTORS, ph_c[:-1] * _RATE_FACTORS
         return cls(
             omega0, KIND_TABULATED,
             theta=lambda x: _evaluate_pieces(t, th_c, x),
             phi=lambda x: _evaluate_pieces(t, ph_c, x),
-            theta_rate=lambda x: _evaluate_pieces(t, th_d, x),
-            phi_rate=lambda x: _evaluate_pieces(t, ph_d, x),
             t_min=float(t[0]), t_max=float(t[-1]),
             params={"n_samples": int(t.size)},
         )
@@ -149,27 +134,9 @@ class OmegaTrajectory:
         th, ph = self.angles(t)
         return float(th), float(ph)
 
-    def angle_rates(self, t):
-        """(dtheta/dt, dphi/dt) at scalar or array t."""
-        t = np.asarray(t, dtype=float)
-        if self.kind == KIND_TABULATED:
-            self._check_time(t)
-        return self._theta_rate(t), self._phi_rate(t)
-
     def omega(self, t):
         """w(t); shape (3,) for scalar t, (N, 3) for array t."""
         return omega_from_angles(self.omega0, *self.angles(t))
-
-    def effective_field(self, t):
-        """B(t) = n x dn/dt, n = w/w0, from the angles and their rates; zero when w0 = 0."""
-        if self.omega0 == 0.0:
-            return np.zeros(np.shape(t) + (3,))
-        th, ph = self.angles(t)
-        thd, phd = self.angle_rates(t)
-        st, ct = np.sin(th), np.cos(th)
-        sp, cp = np.sin(ph), np.cos(ph)
-        tilt = phd * st * ct
-        return np.stack([-thd * sp - tilt * cp, thd * cp - tilt * sp, phd * st * st], axis=-1)
 
     def period(self) -> float | None:
         """Precession period 2pi/|Omega|, when defined."""
@@ -207,11 +174,9 @@ def _read_angle_table(fh) -> np.ndarray:
 #
 # Ports of scipy 1.17's `CubicSpline(x, y)` (bc_type "not-a-knot"; de Boor,
 # A Practical Guide to Splines, ch. IV), of the reference LAPACK `dgtsv` its
-# `solve_banded` calls, and of `PPoly.__call__`/`derivative()`. Each keeps
-# scipy's formulas and operation order, so the coefficients, values and
-# rates are the same bits as scipy's; the tests check this against scipy.
-
-_RATE_FACTORS = np.array([[3.0], [2.0], [1.0]])  # d/ds of c0 s^3 + c1 s^2 + c2 s + c3
+# `solve_banded` calls, and of `PPoly.__call__`. Each keeps scipy's formulas
+# and operation order, so the coefficients and values are the same bits as
+# scipy's; the tests check this against scipy.
 
 
 def _not_a_knot_coefficients(x, ys):

@@ -631,12 +631,18 @@ def _reference_verify(cfg):
     n_oracle = (sol.n_samples - 1) * thin
     oracle_step = duration / n_oracle if n_oracle else oracle_cfg["step"]
     tol = cfg.data["verify"]
-    # max |B| over every sample of the oracle's own step grid
-    oracle_t = np.linspace(float(sol.t[0]), float(sol.t[-1]), n_oracle + 1)
-    turn = float(np.linalg.norm(cfg.trajectory.effective_field(oracle_t), axis=1).max())
+    # the largest turn of the axis n between the two Gauss-Legendre nodes of a
+    # step, times sqrt(3) for their spacing step/sqrt(3), over every step of
+    # the oracle's own grid; the angle is the chord's, 2 asin(|n2 - n1| / 2)
+    oracle_t = np.linspace(float(sol.t[0]), float(sol.t[-1]), n_oracle + 1)[:-1]
+    omega0 = cfg.trajectory.omega0
+    n1, n2 = (cfg.trajectory.omega(oracle_t + (0.5 + s * math.sqrt(3.0) / 6.0) * oracle_step)
+              / omega0 for s in (-1.0, 1.0))
+    chord = np.linalg.norm(n2 - n1, axis=1).max(initial=0.0)
+    turn = math.sqrt(3.0) * 2.0 * math.asin(min(1.0, chord / 2.0))
     report = {"config_sha256": cfg.sha256, "tolerances": tol,
               "oracle_method": oracle_cfg["method"], "oracle_step": oracle_step,
-              "oracle_under_resolved": max(cfg.trajectory.omega0, turn) * oracle_step >= 0.1,
+              "oracle_under_resolved": max(omega0 * oracle_step, turn) >= 0.1,
               "per_sigma": {}}
     all_pass = True
     series = {}
@@ -875,6 +881,24 @@ def test_sweep_non_string_path_rejected(tmp_path, capsys):
     assert main(["sweep", "--config", path, "--sweep", str(spath),
                  "--output-dir", str(tmp_path / "out")]) == EXIT_CONFIG
     assert "must be a string" in capsys.readouterr().err
+
+
+def test_sweep_repeated_path_rejected(tmp_path, monkeypatch, capsys):
+    # the second entry would overwrite the first at every point: refused
+    # before any point runs, and no sweep file is written
+    from spinrot import cli
+    ran = []
+    monkeypatch.setattr(cli, "_sweep_point", lambda payload: ran.append(payload))
+    path = write_config(tmp_path, demo_config())
+    spath = tmp_path / "sweep.json"
+    spath.write_text(json.dumps({"sweep": [{"path": "trajectory.Omega", "values": [0.25, 0.5]},
+                                           {"path": "trajectory.Omega", "values": [1.0]}]}))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", path, "--sweep", str(spath),
+                 "--output-dir", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        "config error: sweep path 'trajectory.Omega' is listed twice\n"
+    assert ran == [] and not out.exists()
 
 
 def test_sweep_empty_grid(tmp_path):

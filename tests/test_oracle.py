@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from drives import basis_state, cone_propagators, spline_drive
 from spinrot.errors import ConfigError, GridMismatchError
 from spinrot.invariant import integrate_auxiliary, solve_precession_lambda
-from spinrot.oracle import fidelity, propagate, under_resolved
+from spinrot.oracle import _turn_per_step, fidelity, propagate, under_resolved
 from spinrot.phases import accumulate_phases, lr_states
 from spinrot.spin_algebra import rotation_stack, spin_rotation_propagators, time_reverse
 from spinrot.trajectory import MAX_SAMPLES, OmegaTrajectory
@@ -57,18 +57,85 @@ def test_warns_on_coarse_step():
         propagate(traj, basis_state(0.5), 1.0, 0.05)
 
 
+def _nodes(traj, t, h):
+    """w1, w2 and w2 x w1 at the Gauss-Legendre nodes of the steps that start at t."""
+    off = math.sqrt(3.0) / 6.0
+    w1, w2 = traj.omega(t + (0.5 - off) * h), traj.omega(t + (0.5 + off) * h)
+    return w1, w2, np.cross(w2, w1)
+
+
 def test_under_resolved_sees_the_turning_field():
-    # omega0 * step = 0.01, but the axis turns at |Omega| sin(theta) = 50 rad/s
-    t = np.linspace(0.0, 1.0, 101)
+    # omega0 * step = 0.01, but the axis turns at |Omega| sin(theta) = 50 rad/s;
+    # the spline of a constant theta and a linear phi is exact, so the table
+    # turns as the cone does
+    t = np.linspace(0.0, 1.0, 101)[:-1]
     fast = OmegaTrajectory.constant_precession(1.0, 50.0, math.pi / 2.0)
     table = spline_drive(1.0, lambda x: np.full_like(x, math.pi / 2.0),
                          lambda x: 50.0 * x, 1.0, 400)
     slow = OmegaTrajectory.constant_precession(1.0, 5.0, math.pi / 2.0)
-    assert under_resolved(fast, 0.01, t)
-    assert under_resolved(table, 0.01, t)
-    assert not under_resolved(slow, 0.01, t)
+    assert under_resolved(1.0, *_nodes(fast, t, 0.01), 0.01)
+    assert under_resolved(1.0, *_nodes(table, t, 0.01), 0.01)
+    assert not under_resolved(1.0, *_nodes(slow, t, 0.01), 0.01)
+    assert np.allclose(_turn_per_step(*_nodes(table, t, 0.01)),
+                       _turn_per_step(*_nodes(fast, t, 0.01)), rtol=0.0, atol=1e-12)
     with pytest.warns(UserWarning, match="under-resolved"):
         propagate(fast, basis_state(0.5), 1.0, 0.01)
+    # a static axis does not turn at all; a run with no steps sees omega0 * step alone
+    static = OmegaTrajectory.constant_precession(5.0, 0.0, 1.0, 0.3)
+    assert not _turn_per_step(*_nodes(static, t, 0.01)).any()
+    with pytest.warns(UserWarning, match="under-resolved"):
+        assert propagate(static, basis_state(0.5), 1.0, 1.0, t0=1.0).under_resolved
+
+
+_TURN_FLAG = 0.1  # rad per step
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.5, 50.0), st.booleans(), st.floats(0.1, math.pi - 0.1),
+       st.floats(0.0, 2.0 * math.pi), st.floats(-10.0, 10.0), st.floats(0.5, 2.0),
+       st.floats(0.01, 0.999))
+@example(2.0, False, math.pi / 2.0, 0.0, 0.0, 0.9, 0.5)  # the equator
+@example(2.0, True, math.pi / 2.0, 0.0, 0.0, 1.1, 0.5)
+def test_under_resolved_matches_cone_closed_form(Om, backward, th, ph0, t0, ratio, larmor):
+    # on a cone the nodes, step/sqrt(3) apart, are a chord of the precession
+    # circle: the turn per step is 2 sqrt(3) asin(sin th sin(Omega step / (2 sqrt(3))));
+    # step is chosen to put it at ratio * 0.1, and omega0 * |step| below 0.1
+    assume(abs(ratio - 1.0) > 1e-6)
+    r3 = math.sqrt(3.0)
+    step = 2.0 * r3 * math.asin(math.sin(ratio * _TURN_FLAG / (2.0 * r3)) / math.sin(th)) / Om
+    step = -step if backward else step
+    omega0 = larmor * _TURN_FLAG / abs(step)
+    traj = OmegaTrajectory.constant_precession(omega0, -Om if backward else Om, th, ph0)
+    w1, w2, c = _nodes(traj, t0 + step * np.arange(64), step)
+    turn = _turn_per_step(w1, w2, c)
+    assert np.allclose(turn, ratio * _TURN_FLAG, rtol=1e-9, atol=0.0)
+    assert under_resolved(omega0, w1, w2, c, step) is (ratio > 1.0)
+    # the Larmor side of the flag, alone
+    assert under_resolved(ratio * _TURN_FLAG / abs(step), w1[:0], w2[:0], c[:0], step) \
+        is (ratio > 1.0)
+
+
+def test_turn_per_step_matches_central_difference():
+    # a nutating tabulated drive (dtheta/dt != 0): the turn per step is
+    # |n x dn/dt| step at mid-step, n = w/w0, with dn/dt from central
+    # differences of w(t), to second order in the step
+    w0 = 2.0
+    traj = spline_drive(w0, lambda t: 1.0 + 0.3 * np.sin(0.7 * t),
+                        lambda t: 0.8 * t + 0.2 * np.cos(0.5 * t), 10.0, 201)
+    t = np.array([1.7, 4.05, 8.3])
+    d = 1e-5
+    nutation = (traj.angles(t + d)[0] - traj.angles(t - d)[0]) / (2.0 * d)
+    assert np.abs(nutation).min() > 0.05
+    errs = []
+    hs = [4e-2, 2e-2, 1e-2]
+    for h in hs:
+        mid = t + 0.5 * h
+        n_dot = (traj.omega(mid + d) - traj.omega(mid - d)) / (2.0 * d * w0)
+        rate = np.linalg.norm(np.cross(traj.omega(mid) / w0, n_dot), axis=1)
+        errs.append(np.abs(_turn_per_step(*_nodes(traj, t, h)) / h - rate).max())
+    order = math.log(errs[0] / errs[2]) / math.log(hs[0] / hs[2])
+    assert order >= 1.9
+    assert errs[-1] < 1e-6
 
 
 def test_invalid_inputs():
@@ -89,13 +156,13 @@ def test_subnormal_step_is_value_error():
 
 
 def test_grid_above_sample_cap_rejected_before_it_is_built(monkeypatch):
-    # a canary: every block of step times goes through under_resolved, so
-    # it fires on the first block; t_end alone is one sample and passes
+    # a canary: every block of node fields goes through under_resolved, so
+    # it fires on the first block; the check of a run with no steps passes
     from spinrot import oracle
 
-    def grid_built(traj, step, t):
-        if t.size > 1:
-            raise AssertionError(f"a block of {t.size} step times was built")
+    def grid_built(omega0, w1, w2, c, step):
+        if len(w1):
+            raise AssertionError(f"a block of {len(w1)} step times was built")
         return False
 
     monkeypatch.setattr(oracle, "under_resolved", grid_built)

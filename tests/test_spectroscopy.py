@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import simpson
 
 from drives import basis_state, spline_drive
 from spinrot import spectroscopy
@@ -13,7 +14,7 @@ from spinrot.constants import HBAR_EV_S
 from spinrot.errors import GridMismatchError, NoSolutionError
 from spinrot.invariant import integrate_auxiliary, solve_precession_lambda
 from spinrot.oracle import fidelity, propagate
-from spinrot.phases import PhaseHistory, _simpson, accumulate_phases, lr_states
+from spinrot.phases import PhaseHistory, _simpson_weights, accumulate_phases, lr_states
 from spinrot.spectroscopy import (EnergyLevel, PerturbationModel,
                                   line_table, peak_frequency,
                                   resonance_scan, spectral_shift,
@@ -228,8 +229,8 @@ def test_amplitude_t_end_must_be_on_grid():
 
 
 def test_amplitude_over_the_first_steps():
-    # one step is the trapezoid rule, as in _simpson and the scan's weights;
-    # only t_end at the first sample gives 0
+    # the Simpson weights that the scan uses too, one step the trapezoid
+    # rule; only t_end at the first sample gives 0
     _, sol, hists = _locked(periods=0.5)
     levels = (EnergyLevel(1, 0.5, _rad(1.3)), EnergyLevel(2, -0.5, 0.0))
     pert = PerturbationModel({(2, 1): 0.01 * HBAR_EV_S * np.array([[1.0, 0.5], [0.5, -1.0]])})
@@ -238,7 +239,8 @@ def test_amplitude_over_the_first_steps():
     for i in (1, 2, 3):
         a = transition_amplitude(pert, *levels, sol, hists, t_end=float(sol.t[i]))
         t, y = sol.t[:i + 1], g[:i + 1]
-        assert a == complex(_simpson(y.real, t) + 1j * _simpson(y.imag, t)) != 0.0
+        assert a == complex(_simpson_weights(t) @ y) != 0.0
+        assert a == pytest.approx(simpson(y, x=t), rel=1e-15)
 
 
 def test_total_transition_probability_bounded():
@@ -296,7 +298,7 @@ def _one_shot_scan(pert, from_level, to_level, sol, hists, frequencies):
 
 def _direct_response(g, t, frequencies):
     y = g[None, :] * np.cos(np.outer(frequencies, t))
-    return _simpson(y.real, t)**2 + _simpson(y.imag, t)**2
+    return simpson(y.real, x=t)**2 + simpson(y.imag, x=t)**2
 
 
 def _assert_near_table(got, want):

@@ -1,4 +1,4 @@
-"""Angular-velocity trajectories and the derived effective field."""
+"""Angular-velocity trajectories: cones, tabulated splines, CSV input."""
 
 import math
 
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 from scipy.linalg.lapack import dgtsv
 
-from drives import spline_drive
 from spinrot import trajectory
 from spinrot.errors import OutOfDomainError
 from spinrot.trajectory import OmegaTrajectory
@@ -47,66 +46,6 @@ def test_omega0_validation():
         OmegaTrajectory.constant_precession(float("nan"), 0.0, 0.5)
 
 
-# -- effective field ----------------------------------------------------------
-
-def test_effective_field_equatorial():
-    traj = OmegaTrajectory.constant_precession(1.0, 2.0, math.pi / 2.0)
-    assert np.allclose(traj.effective_field(0.0), [0.0, 0.0, 2.0], atol=1e-15)
-
-
-def test_effective_field_static_is_zero():
-    traj = OmegaTrajectory.constant_precession(5.0, 0.0, 1.0, 0.3)
-    assert np.array_equal(traj.effective_field(1.7), np.zeros(3))
-
-
-def test_effective_field_closed_form_and_orthogonality():
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        w0 = rng.uniform(0.1, 10.0)
-        Om = rng.uniform(-5.0, 5.0)
-        th = rng.uniform(0.05, math.pi - 0.05)
-        traj = OmegaTrajectory.constant_precession(w0, Om, th)
-        t = rng.uniform(-3.0, 3.0)
-        b = traj.effective_field(t)
-        ph = Om * t
-        expected = Om * math.sin(th) * np.array(
-            [-math.cos(th) * math.cos(ph), -math.cos(th) * math.sin(ph), math.sin(th)])
-        assert np.allclose(b, expected, atol=1e-13 * max(1.0, abs(Om)))
-        # perpendicular to the angular momentum direction
-        assert abs(b @ traj.omega(t)) <= 1e-12 * max(1.0, np.linalg.norm(b) * w0)
-        assert abs(np.linalg.norm(b) - abs(Om * math.sin(th))) < 1e-12 * max(1.0, abs(Om))
-
-
-def test_effective_field_cross_product_route_matches():
-    # a tabulated kind takes its rates from the spline; it must agree with
-    # the constant-precession cone (the spline of a constant theta and a
-    # linear phi is exact)
-    w0, Om, th = 2.0, 0.7, 1.0
-    closed = OmegaTrajectory.constant_precession(w0, Om, th)
-    generic = spline_drive(w0, lambda t: np.full_like(t, th), lambda t: Om * t, 2.5, 11)
-    for t in (0.0, 0.4, 2.2):
-        assert np.allclose(generic.effective_field(t), closed.effective_field(t), atol=1e-13)
-
-
-def test_effective_field_matches_central_difference():
-    # a nutating tabulated drive (dtheta/dt != 0): B = w x dw/dt / w0^2 with
-    # dw/dt from central differences of w(t), converging at second order
-    w0 = 2.0
-    traj = spline_drive(w0, lambda t: 1.0 + 0.3 * np.sin(0.7 * t),
-                        lambda t: 0.8 * t + 0.2 * np.cos(0.5 * t), 10.0, 201)
-    t = np.array([1.7, 4.05, 8.3])
-    assert np.abs(traj.angle_rates(t)[0]).min() > 0.05
-    exact = traj.effective_field(t)
-    errs = []
-    hs = [1e-2, 5e-3, 2.5e-3]
-    for h in hs:
-        w_dot = (traj.omega(t + h) - traj.omega(t - h)) / (2.0 * h)
-        errs.append(np.abs(np.cross(traj.omega(t), w_dot) / w0**2 - exact).max())
-    order = math.log(errs[0] / errs[2]) / math.log(hs[0] / hs[2])
-    assert order >= 1.9
-    assert errs[-1] < 1e-5
-
-
 # -- tabulated trajectories -----------------------------------------------------
 
 def _sample_table(n=401, t_max=8.0):
@@ -122,9 +61,9 @@ def test_tabulated_matches_samples_and_rates():
     th, ph = traj.angles(t)
     assert np.abs(th - theta).max() < 1e-12
     assert np.abs(ph - phi).max() < 1e-12
-    # spline derivative close to the analytic rate away from the ends
-    mid = t[50:-50]
-    thd, phd = traj.angle_rates(mid)
+    # the spline's rate, by central differences, close to the analytic rate away from the ends
+    mid, d = t[50:-50], 1e-5
+    thd, phd = [(a - b) / (2.0 * d) for a, b in zip(traj.angles(mid + d), traj.angles(mid - d))]
     assert np.abs(thd - 0.25 * 0.9 * np.cos(0.9 * mid)).max() < 1e-5
     assert np.abs(phd - (0.5 + 0.3 * 1.3 * np.cos(1.3 * mid))).max() < 1e-5
 
@@ -180,8 +119,8 @@ def _assert_spline_equals_scipy(t, theta, phi, rng):
     probe = np.concatenate([t, 0.5 * (t[:-1] + t[1:]), rng.uniform(t[0], t[-1], 50),
                             [t[0] - slack, t[-1] + slack]])
     splines = (CubicSpline(t, np.clip(theta, 0.0, math.pi)), CubicSpline(t, np.unwrap(phi)))
-    want = [sp(probe) for sp in splines] + [sp.derivative()(probe) for sp in splines]
-    got = [*traj.angles(probe), *traj.angle_rates(probe)]
+    want = [sp(probe) for sp in splines]
+    got = traj.angles(probe)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
     coefficients = trajectory._not_a_knot_coefficients(
@@ -215,10 +154,8 @@ def test_spline_equals_scipy_at_0d_time():
     th_sp = CubicSpline(t, theta)
     for x in (t[0], 2.345, t[17], t[-1]):
         th, _ = traj.angles(np.float64(x))
-        thd, _ = traj.angle_rates(np.float64(x))
-        assert th.shape == thd.shape == ()
+        assert th.shape == ()
         assert th.tobytes() == th_sp(np.float64(x)).tobytes()
-        assert thd.tobytes() == th_sp.derivative()(np.float64(x)).tobytes()
     # scipy's sum starts from 0.0: with a -0.0 constant term and negative
     # higher terms, the value at the knot is +0.0, not -0.0
     x = np.linspace(-2.0, 2.0, 9)
@@ -279,17 +216,16 @@ def test_csv_bad_row_names_line(tmp_path, row):
 
 def test_scalar_and_array_evaluation_agree():
     # one set of vectorized callables serves both: a scalar t gives the
-    # array result's row, with shape (3,) for the vector quantities
+    # array result's row, with shape (3,) for w
     t = np.linspace(0.0, 7.5, 9)
     for traj in (OmegaTrajectory.constant_precession(2.0, 0.8, 1.1, phi0=0.3),
                  OmegaTrajectory.from_table(2.0, *_sample_table())):
-        for name in ("omega", "effective_field"):
-            vec = getattr(traj, name)(t)
-            assert vec.shape == (t.size, 3)
-            for i in range(t.size):
-                row = getattr(traj, name)(float(t[i]))
-                assert row.shape == (3,)
-                assert np.array_equal(row, vec[i]), name
+        vec = traj.omega(t)
+        assert vec.shape == (t.size, 3)
+        for i in range(t.size):
+            row = traj.omega(float(t[i]))
+            assert row.shape == (3,)
+            assert np.array_equal(row, vec[i])
         th, ph = traj.angles(t)
         assert traj.angles_scalar(t[4]) == (float(th[4]), float(ph[4]))
         assert all(type(v) is float for v in traj.angles_scalar(t[4]))
