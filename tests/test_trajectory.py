@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 from scipy.linalg.lapack import dgtsv
 
+from drives import spline_drive
 from spinrot import trajectory
 from spinrot.errors import OutOfDomainError
+from spinrot.oracle import _turn_per_step
 from spinrot.trajectory import OmegaTrajectory
 
 
@@ -44,6 +46,69 @@ def test_omega0_validation():
         OmegaTrajectory.constant_precession(-1.0, 0.0, 0.5)
     with pytest.raises(ValueError):
         OmegaTrajectory.constant_precession(float("nan"), 0.0, 0.5)
+
+
+# -- effective field ----------------------------------------------------------
+
+def _effective_field(traj, t, h):
+    """B = n x dn/dt at t, as the oracle's Magnus step centred on t reads it.
+
+    Along w1 x w2 = -c, of length the turn per step over the step; exact on
+    the equator, O(h^2) off it, zero when the axis stands still.
+    """
+    off = math.sqrt(3.0) / 6.0
+    start = np.atleast_1d(np.asarray(t, dtype=float)) - 0.5 * h
+    w1, w2 = traj.omega(start + (0.5 - off) * h), traj.omega(start + (0.5 + off) * h)
+    c = np.cross(w2, w1)
+    norm = np.linalg.norm(c, axis=-1)
+    scale = np.divide(_turn_per_step(w1, w2, c), h * norm, out=np.zeros_like(norm),
+                      where=norm > 0.0)
+    return -c * scale[:, None]
+
+
+def test_effective_field_equatorial():
+    traj = OmegaTrajectory.constant_precession(1.0, 2.0, math.pi / 2.0)
+    assert np.allclose(_effective_field(traj, 0.0, 0.01), [[0.0, 0.0, 2.0]], atol=1e-13)
+
+
+def test_effective_field_static_is_zero():
+    traj = OmegaTrajectory.constant_precession(5.0, 0.0, 1.0, 0.3)
+    assert np.array_equal(_effective_field(traj, 1.7, 0.01), np.zeros((1, 3)))
+
+
+def test_effective_field_closed_form_and_orthogonality():
+    rng = np.random.default_rng(5)
+    h = 1e-3
+    for _ in range(100):
+        w0 = rng.uniform(0.1, 10.0)
+        Om = rng.uniform(-5.0, 5.0)
+        th = rng.uniform(0.05, math.pi - 0.05)
+        traj = OmegaTrajectory.constant_precession(w0, Om, th)
+        t = rng.uniform(-3.0, 3.0)
+        b = _effective_field(traj, t, h)[0]
+        ph = Om * t
+        expected = Om * math.sin(th) * np.array(
+            [-math.cos(th) * math.cos(ph), -math.cos(th) * math.sin(ph), math.sin(th)])
+        # the node chord departs from the tangent at second order in Omega h
+        tol = 0.1 * abs(Om) ** 3 * h**2 + 1e-11
+        assert np.allclose(b, expected, rtol=0.0, atol=tol)
+        # perpendicular to the angular momentum direction at both nodes
+        for node in (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0):
+            w = traj.omega(t - 0.5 * h + node * h)
+            assert abs(b @ w) <= 1e-12 * max(1.0, np.linalg.norm(b) * w0)
+        assert abs(np.linalg.norm(b) - abs(Om * math.sin(th))) < tol
+
+
+def test_effective_field_cross_product_route_matches():
+    # a tabulated kind samples the spline at the nodes; it must agree with
+    # the constant-precession cone (the spline of a constant theta and a
+    # linear phi is exact)
+    w0, Om, th = 2.0, 0.7, 1.0
+    closed = OmegaTrajectory.constant_precession(w0, Om, th)
+    generic = spline_drive(w0, lambda t: np.full_like(t, th), lambda t: Om * t, 2.5, 11)
+    t = np.array([0.05, 0.4, 2.2])
+    assert np.allclose(_effective_field(generic, t, 0.1), _effective_field(closed, t, 0.1),
+                       rtol=0.0, atol=1e-13)
 
 
 # -- tabulated trajectories -----------------------------------------------------
