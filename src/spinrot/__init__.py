@@ -22,7 +22,6 @@ from .scenario import (MoleculeModel, RotationRegime, c60_model,
 from .spectroscopy import (EnergyLevel, PerturbationModel, SpectralLine,
                            line_table, resonance_scan, spectral_shift,
                            transition_amplitude)
-from .spin_algebra import SIGMA_DOWN, SIGMA_UP
 from .trajectory import OmegaTrajectory
 
 __version__ = "0.1.0"
@@ -31,9 +30,8 @@ __all__ = [
     "AuxiliarySolution", "ConfigError", "EnergyLevel", "GridMismatchError",
     "HBAR_EV_S", "MoleculeModel", "NoSolutionError", "OmegaTrajectory",
     "OutOfDomainError", "PerturbationModel", "PhaseHistory", "PropagatorRun",
-    "RotationRegime", "SIGMA_DOWN", "SIGMA_UP", "SingularityError",
-    "SpectralLine", "SpinRotError", "accumulate_phases",
-    "berry_limit_check", "c60_model", "dynamical_phase", "fidelity",
+    "RotationRegime", "SingularityError", "SpectralLine", "SpinRotError",
+    "accumulate_phases", "berry_limit_check", "c60_model", "dynamical_phase", "fidelity",
     "free_rotation_correlation_time", "geometric_phase", "integrate_auxiliary",
     "line_table", "lr_states", "lvn_residual_samples", "lvn_residual_series",
     "precession_from_torque", "propagate", "regime_presets", "resonance_scan",

@@ -26,7 +26,7 @@ from .config import (RunConfig, apply_overrides, config_sha256,
 from .errors import (ConfigError, NoSolutionError, OutOfDomainError,
                      SingularityError, SpinRotError)
 from .invariant import integrate_auxiliary, lvn_residual_samples, lvn_residual_series
-from .io_utils import format_floats, write_csv, write_json, write_rows
+from .io_utils import write_csv, write_json, write_rows
 from .oracle import fidelity, propagate
 from .phases import accumulate_phases, berry_limit_check, lr_states
 from .spectroscopy import spectral_shift
@@ -124,24 +124,25 @@ def run_simulate(cfg: RunConfig) -> dict:
     return result
 
 
+def _write_csv_pass(files: list[tuple], comments: list[str]) -> list[str]:
+    """Write the (path, header, columns) files in one `write_csv` pass; returns their paths."""
+    (path, header, columns), *siblings = files
+    write_csv(path, header, columns, comments, siblings=siblings)
+    return [p for p, _, _ in files]
+
+
 def _write_simulate_artifacts(cfg: RunConfig, result: dict, out_dir: str) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
     prefix = cfg.data["output"]["prefix"]
     comments = [f"config_sha256={cfg.sha256}"]
-    paths = []
-
-    # every series shares the integrator grid: its text is formatted once
-    t_text = format_floats(result["sol"].t)
-    aux_path = os.path.join(out_dir, f"{prefix}_aux.csv")
-    result["sol"].to_csv(aux_path, comments, residual=result["lvn_residual"], t_text=t_text)
-    paths.append(aux_path)
-
-    for s, hist in result["histories"].items():
-        p = os.path.join(out_dir, f"{prefix}_phases_{_sigma_tag(s)}.csv")
-        write_csv(p, ["t", "phi_dyn", "phi_geo", "phi_total"],
-                  [t_text, hist.phi_dyn, hist.phi_geo, hist.phi_total], comments)
-        paths.append(p)
-
+    # t is formatted once, and the spin-down phases take the spin-up text
+    paths = _write_csv_pass(
+        [(os.path.join(out_dir, f"{prefix}_aux.csv"),
+          *result["sol"].csv_table(result["lvn_residual"]))]
+        + [(os.path.join(out_dir, f"{prefix}_phases_{_sigma_tag(s)}.csv"),
+            ["t", "phi_dyn", "phi_geo", "phi_total"],
+            [hist.t, hist.phi_dyn, hist.phi_geo, hist.phi_total])
+           for s, hist in result["histories"].items()], comments)
     sp = os.path.join(out_dir, f"{prefix}_summary.json")
     write_json(sp, result["summary"])
     paths.append(sp)
@@ -222,15 +223,11 @@ def _write_verify_artifacts(cfg: RunConfig, result: dict, out_dir: str) -> list[
     os.makedirs(out_dir, exist_ok=True)
     prefix = cfg.data["output"]["prefix"]
     comments = [f"config_sha256={cfg.sha256}"]
-    paths = []
-    # every sigma's run shares the oracle's kept grid
-    t_text = None
-    for s, (run, fid, phase) in result["verify_series"].items():
-        if t_text is None:
-            t_text = format_floats(run.t)
-        p = os.path.join(out_dir, f"{prefix}_verify_{_sigma_tag(s)}.csv")
-        run.to_csv(p, fidelity=fid, overlap_phase=phase, comments=comments, t_text=t_text)
-        paths.append(p)
+    # t is formatted once, and the time-reversed spin-down run takes the spin-up text
+    paths = _write_csv_pass(
+        [(os.path.join(out_dir, f"{prefix}_verify_{_sigma_tag(s)}.csv"),
+          *run.csv_table(fid, phase))
+         for s, (run, fid, phase) in result["verify_series"].items()], comments)
     rp = os.path.join(out_dir, f"{prefix}_verify_report.json")
     write_json(rp, result["verify_report"])
     paths.append(rp)

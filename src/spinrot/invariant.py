@@ -68,15 +68,14 @@ class AuxiliarySolution:
     def n_samples(self) -> int:
         return int(self.t.size)
 
-    def to_csv(self, path, comments: list[str] | None = None, *, residual: np.ndarray,
-               t_text: list[str] | None = None) -> None:
-        """Emit t, lambda, gamma, lambda_dot, gamma_dot and the given lvn_residual.
+    def csv_table(self, residual: np.ndarray) -> tuple[list[str], list[np.ndarray]]:
+        """Header and columns: t, lambda, gamma, lambda_dot, gamma_dot and the given lvn_residual."""
+        return (["t", "lambda", "gamma", "lambda_dot", "gamma_dot", "lvn_residual"],
+                [self.t, self.lam, self.gamma, self.lam_dot, self.gamma_dot, residual])
 
-        t_text, when given, is the `format_floats` text of t, shared with other files.
-        """
-        t = self.t if t_text is None else t_text
-        write_csv(path, ["t", "lambda", "gamma", "lambda_dot", "gamma_dot", "lvn_residual"],
-                  [t, self.lam, self.gamma, self.lam_dot, self.gamma_dot, residual], comments)
+    def to_csv(self, path, comments: list[str] | None = None, *, residual: np.ndarray) -> None:
+        """Emit `csv_table(residual)`."""
+        write_csv(path, *self.csv_table(residual), comments)
 
 
 def _guard_error(lam: float, eps_lambda: float, t: float) -> SingularityError:

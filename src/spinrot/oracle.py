@@ -15,12 +15,21 @@ solution are meaningful down to ~1e-12. The global error is O(h^4)
 (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)).
 
 `propagate` takes one state. The spin-down run of a spin-up run is its
-`spin_algebra.time_reverse`, so no second state rides the step loop. The
-step times, field samples and step propagators are built per block of 2048
-steps, and the under-resolution test reads the same node samples; the
-kept amplitudes fill one preallocated complex array. Memory grows with the
-kept samples, not with `thin`. Block times are formed as `np.linspace`
-forms them, so every step sees the same floats as in one whole-grid pass.
+`spin_algebra.time_reverse`, so no second state is propagated. The step
+times, field samples and step propagators are built per block of 2048
+steps, and the under-resolution test reads the same node samples. Block
+times are formed as `np.linspace` forms them, so every step sees the same
+floats as in one whole-grid pass.
+
+There is no step loop. Each step is its SU(2) pair (a, b), U = [[a, b],
+[-b*, a*]], and a block's running products U_j ... U_0 come from one
+inclusive Hillis-Steele scan over the block, later steps on the left
+(Hillis & Steele, CACM 29, 1170 (1986)): log2(2048) = 11 whole-array
+levels. The products are applied to the state carried in from the block
+before. Every step's state is formed and the kept ones are selected from
+them, so a run thinned by k keeps exactly the samples of the unthinned run
+and the cost does not depend on `thin`. Memory grows with the kept
+samples, not with `thin`.
 """
 
 from __future__ import annotations
@@ -28,7 +37,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -57,16 +65,16 @@ class PropagatorRun:
     unitarity_defect: float
     under_resolved: bool
 
-    def to_csv(self, path, fidelity, overlap_phase, comments=None, t_text=None):
-        """Emit t, re/im of both amplitudes and the overlap series.
+    def csv_table(self, fidelity: np.ndarray, overlap_phase: np.ndarray
+                  ) -> tuple[list[str], list[np.ndarray]]:
+        """Header and columns: t, re/im of both amplitudes and the given overlap series."""
+        return (["t", "re_plus", "im_plus", "re_minus", "im_minus", "fidelity", "overlap_phase"],
+                [self.t, self.states[:, 0].real, self.states[:, 0].imag, self.states[:, 1].real,
+                 self.states[:, 1].imag, fidelity, overlap_phase])
 
-        t_text, when given, is the `format_floats` text of t, shared with other files.
-        """
-        write_csv(path, ["t", "re_plus", "im_plus", "re_minus", "im_minus", "fidelity",
-                         "overlap_phase"],
-                  [self.t if t_text is None else t_text, self.states[:, 0].real,
-                   self.states[:, 0].imag, self.states[:, 1].real, self.states[:, 1].imag,
-                   fidelity, overlap_phase], comments)
+    def to_csv(self, path, fidelity, overlap_phase, comments=None):
+        """Emit `csv_table(fidelity, overlap_phase)`."""
+        write_csv(path, *self.csv_table(fidelity, overlap_phase), comments)
 
 
 def _turn_per_step(w1: np.ndarray, w2: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -108,12 +116,10 @@ def propagate(traj: OmegaTrajectory, psi0: np.ndarray, t_end: float, step: float
     t += t0
     if n:
         t[-1] = t_end
-    cp, cm = psi0.tolist()
     kept = np.empty((n // thin + 1, 2), dtype=complex)
-    kept[0] = cp, cm
+    kept[0] = psi = psi0
     defect = 0.0
     coarse = under_resolved(traj.omega0, *np.zeros((3, 0, 3)), h)  # a run with no steps
-    left = thin  # steps to the next kept sample, which may lie in a later block
     for k in range(0, n, _BLOCK):
         tk = np.arange(k, min(k + _BLOCK, n)) * h + t0  # the step starts, as np.linspace forms them
         w1 = traj.omega(tk + (0.5 - _GAUSS_OFFSET) * h)
@@ -121,28 +127,37 @@ def propagate(traj: OmegaTrajectory, psi0: np.ndarray, t_end: float, step: float
         c = np.cross(w2, w1)
         coarse = coarse or under_resolved(traj.omega0, w1, w2, c, h)
         v = 0.5 * (w1 + w2) + (math.sqrt(3.0) / 12.0 * h) * c
-        del w1, w2, c  # the node fields are done with; the step loop holds v and u alone
         u = spin_rotation_propagators(v, h)
-        # constructed unitaries [[a, b], [-b*, a*]]: the defect only probes rounding
-        defect = max(defect, float(
-            np.abs(np.abs(u[:, 0, 0]) ** 2 + np.abs(u[:, 0, 1]) ** 2 - 1.0).max()))
-        steps = zip(u[:, 0, 0].tolist(), u[:, 0, 1].tolist(),
-                    u[:, 1, 0].tolist(), u[:, 1, 1].tolist())
-        rest = tk.size
-        while rest:
-            run = min(left, rest)
-            for u00, u01, u10, u11 in islice(steps, run):
-                cp, cm = u00 * cp + u01 * cm, u10 * cp + u11 * cm
-            rest -= run
-            left -= run
-            if not left:  # k + tk.size - rest steps are done, a multiple of thin
-                kept[(k + tk.size - rest) // thin] = cp, cm
-                left = thin
+        a, b = _prefix_products(u[:, 0, 0], u[:, 0, 1])
+        # constructed unitaries: the products' defect probes the rounding they accumulate
+        defect = max(defect, float(np.abs(
+            a.real ** 2 + a.imag ** 2 + b.real ** 2 + b.imag ** 2 - 1.0).max()))
+        p, m = psi
+        states = np.stack((a * p + b * m, a.conj() * m - b.conj() * p), axis=-1)
+        first = -(k + 1) % thin  # the block's first kept step, global index a multiple of thin
+        kept[(k + 1 + first) // thin:(k + tk.size) // thin + 1] = states[first::thin]
+        psi = states[-1]
     if coarse:
         warnings.warn("omega0 * step or the field's turn per step >= 0.1 rad; "
                       "the propagator is under-resolved",
                       stacklevel=2)
     return PropagatorRun(h * thin, t, kept, defect, coarse)
+
+
+def _prefix_products(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Running products U_j ... U_0 of the SU(2) pairs (a_j, b_j), as pairs, by an inclusive scan.
+
+    (a1, b1)(a2, b2) = (a1 a2 - b1 b2*, a1 b2 + b1 a2*) is the pair of
+    [[a1, b1], [-b1*, a1*]] [[a2, b2], [-b2*, a2*]]. Level d multiplies each
+    entry from d on by the entry d before it, on its right.
+    """
+    a, b = a.copy(), b.copy()
+    d = 1
+    while d < a.size:
+        al, bl, ar, br = a[d:], b[d:], a[:-d], b[:-d]
+        a[d:], b[d:] = al * ar - bl * br.conj(), al * br + bl * ar.conj()
+        d *= 2
+    return a, b
 
 
 def fidelity(run: PropagatorRun, lr_t: np.ndarray, lr_states: np.ndarray

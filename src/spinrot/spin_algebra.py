@@ -15,13 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-SIGMA_UP = 0.5
-SIGMA_DOWN = -0.5
-
-
 def validate_sigma(sigma: float) -> float:
     """Check that sigma is one of the two admitted spin projections."""
-    if sigma == SIGMA_UP or sigma == SIGMA_DOWN:
+    if sigma == 0.5 or sigma == -0.5:
         return float(sigma)
     raise ValueError(f"sigma must be +0.5 or -0.5, got {sigma!r}")
 

@@ -1,7 +1,8 @@
 """The CSV writers give the bytes of the plain csv.writer + format_value writer.
 
 write_rows (the sweep's mixed cells) and write_csv (float columns, written
-per block) are both held to the same row-by-row reference.
+per block, sibling files in one pass) are both held to the same row-by-row
+reference, each file on its own values.
 """
 
 import csv
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from spinrot.cli import (_write_simulate_artifacts, _write_verify_artifacts, run_simulate,
                          run_verify)
 from spinrot.config import resolve_run_config
-from spinrot.io_utils import format_floats, write_csv, write_rows
+from spinrot.io_utils import write_csv, write_rows
 
 
 def _reference_format(v) -> str:
@@ -121,7 +122,8 @@ def test_matches_csv_writer_reference(out_dir, header, rows, comments, as_genera
 
 # -- float columns ---------------------------------------------------------------
 
-# around the 512-row block: empty, one row, one block less/exactly/more, two blocks plus one
+# around the 128-row block: empty, one row, four blocks less one row/exactly/one more,
+# eight blocks plus one
 ROW_COUNTS = [0, 1, 511, 512, 513, 1025]
 HEADER = ["t", "a", "b", "c"]
 
@@ -134,27 +136,52 @@ def _float_columns(n):
     return [np.linspace(0.0, 0.1 * n, n), cycle, wide, -cycle[::-1]]
 
 
-def _assert_columns_match(out_dir, header, given, cols, comments=None):
-    """write_csv of the given columns equals the reference fed np.float64 cells row by row."""
-    got, want = out_dir / "got.csv", out_dir / "want.csv"
-    write_csv(got, header, given, comments)
+def _reference(out_dir, name, header, cols, comments=None):
+    """The reference file of the given columns, fed np.float64 cells row by row."""
+    want = out_dir / f"want_{name}"
     _reference_write_csv(want, header, [[c[i] for c in cols] for i in range(len(cols[0]))],
                          comments)
-    assert got.read_bytes() == want.read_bytes()
+    return want.read_bytes()
+
+
+def _assert_columns_match(out_dir, header, given, cols, comments=None):
+    """write_csv of the given columns equals the reference fed np.float64 cells row by row."""
+    got = out_dir / "got.csv"
+    write_csv(got, header, given, comments)
+    assert got.read_bytes() == _reference(out_dir, "got.csv", header, cols, comments)
+
+
+def _assert_pass_matches(out_dir, files, comments=None):
+    """One write_csv pass over the (name, header, columns) files; each file against its reference."""
+    (name, header, cols), *siblings = files
+    write_csv(out_dir / name, header, cols, comments,
+              siblings=[(out_dir / n, h, c) for n, h, c in siblings])
+    for name, header, cols in files:
+        assert (out_dir / name).read_bytes() == _reference(out_dir, name, header, cols,
+                                                           comments), name
 
 
 @pytest.mark.parametrize("n", ROW_COUNTS)
-def test_format_floats(n):
+def test_derived_text_is_the_float_text(out_dir, n):
+    # a sibling's copies and negations, with and without + 0.0, take the first file's
+    # text and still print each value's own "%.17g"
     values = np.concatenate(_float_columns(n))
-    assert format_floats(values) == [f"{v:.17g}" for v in values.tolist()]
+    derived = [values, values.copy(), -values, -values + 0.0, values + 0.0]
+    _assert_pass_matches(out_dir, [("x.csv", ["x"], [values]),
+                                   ("y.csv", [f"y{j}" for j in range(5)], derived)])
+    lines = (out_dir / "y.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[2] for line in lines] == [f"{-v:.17g}" for v in values.tolist()]
 
 
 @pytest.mark.parametrize("shared_t", [False, True], ids=["t-array", "t-text"])
 @pytest.mark.parametrize("n", ROW_COUNTS)
 def test_float_columns_match_reference(out_dir, n, shared_t):
     cols = _float_columns(n)
-    given = [format_floats(cols[0])] + cols[1:] if shared_t else cols
-    _assert_columns_match(out_dir, HEADER, given, cols, comments=["config_sha256=abc"])
+    if shared_t:  # t shared with a sibling file: its text is formatted once for both
+        _assert_pass_matches(out_dir, [("got.csv", HEADER, cols), ("t.csv", ["t"], cols[:1])],
+                             comments=["config_sha256=abc"])
+    else:
+        _assert_columns_match(out_dir, HEADER, cols, cols, comments=["config_sha256=abc"])
 
 
 def test_columns_from_a_generator(out_dir):
@@ -172,13 +199,16 @@ def test_no_rows(out_dir, columns):
 
 
 def test_columns_of_unequal_length_rejected(out_dir):
-    path = out_dir / "ragged.csv"
+    # within a file or across the files of a pass; no file is created
+    path, sibling = out_dir / "ragged.csv", out_dir / "ragged_sibling.csv"
     with pytest.raises(ValueError, match="columns differ in length"):
-        write_csv(path, ["t", "x"], [np.zeros(513), format_floats(np.zeros(512))])
-    assert not path.exists()
+        write_csv(path, ["t", "x"], [np.zeros(513), np.zeros(512)])
+    with pytest.raises(ValueError, match="columns differ in length"):
+        write_csv(path, ["t"], [np.zeros(512)], siblings=[(sibling, ["t"], [np.zeros(513)])])
+    assert not path.exists() and not sibling.exists()
 
 
-_float = st.floats(allow_nan=True, allow_infinity=True)
+_float = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=True, allow_infinity=True))
 
 
 @settings(max_examples=60, deadline=None)
@@ -187,8 +217,51 @@ _float = st.floats(allow_nan=True, allow_infinity=True)
 def test_float_columns_property(out_dir, data, n, k):
     cols = [np.array(data.draw(st.lists(_float, min_size=n, max_size=n)), dtype=float)
             for _ in range(k)]
-    given = [format_floats(c) if data.draw(st.booleans()) else c for c in cols]
-    _assert_columns_match(out_dir, [f"c{j}" for j in range(k)], given, cols)
+    # a column may be passed twice, as the same array
+    given = [cols[data.draw(st.integers(0, j))] if data.draw(st.booleans()) else c
+             for j, c in enumerate(cols)]
+    _assert_columns_match(out_dir, [f"c{j}" for j in range(k)], given, given)
+
+
+_DERIVED = {
+    "same": lambda c: c,
+    "copy": lambda c: c.copy(),
+    "plus_zero": lambda c: c + 0.0,  # -0 becomes 0: a copy whose zeros differ in sign
+    "negation": lambda c: -c,
+    "negation_plus_zero": lambda c: -c + 0.0,  # time_reverse's spin-down zeros
+    "abs": np.abs,  # neither a copy nor a negation where the signs are mixed
+    "other": lambda c: np.flip(c).copy(),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.one_of(st.sampled_from([127, 128, 129, 257]), st.integers(0, 40)),
+       k=st.integers(1, 4), siblings=st.integers(1, 3))
+def test_sibling_files_property(out_dir, data, n, k, siblings):
+    # siblings of copies and negations of the first file's columns, one of them
+    # a negation except at one NaN, give each file's own bytes
+    first = [np.array(data.draw(st.lists(_float, min_size=n, max_size=n)), dtype=float)
+             for _ in range(k)]
+    files = [("f0.csv", [f"c{j}" for j in range(k)], first)]
+    for s in range(1, siblings + 1):
+        cols = []
+        for j in range(data.draw(st.integers(1, 4))):
+            c = first[data.draw(st.integers(0, k - 1))]
+            cols.append(_DERIVED[data.draw(st.sampled_from(sorted(_DERIVED)))](c))
+        if n and data.draw(st.booleans()):
+            c = -first[0]
+            c[data.draw(st.integers(0, n - 1))] = math.nan
+            cols.append(c)
+        files.append((f"f{s}.csv", [f"d{j}" for j in range(len(cols))], cols))
+    _assert_pass_matches(out_dir, files, comments=["config_sha256=abc"])
+
+
+def test_negation_but_for_one_nan_is_formatted_directly(out_dir):
+    x = np.array([1.5, -0.0, 0.0, 2.0, math.inf])
+    y = -x
+    y[3] = math.nan
+    _assert_pass_matches(out_dir, [("x.csv", ["x"], [x]), ("y.csv", ["y"], [y])])
+    assert (out_dir / "y.csv").read_text().splitlines()[1:] == ["-1.5", "0", "-0", "nan", "-inf"]
 
 
 # -- artifacts -------------------------------------------------------------------
