@@ -56,7 +56,8 @@ def _text_sources(columns: list[np.ndarray]) -> list[tuple[int, bool, list, list
     plan: list[tuple[int, bool, list, list]] = []
     for j, c in enumerate(columns):
         for i, e in enumerate(columns[:j]):
-            if plan[i][0] != i:
+            # a distinct column is a source; one whose first row differs is no match
+            if plan[i][0] != i or c.size and c[0] != e[0] and c[0] != -e[0]:
                 continue
             if c is e or np.array_equal(c, e):
                 neg = False
