@@ -23,7 +23,7 @@ import json
 
 import numpy as np
 
-# rows formatted and written per block
+# rows formatted and written per block; 256 and 512 raised the README demo's peak RSS
 _BLOCK = 128
 
 

@@ -133,7 +133,9 @@ def propagate(traj: OmegaTrajectory, psi0: np.ndarray, t_end: float, step: float
         defect = max(defect, float(np.abs(
             a.real ** 2 + a.imag ** 2 + b.real ** 2 + b.imag ** 2 - 1.0).max()))
         p, m = psi
-        states = np.stack((a * p + b * m, a.conj() * m - b.conj() * p), axis=-1)
+        states = np.empty((a.size, 2), dtype=complex)
+        states[:, 0] = a * p + b * m
+        states[:, 1] = a.conj() * m - b.conj() * p
         first = -(k + 1) % thin  # the block's first kept step, global index a multiple of thin
         kept[(k + 1 + first) // thin:(k + tk.size) // thin + 1] = states[first::thin]
         psi = states[-1]
