@@ -14,8 +14,7 @@ from .errors import (ConfigError, GridMismatchError, NoSolutionError,
 from .invariant import (AuxiliarySolution, integrate_auxiliary, lvn_residual_samples,
                         lvn_residual_series, solve_precession_lambda)
 from .oracle import PropagatorRun, fidelity, propagate
-from .phases import (PhaseHistory, accumulate_phases, berry_limit_check,
-                     dynamical_phase, geometric_phase, lr_states)
+from .phases import PhaseHistory, accumulate_phases, berry_limit_check, lr_states
 from .scenario import (MoleculeModel, RotationRegime, c60_model,
                        free_rotation_correlation_time, precession_from_torque,
                        regime_presets)
@@ -31,8 +30,8 @@ __all__ = [
     "HBAR_EV_S", "MoleculeModel", "NoSolutionError", "OmegaTrajectory",
     "OutOfDomainError", "PerturbationModel", "PhaseHistory", "PropagatorRun",
     "RotationRegime", "SingularityError", "SpectralLine", "SpinRotError",
-    "accumulate_phases", "berry_limit_check", "c60_model", "dynamical_phase", "fidelity",
-    "free_rotation_correlation_time", "geometric_phase", "integrate_auxiliary",
+    "accumulate_phases", "berry_limit_check", "c60_model", "fidelity",
+    "free_rotation_correlation_time", "integrate_auxiliary",
     "line_table", "lr_states", "lvn_residual_samples", "lvn_residual_series",
     "precession_from_torque", "propagate", "regime_presets", "resonance_scan",
     "solve_precession_lambda", "spectral_shift", "transition_amplitude",

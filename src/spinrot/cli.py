@@ -30,7 +30,7 @@ from .io_utils import write_csv, write_json, write_rows
 from .oracle import fidelity, propagate
 from .phases import accumulate_phases, berry_limit_check, lr_states
 from .spectroscopy import spectral_shift
-from .spin_algebra import rotation_stack, time_reverse
+from .spin_algebra import frame_state, time_reverse
 from .trajectory import check_sample_cap
 
 EXIT_OK = 0
@@ -165,7 +165,7 @@ def run_verify(cfg: RunConfig) -> dict:
     n_oracle = (sol.n_samples - 1) * thin
     oracle_step = (t_end - t0) / n_oracle if n_oracle else oracle_cfg["step"]
     tol = cfg.data["verify"]
-    psi0 = rotation_stack(sol.lam[0], sol.gamma[0])[:, 0]  # V(0)|+1/2>
+    psi0 = frame_state(sol.lam[0], sol.gamma[0])  # V(0)|+1/2>
 
     def oracle(step, k, sigmas):
         # one chain per grid, from V(0)|+1/2>; the spin-down run is its time reverse

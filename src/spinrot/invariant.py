@@ -61,7 +61,7 @@ class AuxiliarySolution:
     n_halvings: int = 0
     max_error_rate: float = 0.0  # adaptive mode: max local error per unit time
     meta: dict = field(default_factory=dict)
-    # (sigma, phi_dyn, phi_geo) of the first phases asked for, kept by `phases`
+    # (phi_dyn, phi_geo) at sigma = +1/2, kept by `phases`
     _phase_series: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property

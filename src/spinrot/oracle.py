@@ -127,8 +127,7 @@ def propagate(traj: OmegaTrajectory, psi0: np.ndarray, t_end: float, step: float
         c = np.cross(w2, w1)
         coarse = coarse or under_resolved(traj.omega0, w1, w2, c, h)
         v = 0.5 * (w1 + w2) + (math.sqrt(3.0) / 12.0 * h) * c
-        u = spin_rotation_propagators(v, h)
-        a, b = _prefix_products(u[:, 0, 0], u[:, 0, 1])
+        a, b = _prefix_products(*spin_rotation_propagators(v, h))
         # constructed unitaries: the products' defect probes the rounding they accumulate
         defect = max(defect, float(np.abs(
             a.real ** 2 + a.imag ** 2 + b.real ** 2 + b.imag ** 2 - 1.0).max()))
@@ -147,13 +146,12 @@ def propagate(traj: OmegaTrajectory, psi0: np.ndarray, t_end: float, step: float
 
 
 def _prefix_products(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Running products U_j ... U_0 of the SU(2) pairs (a_j, b_j), as pairs, by an inclusive scan.
+    """Running products U_j ... U_0 of the SU(2) pairs (a_j, b_j), scanned in place into a, b.
 
     (a1, b1)(a2, b2) = (a1 a2 - b1 b2*, a1 b2 + b1 a2*) is the pair of
     [[a1, b1], [-b1*, a1*]] [[a2, b2], [-b2*, a2*]]. Level d multiplies each
     entry from d on by the entry d before it, on its right.
     """
-    a, b = a.copy(), b.copy()
     d = 1
     while d < a.size:
         al, bl, ar, br = a[d:], b[d:], a[:-d], b[:-d]

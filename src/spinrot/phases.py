@@ -8,7 +8,7 @@ with composite Simpson quadrature on the same grid (no interpolation):
     phi_geo(t) = sigma * int_0^t dgamma/dt (1 - cos(lam)) dt'
 
 Both are integrated once per solution: sigma only scales them, so the
-other sigma's series are the exact negation of the first one's.
+sigma = -1/2 series are the exact negation of the sigma = +1/2 ones.
 
 phi_geo depends only on the (lam, gamma) path, not on how fast it is
 traversed, and reduces per closed adiabatic cycle to the solid-angle value
@@ -24,7 +24,7 @@ The particular solution carrying these phases is
 
     |psi_sigma(t)> = exp(-i [phi_dyn + phi_geo]) V(t) |sigma>,
 
-assembled on the whole grid by `lr_states`.
+assembled on the whole grid by `lr_states`, with V|-1/2> = Theta V|+1/2>.
 
 The running quadrature is a numpy port of scipy 1.17's `cumulative_simpson`,
 same formulas in the same order and so the same bits; a whole integral is a
@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import GridMismatchError
 from .invariant import AuxiliarySolution
-from .spin_algebra import rotation_stack, validate_sigma
+from .spin_algebra import frame_state, time_reverse, validate_sigma
 from .trajectory import OmegaTrajectory
 
 
@@ -140,18 +140,18 @@ def _check_series(sol: AuxiliarySolution, traj: OmegaTrajectory) -> None:
 def _phase_series(sol: AuxiliarySolution, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     """(phi_dyn, phi_geo) at sigma, integrated once per solution.
 
-    The first sigma's series are kept on the solution, read-only, and
-    returned as they are for that sigma. The other sigma's are their
-    negation, which is sigma * integral bit for bit.
+    The sigma = +1/2 series are kept on the solution, read-only, and
+    returned as they are. The sigma = -1/2 ones are their negation, which
+    is -1/2 * integral bit for bit.
     """
     if sol.n_samples == 1:
         return np.zeros(1), np.zeros(1)
     if sol._phase_series is None:
-        dyn, geo = sigma * _dynamical_integral(sol), sigma * _geometric_integral(sol)
+        dyn, geo = 0.5 * _dynamical_integral(sol), 0.5 * _geometric_integral(sol)
         dyn.flags.writeable = geo.flags.writeable = False
-        sol._phase_series = (sigma, dyn, geo)
-    first, dyn, geo = sol._phase_series
-    return (dyn, geo) if sigma == first else (-dyn, -geo)
+        sol._phase_series = (dyn, geo)
+    dyn, geo = sol._phase_series
+    return (dyn, geo) if sigma > 0 else (-dyn, -geo)
 
 
 def _dynamical_integral(sol: AuxiliarySolution) -> np.ndarray:
@@ -186,16 +186,6 @@ def _geometric_integral(sol: AuxiliarySolution) -> np.ndarray:
     return phase
 
 
-def dynamical_phase(sol: AuxiliarySolution, sigma: float) -> np.ndarray:
-    """Running dynamical phase on the solution grid, from its drive samples."""
-    return _phase_series(sol, validate_sigma(sigma))[0]
-
-
-def geometric_phase(sol: AuxiliarySolution, sigma: float) -> np.ndarray:
-    """Running geometric phase; independent of w0 given the angle history."""
-    return _phase_series(sol, validate_sigma(sigma))[1]
-
-
 def accumulate_phases(sol: AuxiliarySolution, traj: OmegaTrajectory, sigma: float) -> PhaseHistory:
     """Both running phases; traj must be the solution's drive or an equivalent one."""
     _check_series(sol, traj)
@@ -222,9 +212,10 @@ def _on_grid(sol: AuxiliarySolution, history: PhaseHistory) -> PhaseHistory:
 def lr_states(sol: AuxiliarySolution, history: PhaseHistory) -> np.ndarray:
     """Particular-solution states on the solution grid, shape (N, 2)."""
     _on_grid(sol, history)
-    v = rotation_stack(sol.lam, sol.gamma)
-    col = 0 if history.sigma > 0 else 1
-    return np.exp(-1j * history.phi_total)[:, None] * v[:, :, col]
+    v = frame_state(sol.lam, sol.gamma)
+    if history.sigma < 0:
+        v = time_reverse(v)
+    return np.exp(-1j * history.phi_total)[:, None] * v
 
 
 def quadrature_error_estimate(y: np.ndarray, t: np.ndarray) -> float:

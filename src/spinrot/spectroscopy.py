@@ -35,7 +35,7 @@ import numpy as np
 from .constants import HBAR_EV_S
 from .invariant import AuxiliarySolution, solve_precession_lambda
 from .phases import PhaseHistory, _on_grid, _simpson_weights
-from .spin_algebra import rotation_stack, validate_sigma
+from .spin_algebra import frame_state, time_reverse, validate_sigma
 
 _FIRST_ORDER_WARN = 0.1  # |a| beyond this leaves the first-order regime
 _GRID_ULPS = 8  # a scan frequency may sit this many ulps off f0 + k df
@@ -136,10 +136,10 @@ def _amplitude_integrand(pert, from_level, to_level, sol, phase_histories):
     hist_from = _phase_history_for(sol, phase_histories, from_level.sigma)
     hist_to = _phase_history_for(sol, phase_histories, to_level.sigma)
     b = pert.block(to_level.n, from_level.n)
-    v = rotation_stack(sol.lam, sol.gamma)
-    to = v[:, :, _spin_index(to_level.sigma)].conj()
-    fr = v[:, :, _spin_index(from_level.sigma)]
-    # <to| V^dag b V |from>: the two columns V|sigma'>, V|sigma> around the block
+    up = frame_state(sol.lam, sol.gamma)
+    fr, to = (up if lv.sigma > 0 else time_reverse(up) for lv in (from_level, to_level))
+    to = to.conj()
+    # <to| V^dag b V |from>: the two states V|sigma'>, V|sigma> around the block
     elem = (to[:, 0] * (b[0, 0] * fr[:, 0] + b[0, 1] * fr[:, 1])
             + to[:, 1] * (b[1, 0] * fr[:, 0] + b[1, 1] * fr[:, 1])) / HBAR_EV_S
     phi_tot = (hist_from.phi_total + from_level.epsilon_rad_s * sol.t) \

@@ -16,8 +16,7 @@ from spinrot.invariant import (AuxiliarySolution, integrate_auxiliary,
                                lvn_residual_samples, lvn_residual_series,
                                solve_precession_lambda)
 from spinrot.oracle import fidelity, propagate
-from spinrot.phases import (accumulate_phases, berry_limit_check,
-                            dynamical_phase, geometric_phase, lr_states)
+from spinrot.phases import accumulate_phases, berry_limit_check, lr_states
 from spinrot.scenario import (c60_model, free_rotation_correlation_time,
                               precession_from_torque, regime_presets)
 from spinrot.spectroscopy import (EnergyLevel, PerturbationModel,
@@ -63,8 +62,8 @@ def test_criterion_2_phase_rates():
         traj, lam_star, sol = _locked_run(periods=2.0)
         t_end = float(sol.t[-1])
         for sigma in (0.5, -0.5):
-            d_rate = dynamical_phase(sol, sigma)[-1] / t_end
-            g_rate = geometric_phase(sol, sigma)[-1] / t_end
+            d_rate = accumulate_phases(sol, sol.traj, sigma).phi_dyn[-1] / t_end
+            g_rate = accumulate_phases(sol, sol.traj, sigma).phi_geo[-1] / t_end
             assert d_rate == pytest.approx(
                 sigma * W0 * math.cos(lam_star - TH), rel=1e-9)
             assert g_rate == pytest.approx(
@@ -84,7 +83,7 @@ def test_criterion_3_berry_limit_sweep():
             traj = OmegaTrajectory.constant_precession(W0, Om, theta)
             lam = solve_precession_lambda(W0, Om, theta)
             sol = integrate_auxiliary(traj, lam, 0.0, 2.0 * math.pi / Om, 0.05)
-            phi_g = geometric_phase(sol, 0.5)[-1]
+            phi_g = accumulate_phases(sol, sol.traj, 0.5).phi_geo[-1]
             errs.append(abs(phi_g - ref) / ref)
         elapsed = time.perf_counter() - start
         assert all(errs[i] > errs[i + 1] for i in range(len(errs) - 1)), errs
@@ -249,6 +248,6 @@ def test_criterion_8_randomized_properties():
                 lam_dot=np.gradient(lam_path(2.0 * t2 / T), t2),
                 gamma_dot=gam_rate(2.0 * t2 / T) * 2.0 / T, theta=np.full_like(t2, 1.0),
                 phi=np.zeros_like(t2), step=float(t2[1] - t2[0]))
-            g1 = geometric_phase(s1, 0.5)[-1]
-            g2 = geometric_phase(s2, 0.5)[-1]
+            g1 = accumulate_phases(s1, s1.traj, 0.5).phi_geo[-1]
+            g2 = accumulate_phases(s2, s2.traj, 0.5).phi_geo[-1]
             assert abs(g1 - g2) < 1e-10

@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drives import S1, S2, S3, spline_drive
+from drives import S1, S2, S3, frame_matrix, spline_drive
 from spinrot import invariant
 from spinrot.errors import NoSolutionError, OutOfDomainError, SingularityError
 from spinrot.invariant import (EPS_LAMBDA, AuxiliarySolution, integrate_auxiliary,
                                lvn_residual_samples, lvn_residual_series,
                                solve_precession_lambda)
-from spinrot.spin_algebra import rotation_stack
 from spinrot.trajectory import OmegaTrajectory, omega_from_angles
 
 W0, OM, TH = 1.0, 0.5, math.pi / 3.0  # reference precession case; lam* = pi/2
@@ -128,19 +127,19 @@ def test_invariant_eigenvalues_are_half(lam, gam):
 
 
 def test_transform_identity_at_zero():
-    assert np.allclose(rotation_stack(0.0, 0.7), np.eye(2), atol=1e-16)
+    assert np.allclose(frame_matrix(0.0, 0.7), np.eye(2), atol=1e-16)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.floats(0.0, math.pi), st.floats(-20.0, 20.0))
 def test_transform_diagonalizes_invariant(lam, gam):
-    v = rotation_stack(lam, gam)
+    v = frame_matrix(lam, gam)
     m = invariant_matrix(lam, gam)
     assert np.linalg.norm(v.conj().T @ m @ v - S3) < 1e-11
 
 
 def test_transform_maps_s1_eigenvectors():
-    v = rotation_stack(math.pi / 2.0, 0.0)
+    v = frame_matrix(math.pi / 2.0, 0.0)
     plus_x = np.array([1.0, 1.0]) / math.sqrt(2.0)  # S1 eigenvector, +1/2
     mapped = v.conj().T @ plus_x
     assert abs(abs(mapped[0]) - 1.0) < 1e-14 and abs(mapped[1]) < 1e-14
@@ -252,7 +251,7 @@ def test_transform_diagonalizes_along_run():
     sol = integrate_auxiliary(traj, 1.2, 0.3, 8.0, 0.01)
     for i in range(0, sol.n_samples, 101):
         m = invariant_matrix(sol.lam[i], sol.gamma[i])
-        v = rotation_stack(sol.lam[i], sol.gamma[i])
+        v = frame_matrix(sol.lam[i], sol.gamma[i])
         assert np.linalg.norm(v.conj().T @ m @ v - S3) < 1e-11
 
 

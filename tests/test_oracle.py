@@ -8,12 +8,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from drives import basis_state, cone_propagators, spline_drive
+from drives import basis_state, cone_propagators, frame_matrix, spline_drive, su2_matrix
 from spinrot.errors import ConfigError, GridMismatchError
 from spinrot.invariant import integrate_auxiliary, solve_precession_lambda
 from spinrot.oracle import _turn_per_step, fidelity, propagate, under_resolved
 from spinrot.phases import accumulate_phases, lr_states
-from spinrot.spin_algebra import rotation_stack, spin_rotation_propagators, time_reverse
+from spinrot.spin_algebra import frame_state, spin_rotation_propagators, time_reverse
 from spinrot.trajectory import MAX_SAMPLES, OmegaTrajectory
 
 
@@ -198,7 +198,7 @@ def test_magnus_state_error_fourth_order():
     # against the exact cone propagator, halving the step cuts the error ~16x
     w0, Om, th = 1.0, 0.5, math.pi / 3.0
     traj = OmegaTrajectory.constant_precession(w0, Om, th)
-    psi0 = rotation_stack(0.7, 0.3) @ basis_state(0.5)
+    psi0 = frame_matrix(0.7, 0.3) @ basis_state(0.5)
     t_end = 2.0 * 2.0 * math.pi / Om
     errs = []
     for h in (0.08, 0.04, 0.02):
@@ -245,7 +245,7 @@ def test_oracle_validates_particular_solution():
     for sigma in (0.5, -0.5):
         hist = accumulate_phases(sol, traj, sigma)
         states = lr_states(sol, hist)
-        psi0 = rotation_stack(lam, 0.0) @ basis_state(sigma)
+        psi0 = frame_matrix(lam, 0.0) @ basis_state(sigma)
         n = sol.n_samples - 1
         run = propagate(traj, psi0, t_end, t_end / (n * 4), thin=4)
         fid, phase = fidelity(run, sol.t, states)
@@ -278,7 +278,7 @@ def _reference_propagate(traj, psi0, t_end, step, t0):
     w1 = traj.omega(t[:-1] + (0.5 - off) * h)
     w2 = traj.omega(t[:-1] + (0.5 + off) * h)
     v = 0.5 * (w1 + w2) + (math.sqrt(3.0) / 12.0 * h) * np.cross(w2, w1)
-    u = spin_rotation_propagators(v, h)
+    u = su2_matrix(*spin_rotation_propagators(v, h))
     defect = float(np.abs(np.abs(u[:, 0, 0]) ** 2 + np.abs(u[:, 0, 1]) ** 2 - 1.0).max())
     u00, u01 = u[:, 0, 0].tolist(), u[:, 0, 1].tolist()
     u10, u11 = u[:, 1, 0].tolist(), u[:, 1, 1].tolist()
@@ -292,8 +292,8 @@ def _reference_propagate(traj, psi0, t_end, step, t0):
 # below; the largest measured is 3.8e-14
 _SCAN_VS_LOOP = 1e-13
 
-_STATES = np.stack([rotation_stack(0.7, 0.3) @ basis_state(0.5),
-                    rotation_stack(0.7, 0.3) @ basis_state(-0.5),
+_STATES = np.stack([frame_matrix(0.7, 0.3) @ basis_state(0.5),
+                    frame_matrix(0.7, 0.3) @ basis_state(-0.5),
                     np.array([0.6, 0.8j])])
 
 
@@ -325,11 +325,11 @@ def test_unitarity_defect_is_the_max_over_blocks(monkeypatch):
     rows = []
 
     def first_block_scaled(omegas, dt, _fn=oracle.spin_rotation_propagators):
-        u = _fn(omegas, dt)
+        a, b = _fn(omegas, dt)
         if not rows:
-            u = u * (1.0 + 1e-6)
+            a, b = a * (1.0 + 1e-6), b * (1.0 + 1e-6)
         rows.append(len(omegas))
-        return u
+        return a, b
 
     monkeypatch.setattr(oracle, "spin_rotation_propagators", first_block_scaled)
     traj = OmegaTrajectory.constant_precession(1.0, 0.5, 1.0)
@@ -345,7 +345,7 @@ def test_thinned_run_is_the_unthinned_run_sliced(thin, backward):
     # scanned states, so thinning selects them bit for bit
     traj = OmegaTrajectory.constant_precession(1.0, 0.5, 1.0, 0.2)
     t0, t_end = (20.6, 0.0) if backward else (0.0, 20.6)
-    psi0 = rotation_stack(0.7, 0.3) @ basis_state(0.5)
+    psi0 = frame_matrix(0.7, 0.3) @ basis_state(0.5)
     full = propagate(traj, psi0, t_end, 0.01, t0=t0)
     thinned = propagate(traj, psi0, t_end, 0.01, t0=t0, thin=thin)
     assert full.t.size == 2061
@@ -359,7 +359,7 @@ def test_scan_error_grows_as_the_loop_does():
     # scan's error is within 1.25x the every-step loop's (measured: 0.88x)
     w0, Om, th = 1.0, 0.5, math.pi / 3.0
     traj = OmegaTrajectory.constant_precession(w0, Om, th)
-    psi0 = rotation_stack(0.7, 0.3) @ basis_state(0.5)
+    psi0 = frame_matrix(0.7, 0.3) @ basis_state(0.5)
     t_end, n = 10.0 * 2.0 * math.pi / Om, 200_000
     run = propagate(traj, psi0, t_end, t_end / n, thin=100)
     _, states, _ = _reference_propagate(traj, psi0, t_end, t_end / n, 0.0)
@@ -441,7 +441,7 @@ def test_time_reverse_commutes_with_propagate(w0, Om, th, ph0, spline, backward,
     else:
         traj = OmegaTrajectory.constant_precession(w0, Om, th, ph0)
     t0, t_end = (span, 0.0) if backward else (0.0, span)
-    psi = np.exp(1j * chi) * rotation_stack(lam, gam)[:, 0]
+    psi = np.exp(1j * chi) * frame_state(lam, gam)
     up = propagate(traj, psi, t_end, span / 2055, t0=t0, thin=thin)
     down = propagate(traj, time_reverse(psi), t_end, span / 2055, t0=t0, thin=thin)
     assert up.t.size == 2055 // thin + 1

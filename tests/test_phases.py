@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson, cumulative_trapezoid, simpson
 
-from drives import basis_state, cone_propagators, spline_drive
+from drives import basis_state, cone_propagators, frame_matrix, spline_drive
 from spinrot import phases
 from spinrot.invariant import (AuxiliarySolution, integrate_auxiliary,
                                solve_precession_lambda)
-from spinrot.phases import (_cumulative_simpson, _simpson_weights, accumulate_phases, berry_limit_check, dynamical_phase,
-                            geometric_phase, lr_states, quadrature_error_estimate)
-from spinrot.spin_algebra import rotation_stack, validate_sigma
+from spinrot.phases import (_cumulative_simpson, _simpson_weights, accumulate_phases, berry_limit_check,
+                            lr_states, quadrature_error_estimate)
+from spinrot.spin_algebra import validate_sigma
 from spinrot.trajectory import OmegaTrajectory
 
 W0, OM, TH = 1.0, 0.5, math.pi / 3.0
@@ -42,7 +42,7 @@ def _synthetic_solution(traj, t, lam, gamma, gamma_dot):
 def assemble_state(lam, gamma, phi_total, sigma):
     """exp(-i phi_total) V(lam, gamma) |sigma>, one sample at a time."""
     validate_sigma(sigma)
-    return np.exp(-1j * phi_total) * (rotation_stack(lam, gamma) @ basis_state(sigma))
+    return np.exp(-1j * phi_total) * (frame_matrix(lam, gamma) @ basis_state(sigma))
 
 
 def trapezoid_geo_phase(sol, sigma):
@@ -57,14 +57,14 @@ def test_static_fixed_point_rate():
     # aligned invariant on a static field: integrand collapses to w0 sigma
     traj = OmegaTrajectory.constant_precession(2.0, 0.0, 0.9, 0.3)
     sol = integrate_auxiliary(traj, 0.9, 0.3, 10.0, 0.01)
-    phi_d = dynamical_phase(sol, 0.5)
+    phi_d = accumulate_phases(sol, sol.traj, 0.5).phi_dyn
     assert np.abs(phi_d - 0.5 * 2.0 * sol.t).max() < 1e-10
-    assert np.abs(geometric_phase(sol, 0.5)).max() < 1e-12
+    assert np.abs(accumulate_phases(sol, sol.traj, 0.5).phi_geo).max() < 1e-12
 
 
 def test_precession_dynamical_rate():
     traj, sol = _locked_solution()
-    phi_d = dynamical_phase(sol, 0.5)
+    phi_d = accumulate_phases(sol, sol.traj, 0.5).phi_dyn
     rate = phi_d[-1] / sol.t[-1]
     assert rate == pytest.approx(0.5 * W0 * math.cos(LAM_STAR - TH), rel=1e-9)
     assert rate == pytest.approx(0.4330127018922193, rel=1e-9)
@@ -72,7 +72,7 @@ def test_precession_dynamical_rate():
 
 def test_precession_geometric_rate():
     traj, sol = _locked_solution()
-    phi_g = geometric_phase(sol, 0.5)
+    phi_g = accumulate_phases(sol, sol.traj, 0.5).phi_geo
     rate = phi_g[-1] / sol.t[-1]
     assert rate == pytest.approx(0.5 * OM * (1.0 - math.cos(LAM_STAR)), rel=1e-9)
     assert rate == pytest.approx(0.25, rel=1e-9)
@@ -81,15 +81,15 @@ def test_precession_geometric_rate():
 def test_zero_coupling_zero_phases():
     traj = OmegaTrajectory.constant_precession(0.0, 0.0, 1.0)
     sol = integrate_auxiliary(traj, 0.8, 0.1, 5.0, 0.05)
-    assert np.abs(dynamical_phase(sol, 0.5)).max() == 0.0
-    assert np.abs(geometric_phase(sol, 0.5)).max() == 0.0
+    assert np.abs(accumulate_phases(sol, sol.traj, 0.5).phi_dyn).max() == 0.0
+    assert np.abs(accumulate_phases(sol, sol.traj, 0.5).phi_geo).max() == 0.0
 
 
 def test_adiabatic_cycle_is_pi():
     # equatorial cone, one slow cycle: phi_g(T) -> pi for sigma = +1/2
     w0, Om, th = 1.0, 1e-3, math.pi / 2.0
     traj, sol = _locked_solution(periods=1.0, step=0.5, w0=w0, Om=Om, th=th)
-    phi_g = geometric_phase(sol, 0.5)
+    phi_g = accumulate_phases(sol, sol.traj, 0.5).phi_geo
     assert phi_g[-1] == pytest.approx(math.pi, rel=2e-3)
 
 
@@ -122,8 +122,8 @@ def test_sigma_antisymmetry_exact():
 
 @pytest.mark.parametrize("Om, th", [(OM, TH), (2.0, math.pi / 6.0)])  # north, south chart
 def test_phases_integrated_once_per_solution(Om, th, monkeypatch):
-    # the other sigma's series negate the first one's: bit for bit what a
-    # direct integration at that sigma gives, signed zeros included
+    # the sigma = -1/2 series negate the +1/2 ones, asked first or not: bit for
+    # bit what a direct integration at that sigma gives, signed zeros included
     traj, sol = _locked_solution(periods=1.0, Om=Om, th=th)
     _, fresh = _locked_solution(periods=1.0, Om=Om, th=th)
     calls = []
@@ -139,7 +139,7 @@ def test_phases_integrated_once_per_solution(Om, th, monkeypatch):
             got, want = getattr(hist, key), getattr(direct[hist.sigma], key)
             assert got.tobytes() == want.tobytes(), (hist.sigma, key)
     with pytest.raises(ValueError):
-        down.phi_geo[0] = 1.0  # the kept series are read-only
+        up.phi_geo[0] = 1.0  # the kept series are read-only
 
 
 def test_phase_total_is_sum():
@@ -156,7 +156,7 @@ def test_geometric_phase_vanishes_at_small_lambda():
     t = np.linspace(0.0, 10.0, 1001)
     lam = np.full_like(t, 1e-8)
     sol = _synthetic_solution(traj, t, lam, 3.0 * t, np.full_like(t, 3.0))
-    assert np.abs(geometric_phase(sol, 0.5)).max() < 1e-15
+    assert np.abs(accumulate_phases(sol, sol.traj, 0.5).phi_geo).max() < 1e-15
 
 
 def test_geometric_phase_independent_of_omega0():
@@ -169,7 +169,8 @@ def test_geometric_phase_independent_of_omega0():
     gdot = np.full_like(t, 0.8)
     s1 = _synthetic_solution(traj1, t, lam, gam, gdot)
     s2 = _synthetic_solution(traj2, t, lam, gam, gdot)
-    assert np.array_equal(geometric_phase(s1, 0.5), geometric_phase(s2, 0.5))
+    assert np.array_equal(accumulate_phases(s1, s1.traj, 0.5).phi_geo,
+                          accumulate_phases(s2, s2.traj, 0.5).phi_geo)
 
 
 # -- Berry limit -------------------------------------------------------------------
@@ -191,7 +192,7 @@ def test_berry_convergence_sweep():
     errs = []
     for ratio in (1e-1, 1e-2, 1e-3):
         traj, sol = _locked_solution(periods=1.0, step=0.05, w0=1.0, Om=ratio, th=th)
-        phi_g = geometric_phase(sol, 0.5)[-1]
+        phi_g = accumulate_phases(sol, sol.traj, 0.5).phi_geo[-1]
         errs.append(abs(phi_g - ref) / ref)
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 1e-3
@@ -232,12 +233,12 @@ def test_geometric_phase_reparametrization_invariant():
     sol2 = _synthetic_solution(traj2, t2, lam_path(2.0 * t2 / T), gam_path(2.0 * t2 / T),
                                gam_rate(2.0 * t2 / T) * 2.0 / T)
 
-    g1 = geometric_phase(sol1, 0.5)[-1]
-    g2 = geometric_phase(sol2, 0.5)[-1]
+    g1 = accumulate_phases(sol1, sol1.traj, 0.5).phi_geo[-1]
+    g2 = accumulate_phases(sol2, sol2.traj, 0.5).phi_geo[-1]
     assert abs(g1 - g2) < 1e-10
 
-    d1 = dynamical_phase(sol1, 0.5)[-1]
-    d2 = dynamical_phase(sol2, 0.5)[-1]
+    d1 = accumulate_phases(sol1, sol1.traj, 0.5).phi_dyn[-1]
+    d2 = accumulate_phases(sol2, sol2.traj, 0.5).phi_dyn[-1]
     assert d2 == pytest.approx(d1 / 2.0, rel=1e-8)
     assert abs(d1 - d2) > 1e-3  # the dynamical part is genuinely rate-dependent
 
@@ -252,8 +253,8 @@ def test_simpson_beats_trapezoid_by_h2():
     for step in (0.2, 0.1, 0.05):
         sol = integrate_auxiliary(traj, lam0, 0.0, 8.0, step)
         fine = integrate_auxiliary(traj, lam0, 0.0, 8.0, 0.002)
-        ref = geometric_phase(fine, 0.5)[-1]
-        simp = geometric_phase(sol, 0.5)[-1]
+        ref = accumulate_phases(fine, fine.traj, 0.5).phi_geo[-1]
+        simp = accumulate_phases(sol, sol.traj, 0.5).phi_geo[-1]
         trap = trapezoid_geo_phase(sol, 0.5)[-1]
         ratios.append(abs(trap - ref) / abs(simp - ref))
     # error ratio grows like h^-2 as h shrinks; at the finest step the
@@ -377,7 +378,7 @@ def test_assemble_state_norm_and_structure():
         psi = assemble_state(lam, gam, phi, -0.5)
         assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
         # equals V |sigma> up to the phase factor
-        ref = rotation_stack(lam, gam) @ basis_state(-0.5)
+        ref = frame_matrix(lam, gam) @ basis_state(-0.5)
         assert np.abs(psi - np.exp(-1j * phi) * ref).max() < 1e-14
 
 

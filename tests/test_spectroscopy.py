@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
-from drives import basis_state, spline_drive
+from drives import basis_state, frame_matrix, spline_drive
 from spinrot import spectroscopy
 from spinrot.constants import HBAR_EV_S
 from spinrot.errors import GridMismatchError, NoSolutionError
@@ -19,7 +19,6 @@ from spinrot.spectroscopy import (EnergyLevel, PerturbationModel,
                                   line_table, peak_frequency,
                                   resonance_scan, spectral_shift,
                                   transition_amplitude, _amplitude_integrand)
-from spinrot.spin_algebra import rotation_stack
 from spinrot.trajectory import OmegaTrajectory
 
 
@@ -49,7 +48,7 @@ def _phi_tot(from_level, to_level, sol, hists):
     block = np.diag([1.0, -1.0]) if from_level.sigma != to_level.sigma else np.eye(2)
     pert = PerturbationModel({(to_level.n, from_level.n): block})
     g = _amplitude_integrand(pert, from_level, to_level, sol, hists)
-    v = rotation_stack(sol.lam, sol.gamma)
+    v = frame_matrix(sol.lam, sol.gamma)
     to = v[:, :, 0 if to_level.sigma > 0 else 1].conj()
     fr = v[:, :, 0 if from_level.sigma > 0 else 1]
     elem = (to[:, 0] * (block[0, 0] * fr[:, 0] + block[0, 1] * fr[:, 1])
@@ -96,10 +95,10 @@ def test_total_phase_matches_oracle_reconstruction():
     oracle_phase = {}
     hists = {}
     n = sol.n_samples - 1
-    v = rotation_stack(sol.lam, sol.gamma)
+    v = frame_matrix(sol.lam, sol.gamma)
     for sigma in (0.5, -0.5):
         hists[sigma] = accumulate_phases(sol, traj, sigma)
-        psi0 = rotation_stack(1.1, 0.0) @ basis_state(sigma)
+        psi0 = frame_matrix(1.1, 0.0) @ basis_state(sigma)
         run = propagate(traj, psi0, t_end, t_end / (n * 4), thin=4)
         # <sigma| V^dag(t) psi(t)> = e^{-i phi_sigma(t)}
         col = 0 if sigma > 0 else 1
@@ -367,7 +366,7 @@ def test_dressed_element_matches_einsum(to_sigma, from_sigma):
     _, sol, hists = _locked(periods=0.5)
     rng = np.random.default_rng(7)
     levels = (EnergyLevel(1, from_sigma, _rad(0.3)), EnergyLevel(1, to_sigma, _rad(0.3)))
-    v = rotation_stack(sol.lam, sol.gamma)
+    v = frame_matrix(sol.lam, sol.gamma)
     hist = {h.sigma: h for h in hists}
     phi_tot = (hist[from_sigma].phi_total + levels[0].epsilon_rad_s * sol.t) \
         - (hist[to_sigma].phi_total + levels[1].epsilon_rad_s * sol.t)
@@ -391,7 +390,7 @@ def test_amplitude_with_oracle_extracted_phases():
         {(2, 1): 0.005 * HBAR_EV_S * np.array([[0.2, 1.0], [1.0, -0.2]])})
     a_pipe = transition_amplitude(pert, levels[0], levels[1], sol, hists)
 
-    v = rotation_stack(sol.lam, sol.gamma)
+    v = frame_matrix(sol.lam, sol.gamma)
     n = sol.n_samples - 1
     t_end = float(sol.t[-1])
     oracle_hists = []

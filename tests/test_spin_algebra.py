@@ -1,4 +1,4 @@
-"""Spin operator algebra and closed-form SU(2) exponentials."""
+"""Spin operator algebra, closed-form SU(2) exponentials and the frame states."""
 
 import cmath
 import math
@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from drives import IDENTITY2, S1, S2, S3, S_MINUS, S_PLUS, basis_state
-from spinrot.spin_algebra import rotation_stack, spin_rotation_propagators, validate_sigma
+from drives import IDENTITY2, S1, S2, S3, S_MINUS, S_PLUS, basis_state, frame_matrix, su2_matrix
+from spinrot.spin_algebra import frame_state, spin_rotation_propagators, time_reverse, validate_sigma
 
 
 def hamiltonian(omega_vec):
@@ -21,8 +21,8 @@ def hamiltonian(omega_vec):
 
 
 def spin_rotation_propagator(omega_vec, dt):
-    """One row of the vectorized propagator."""
-    return spin_rotation_propagators(np.array([omega_vec], dtype=float), dt)[0]
+    """One row of the vectorized propagator, as a matrix."""
+    return su2_matrix(*spin_rotation_propagators(np.array([omega_vec], dtype=float), dt))[0]
 
 # -- exact-arithmetic commutator oracle -------------------------------------
 # 2x2 complex matrices as ((re, im) Fraction pairs); entries of the spin
@@ -103,7 +103,7 @@ def test_validate_sigma():
         validate_sigma(0)
 
 
-# -- rotation_stack ------------------------------------------------------------
+# -- the frame rotation V ------------------------------------------------------
 
 def _taylor_exp(beta, terms=30):
     a = np.array([[0.0, beta], [-np.conj(beta), 0.0]], dtype=complex)
@@ -124,12 +124,12 @@ def _scaling_squaring(beta, squarings=40):
 
 
 def test_rotation_stack_zero_is_identity():
-    assert np.array_equal(rotation_stack(0.0, 0.7), IDENTITY2)
+    assert np.array_equal(frame_matrix(0.0, 0.7), IDENTITY2)
 
 
 def test_rotation_stack_pi_rotation():
     # beta = -(lam/2) e^{-i gamma} with lam = pi, gamma = 0
-    v = rotation_stack(math.pi, 0.0)
+    v = frame_matrix(math.pi, 0.0)
     assert np.allclose(v, [[0.0, -1.0], [1.0, 0.0]], atol=1e-15)
     # independent scaling-and-squaring oracle
     assert np.allclose(v, _scaling_squaring(-math.pi / 2.0), atol=1e-10)
@@ -143,7 +143,7 @@ _angles = st.lists(st.tuples(st.floats(min_value=0.0, max_value=math.pi),
 @settings(max_examples=60, deadline=None)
 @given(_angles)
 def test_rotation_stack_unitary(angles):
-    v = rotation_stack(*np.array(angles).T)
+    v = frame_matrix(*np.array(angles).T)
     gram = np.conj(np.swapaxes(v, -1, -2)) @ v
     assert np.abs(gram - np.eye(2)).max() < 1e-15
     assert np.abs(np.linalg.det(v) - 1.0).max() < 1e-15
@@ -153,23 +153,33 @@ def test_rotation_stack_unitary(angles):
 @given(_angles)
 def test_rotation_stack_inverse(angles):
     lam, gam = np.array(angles).T
-    assert np.abs(rotation_stack(lam, gam) @ rotation_stack(-lam, gam) - np.eye(2)).max() < 1e-15
+    assert np.abs(frame_matrix(lam, gam) @ frame_matrix(-lam, gam) - np.eye(2)).max() < 1e-15
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, math.pi).filter(lambda lam: lam / 2.0 > 0.0),
+       st.floats(allow_nan=False, allow_infinity=False))
+def test_spin_down_frame_state_is_the_closed_form(lam, gam):
+    # Theta V|+1/2> is V|-1/2> = (-sin(lam/2) conj(e^{i gamma}), cos(lam/2)), bit for bit;
+    # where lam/2 is 0 (lam = 0 or 5e-324) only the sign of a zero may differ
+    want = np.array([-np.sin(lam / 2.0) * np.conj(np.exp(1j * gam)), np.cos(lam / 2.0)])
+    assert time_reverse(frame_state(lam, gam)).tobytes() == want.tobytes()
 
 
 def test_rotation_stack_matches_scalar():
     rng = np.random.default_rng(7)
     lam = rng.uniform(0.0, math.pi, 50)
     gam = rng.uniform(-10.0, 10.0, 50)
-    stack = rotation_stack(lam, gam)
+    stack = frame_matrix(lam, gam)
     for i in range(50):
-        assert np.abs(stack[i] - rotation_stack(lam[i], gam[i])).max() < 1e-14
+        assert np.abs(stack[i] - frame_matrix(lam[i], gam[i])).max() < 1e-14
 
 
 @settings(max_examples=60, deadline=None)
 @given(_angles)
 def test_rotation_stack_matches_taylor_series(angles):
     # each sample is the Taylor series of exp(beta S+ - beta* S-), beta = -(lam/2) e^{-i gamma}
-    v = rotation_stack(*np.array(angles).T)
+    v = frame_matrix(*np.array(angles).T)
     for (lam, gam), row in zip(angles, v):
         assert np.abs(row - _taylor_exp(-(lam / 2.0) * cmath.exp(-1j * gam))).max() < 1e-12
 
@@ -207,6 +217,6 @@ def test_spin_rotation_propagators_stack():
     rng = np.random.default_rng(3)
     omegas = rng.normal(size=(20, 3))
     omegas[4] = 0.0  # zero-field row exercises the limit branch
-    stack = spin_rotation_propagators(omegas, 0.05)
+    stack = su2_matrix(*spin_rotation_propagators(omegas, 0.05))
     for i in range(20):
         assert np.abs(stack[i] - expm(-1j * hamiltonian(omegas[i]) * 0.05)).max() < 1e-14
