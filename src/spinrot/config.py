@@ -182,7 +182,10 @@ def validate_run_config(data: dict) -> dict:
         method = orc.get("method", "exponential_product")
         if method != "exponential_product":
             raise ConfigError(f"oracle.method {method!r} not recognized")
-        out["oracle"] = {"enabled": bool(orc.get("enabled", True)),
+        enabled = orc.get("enabled", True)
+        if not isinstance(enabled, bool):
+            raise ConfigError(f"oracle.enabled must be a boolean, got {enabled!r}")
+        out["oracle"] = {"enabled": enabled,
                          "step": _number(orc["step"], "oracle.step", positive=True),
                          "method": method}
 
@@ -299,7 +302,9 @@ def set_path(data: dict, path: str, value, what: str) -> None:
         raise ConfigError(f"{what} has an empty key path")
     node = data
     for k in keys[:-1]:
-        node = node.setdefault(k, {})
         if not isinstance(node, dict):
-            raise ConfigError(f"{what} descends into a non-object")
+            break
+        node = node.setdefault(k, {})
+    if not isinstance(node, dict):
+        raise ConfigError(f"{what} descends into a non-object")
     node[keys[-1]] = value

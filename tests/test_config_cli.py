@@ -753,6 +753,17 @@ def test_retired_oracle_method_is_config_error(tmp_path, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("enabled", ["false", 0, 1, None])
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_oracle_enabled_must_be_boolean(tmp_path, capsys, command, enabled):
+    # a string "false" once normalised to True, so verify ran the oracle
+    path = write_config(tmp_path, demo_config(oracle={"enabled": enabled, "step": 0.0025}))
+    assert main([command, "--config", path, "--output-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        f"config error: oracle.enabled must be a boolean, got {enabled!r}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_verify_requires_oracle(tmp_path, monkeypatch, capsys):
     # refused before any integration, and no output directory is made
     from spinrot import cli
@@ -872,6 +883,19 @@ def test_sweep_path_into_non_object_marked(tmp_path, monkeypatch):
     assert all("'integrator.step.x' descends into a non-object" in r["error"] for r in rows)
     with pytest.raises(ConfigError, match="descends into a non-object"):
         apply_overrides(cfg, ["integrator.step.x=1"])
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify", "sweep"])
+@pytest.mark.parametrize("top", [[], 3, "text"])
+def test_set_on_non_object_config_is_config_error(tmp_path, capsys, command, top):
+    # as without --set: a config error, exit 2, not a traceback
+    path = write_config(tmp_path, top)
+    spath = tmp_path / "sweep.json"
+    spath.write_text(json.dumps({"sweep": []}))
+    argv = [command, "--config", path, "--set", "a=1", "--output-dir", str(tmp_path / "o")]
+    assert main(argv + (["--sweep", str(spath)] if command == "sweep" else [])) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: override 'a=1' descends into a non-object\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_sweep_non_string_path_rejected(tmp_path, capsys):
