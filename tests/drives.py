@@ -36,7 +36,10 @@ def su2_matrix(a, b):
 
 
 def frame_matrix(lam, gamma):
-    """The frame rotation V(lam, gamma) per sample, (...) -> (..., 2, 2): columns V|+1/2>, Theta V|+1/2>."""
+    """The frame rotation V(lam, gamma) per sample: (...) -> (..., 2, 2).
+
+    Its columns are V|+1/2> and V|-1/2> = Theta V|+1/2>.
+    """
     up = frame_state(lam, gamma)
     return np.stack((up, time_reverse(up)), axis=-1)
 

@@ -98,13 +98,13 @@ def run_case(name, work):
     base, sweep = CASES[name]
     work.mkdir()
     out = work / "out"
-    config = work / "config.json"
     codes = {}
-    if base is None:
+    if base is None:  # the exported preset is an artifact too
         out.mkdir()
         config = out / "config.json"
         codes["scenario"] = main(["scenario", name, "--out", str(config)])
     else:
+        config = work / "config.json"
         config.write_text(json.dumps(base))
         if name == "tabulated":
             _write_table(work / "traj.csv")

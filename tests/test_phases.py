@@ -12,8 +12,8 @@ from drives import basis_state, cone_propagators, frame_matrix, spline_drive
 from spinrot import phases
 from spinrot.invariant import (AuxiliarySolution, integrate_auxiliary,
                                solve_precession_lambda)
-from spinrot.phases import (_cumulative_simpson, _simpson_weights, accumulate_phases, berry_limit_check,
-                            lr_states, quadrature_error_estimate)
+from spinrot.phases import (_cumulative_simpson, _simpson_weights, accumulate_phases,
+                            berry_limit_check, lr_states, quadrature_error_estimate)
 from spinrot.spin_algebra import validate_sigma
 from spinrot.trajectory import OmegaTrajectory
 

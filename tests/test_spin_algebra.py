@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from drives import IDENTITY2, S1, S2, S3, S_MINUS, S_PLUS, basis_state, frame_matrix, su2_matrix
-from spinrot.spin_algebra import frame_state, spin_rotation_propagators, time_reverse, validate_sigma
+from spinrot.spin_algebra import (frame_state, spin_rotation_propagators, time_reverse,
+                                  validate_sigma)
 
 
 def hamiltonian(omega_vec):
