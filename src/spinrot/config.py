@@ -31,7 +31,8 @@ Schema (version 1):
       "verify": {                    # optional tolerance overrides
         "min_fidelity": float, "max_phase_mismatch_rad": float
       },
-      "output": {"directory": str (default "."), "prefix": str (default "run")},
+      "output": {"directory": nonempty str (default "."),
+                 "prefix": str (default "run")},  # a file-name stem: no '/', '\\' or NUL
       "scenario": str | null        # provenance tag only
     }
 """
@@ -199,8 +200,15 @@ def validate_run_config(data: dict) -> dict:
 
     outp = data.get("output", {})
     _expect_keys(outp, "output", set(), {"directory", "prefix"})
-    out["output"] = {"directory": str(outp.get("directory", ".")),
-                     "prefix": str(outp.get("prefix", "run"))}
+    out["output"] = {"directory": outp.get("directory", "."), "prefix": outp.get("prefix", "run")}
+    for key, value in out["output"].items():
+        if not isinstance(value, str):
+            raise ConfigError(f"output.{key} must be a string, got {value!r}")
+    if not out["output"]["directory"]:
+        raise ConfigError("output.directory must not be empty")
+    if set(out["output"]["prefix"]) & set("/\\\0"):
+        raise ConfigError("output.prefix must be a file-name stem without '/', '\\' or NUL, "
+                          f"got {out['output']['prefix']!r}")
 
     scen = data.get("scenario")
     if scen is not None and not isinstance(scen, str):

@@ -230,8 +230,12 @@ def test_simulate_zero_coupling(tmp_path):
         assert entry["phi_geo_final"] == 0.0
 
 
-def test_simulate_deterministic_bytes(tmp_path):
-    path = write_config(tmp_path, demo_config(integrator={"step": 0.02, "periods": 0.5}))
+@pytest.mark.parametrize("integrator", [
+    {"step": 0.02, "periods": 0.5},
+    {"step": 0.01, "periods": 10.0, "adaptive": True},  # the README demo, adaptive
+], ids=["short", "adaptive-demo"])
+def test_simulate_deterministic_bytes(tmp_path, integrator):
+    path = write_config(tmp_path, demo_config(integrator=integrator))
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["simulate", "--config", path, "--output-dir", str(out1)]) == 0
     assert main(["simulate", "--config", path, "--output-dir", str(out2)]) == 0
@@ -674,17 +678,22 @@ def _reference_verify(cfg):
 
 
 _SHORT = {"step": 0.02, "periods": 0.5}
+# case -> the config it builds in a directory; the verdict ends the name.
+# "aligned" starts off the locked cone, so lambda precesses
 _VERIFY_CASES = {
-    "fail": demo_config(**_COARSE),
-    "pass": demo_config(integrator=_SHORT),
+    "fail": lambda _: demo_config(**_COARSE),
+    "pass": lambda _: demo_config(integrator=_SHORT),
+    "aligned_fail": lambda _: demo_config(initial_conditions="aligned", **_COARSE),
+    "aligned_pass": lambda _: demo_config(initial_conditions="aligned", integrator=_SHORT),
+    "tabulated_pass": _smooth_table_config,
 }
 
 
 @pytest.mark.parametrize("sigmas", [[0.5, -0.5], [-0.5, 0.5], [0.5], [-0.5]])
 @pytest.mark.parametrize("case", sorted(_VERIFY_CASES))
-def test_run_verify_matches_per_sigma_reference(case, sigmas):
+def test_run_verify_matches_per_sigma_reference(tmp_path, case, sigmas):
     from spinrot.cli import run_verify
-    cfg = resolve_run_config(dict(_VERIFY_CASES[case], sigmas=sigmas), ".")
+    cfg = resolve_run_config(dict(_VERIFY_CASES[case](tmp_path), sigmas=sigmas), str(tmp_path))
     report, series = _reference_verify(cfg)
     result = run_verify(cfg)
     assert result["verify_report"] == report
@@ -698,12 +707,15 @@ def test_run_verify_matches_per_sigma_reference(case, sigmas):
         assert np.array_equal(got_phase, phase)
 
 
-@pytest.mark.parametrize("case,calls", [("pass", 1), ("fail", 2)])
-def test_verify_propagates_once_per_grid(tmp_path, monkeypatch, case, calls):
+@pytest.mark.parametrize("case,grids", [("pass", 1), ("fail", 2), ("aligned_pass", 1),
+                                        ("aligned_fail", 2), ("tabulated_pass", 1)])
+def test_verify_propagates_once_per_grid(tmp_path, monkeypatch, case, grids):
     # the step propagators are built in blocks, but every step of every grid
-    # gets exactly one; one chain serves every sigma, whichever sigmas are listed
+    # gets exactly one; one chain serves every sigma, whichever sigmas are
+    # listed, and is compared once with the one set of spin-up LR states;
+    # a failing verdict adds the half-step grid
     from spinrot import cli, oracle
-    steps, rows = [], []
+    steps, rows, calls = [], [], {"lr_states": 0, "fidelity": 0}
 
     def counted_propagate(*args, _fn=cli.propagate, **kwargs):
         run = _fn(*args, **kwargs)
@@ -714,15 +726,22 @@ def test_verify_propagates_once_per_grid(tmp_path, monkeypatch, case, calls):
         rows.append(len(omegas))
         return _fn(omegas, dt)
 
+    for name in calls:
+        def counted(*args, _fn=getattr(cli, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
     monkeypatch.setattr(cli, "propagate", counted_propagate)
     monkeypatch.setattr(oracle, "spin_rotation_propagators", counted_propagators)
     for sigmas in ([0.5, -0.5], [-0.5], [0.5]):
         steps.clear()
         rows.clear()
-        path = write_config(tmp_path, dict(_VERIFY_CASES[case], sigmas=sigmas))
+        calls.update(dict.fromkeys(calls, 0))
+        path = write_config(tmp_path, dict(_VERIFY_CASES[case](tmp_path), sigmas=sigmas))
         code = main(["verify", "--config", path, "--output-dir", str(tmp_path / "out")])
-        assert code == (0 if case == "pass" else 4)
-        assert len(steps) == calls
+        assert code == (0 if grids == 1 else 4)
+        assert len(steps) == calls["fidelity"] == grids
+        assert calls["lr_states"] == 1
         assert sum(rows) == sum(steps)
 
 
@@ -896,6 +915,32 @@ def test_set_on_non_object_config_is_config_error(tmp_path, capsys, command, top
     assert main(argv + (["--sweep", str(spath)] if command == "sweep" else [])) == EXIT_CONFIG
     assert capsys.readouterr().err == "config error: override 'a=1' descends into a non-object\n"
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify", "sweep"])
+@pytest.mark.parametrize("key,value", [
+    ("prefix", "a/b"), ("prefix", "../x"), ("prefix", "a\\b"), ("prefix", "a\0b"),
+    ("prefix", None), ("prefix", 3), ("directory", None), ("directory", "")])
+def test_bad_output_key_is_config_error(tmp_path, monkeypatch, capsys, command, key, value):
+    # once a FileNotFoundError traceback after the whole run, files outside the
+    # output directory, or files named None_*: now refused before any integration
+    from spinrot import cli
+    monkeypatch.setattr(cli, "integrate_auxiliary", lambda *a, **k: pytest.fail("integrated"))
+    cfg = demo_config()
+    cfg["output"][key] = value
+    path = write_config(tmp_path, cfg)
+    spath = tmp_path / "sweep.json"
+    spath.write_text(json.dumps({"sweep": [{"path": "trajectory.Omega", "values": [0.5]}]}))
+    argv = [command, "--config", path, "--output-dir", str(tmp_path / "o" / "p")]
+    assert main(argv + (["--sweep", str(spath)] if command == "sweep" else [])) == EXIT_CONFIG
+    if not isinstance(value, str):
+        reason = f"must be a string, got {value!r}"
+    elif key == "prefix":
+        reason = f"must be a file-name stem without '/', '\\' or NUL, got {value!r}"
+    else:
+        reason = "must not be empty"
+    assert capsys.readouterr().err == f"config error: output.{key} {reason}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "sweep.json"]
 
 
 def test_sweep_non_string_path_rejected(tmp_path, capsys):
