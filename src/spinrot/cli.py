@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -26,12 +27,12 @@ from .config import (RunConfig, apply_overrides, config_sha256,
 from .errors import (ConfigError, NoSolutionError, OutOfDomainError,
                      SingularityError, SpinRotError)
 from .invariant import integrate_auxiliary, lvn_residual_samples, lvn_residual_series
-from .io_utils import write_csv, write_json, write_rows
+from .io_utils import fork_parts, forked, write_csv, write_json, write_rows
 from .oracle import fidelity, propagate
 from .phases import accumulate_phases, berry_limit_check, lr_states
 from .spectroscopy import spectral_shift
 from .spin_algebra import frame_state, time_reverse
-from .trajectory import check_sample_cap
+from .trajectory import _grid_steps, check_sample_cap
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -125,51 +126,95 @@ def run_simulate(cfg: RunConfig) -> dict:
 
 
 def _write_artifacts(cfg: RunConfig, out_dir: str, tables: list[tuple],
-                     name: str, payload: dict) -> list[str]:
+                     name: str, payload: dict, workers: int) -> list[str]:
     """Write `{prefix}_{suffix}.csv` per (suffix, header, columns) table, in one `write_csv`
-    pass, then `{prefix}_{name}.json` in out_dir; returns their paths."""
+    pass over `workers` CPUs, then `{prefix}_{name}.json` in out_dir; returns their paths."""
     os.makedirs(out_dir, exist_ok=True)
     stem = os.path.join(out_dir, cfg.data["output"]["prefix"])
     files = [(f"{stem}_{suffix}.csv", header, columns) for suffix, header, columns in tables]
     (path, header, columns), *siblings = files
-    write_csv(path, header, columns, [f"config_sha256={cfg.sha256}"], siblings=siblings)
+    write_csv(path, header, columns, [f"config_sha256={cfg.sha256}"], siblings=siblings,
+              workers=workers)
     paths = [p for p, _, _ in files] + [f"{stem}_{name}.json"]
     write_json(paths[-1], payload)
     return paths
 
 
-def _write_simulate_artifacts(cfg: RunConfig, result: dict, out_dir: str) -> list[str]:
+def _write_simulate_artifacts(cfg: RunConfig, result: dict, out_dir: str,
+                              workers: int = 1) -> list[str]:
     tables = [("aux", *result["sol"].csv_table(result["lvn_residual"]))] + [
         (f"phases_{_sigma_tag(s)}", ["t", "phi_dyn", "phi_geo", "phi_total"],
          [hist.t, hist.phi_dyn, hist.phi_geo, hist.phi_total])
         for s, hist in result["histories"].items()]
-    return _write_artifacts(cfg, out_dir, tables, "summary", result["summary"])
+    return _write_artifacts(cfg, out_dir, tables, "summary", result["summary"], workers)
 
 
-def run_verify(cfg: RunConfig) -> dict:
+def _oracle_args(cfg: RunConfig, t0: float, t_end: float, n: int, h: float,
+                 lam0: float, gam0: float) -> tuple:
+    """`propagate`'s arguments for the chain from V(0)|+1/2> = frame_state(lam0, gam0)
+    on an integrator grid of n steps of h from t0 to t_end.
+
+    The oracle step is snapped to an integer divisor of h, so the two grids
+    share sample times exactly.
+    """
+    step = cfg.data["oracle"]["step"]
+    thin = max(1.0, np.rint(h / step))
+    check_sample_cap(n * thin + 1, step, "oracle.step")
+    thin = int(thin)
+    oracle_step = (t_end - t0) / (n * thin) if n else step
+    return frame_state(lam0, gam0), t_end, oracle_step, t0, thin
+
+
+def _early_oracle_args(cfg: RunConfig, workers: int) -> tuple | None:
+    """The oracle's arguments known before integrating, when its chain is to run in a child.
+
+    A fixed-step run knows its grid beforehand; its chain goes to a child
+    when the grid's n + 1 rows, here and as many kept there, are enough for
+    two processes (`io_utils.fork_parts`). None otherwise: for an adaptive
+    run, whose step only integrating gives, and where the grid or the start
+    is an error, which `run_pipeline` then raises.
+    """
+    if cfg.adaptive or workers < 2:
+        return None
+    try:
+        n = _grid_steps(0.0, cfg.t_end, cfg.step)
+        args = _oracle_args(cfg, 0.0, cfg.t_end, n, cfg.t_end / n if n else cfg.step,
+                            *cfg.initial_conditions())
+    except (SpinRotError, ValueError):
+        return None
+    return args if fork_parts(2 * (n + 1), workers) > 1 else None
+
+
+def _run_oracle(cfg: RunConfig, args: tuple):
+    psi0, t_end, step, t0, thin = args
+    return propagate(cfg.trajectory, psi0, t_end, step, t0=t0, thin=thin)
+
+
+def run_verify(cfg: RunConfig, workers: int = 1) -> dict:
     """Pipeline plus oracle cross-validation of the particular solution.
 
     One oracle chain from V(0)|+1/2> is compared with the sigma = +1/2 LR
     states. Theta = -i sigma_y K takes both to sigma = -1/2, keeping the
     fidelity and negating the overlap phase: one verdict serves every sigma.
+    With workers > 1 a fixed-step run's chain runs in a forked child while
+    the pipeline integrates, when each has a large enough share of rows
+    (`io_utils.fork_parts`); its run is taken only if its arguments are the
+    ones the integrated grid gives.
     """
     oracle_cfg = cfg.data.get("oracle")
     if not oracle_cfg or not oracle_cfg.get("enabled", True):
         raise ConfigError("verify requires an enabled oracle section")
-    result = run_pipeline(cfg)
-    sol = result["sol"]
-    # oracle step snapped to an integer divisor of the dense-output step so
-    # the two grids share sample times exactly
-    thin = max(1.0, np.rint(sol.step / oracle_cfg["step"]))
-    check_sample_cap((sol.n_samples - 1) * thin + 1, oracle_cfg["step"], "oracle.step")
-    thin = int(thin)
-    t0, t_end = float(sol.t[0]), float(sol.t[-1])
-    n_oracle = (sol.n_samples - 1) * thin
-    oracle_step = (t_end - t0) / n_oracle if n_oracle else oracle_cfg["step"]
+    early = _early_oracle_args(cfg, workers)
+    with nullcontext() if early is None else forked(lambda: _run_oracle(cfg, early)) as child:
+        result = run_pipeline(cfg)
+        sol = result["sol"]
+        args = _oracle_args(cfg, float(sol.t[0]), float(sol.t[-1]), sol.n_samples - 1,
+                            sol.step, sol.lam[0], sol.gamma[0])
+        psi0, t_end, oracle_step, t0, thin = args
+        states = lr_states(sol, accumulate_phases(sol, cfg.trajectory, 0.5))
+        same = child is not None and all(np.array_equal(a, b) for a, b in zip(args, early))
+        run = child() if same else _run_oracle(cfg, args)
     tol = cfg.data["verify"]
-    psi0 = frame_state(sol.lam[0], sol.gamma[0])  # V(0)|+1/2>
-    states = lr_states(sol, accumulate_phases(sol, cfg.trajectory, 0.5))
-    run = propagate(cfg.trajectory, psi0, t_end, oracle_step, t0=t0, thin=thin)
     # reversed before `fidelity` runs: built after it, the README demo's peak RSS read higher
     down = replace(run, states=time_reverse(run.states)) if -0.5 in cfg.sigmas else None
     fid, phase = fidelity(run, sol.t, states)
@@ -204,10 +249,12 @@ def run_verify(cfg: RunConfig) -> dict:
     return result
 
 
-def _write_verify_artifacts(cfg: RunConfig, result: dict, out_dir: str) -> list[str]:
+def _write_verify_artifacts(cfg: RunConfig, result: dict, out_dir: str,
+                            workers: int = 1) -> list[str]:
     tables = [(f"verify_{_sigma_tag(s)}", *run.csv_table(fid, phase))
               for s, (run, fid, phase) in result["verify_series"].items()]
-    return _write_artifacts(cfg, out_dir, tables, "verify_report", result["verify_report"])
+    return _write_artifacts(cfg, out_dir, tables, "verify_report", result["verify_report"],
+                            workers)
 
 
 # -- sweep ------------------------------------------------------------------
@@ -296,18 +343,22 @@ def _sweep_point(payload: tuple) -> dict:
     return row
 
 
-def _worker_count(n_points: int) -> int:
+def _workers() -> int:
+    """The CPU cap: SPINROT_WORKERS, an integer >= 1, else the CPU count."""
     env = os.environ.get("SPINROT_WORKERS")
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"SPINROT_WORKERS must be an integer, got {env!r}") from exc
-        if cap < 1:
-            raise ConfigError("SPINROT_WORKERS must be >= 1")
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_points))
+    if env is None:
+        return os.cpu_count() or 1
+    try:
+        cap = int(env)
+    except ValueError as exc:
+        raise ConfigError(f"SPINROT_WORKERS must be an integer, got {env!r}") from exc
+    if cap < 1:
+        raise ConfigError("SPINROT_WORKERS must be >= 1")
+    return cap
+
+
+def _worker_count(n_points: int) -> int:
+    return max(1, min(_workers(), n_points))
 
 
 def run_sweep(base_data: dict, spec: dict, base_dir: str = ".") -> list[dict]:
@@ -326,24 +377,25 @@ def run_sweep(base_data: dict, spec: dict, base_dir: str = ".") -> list[dict]:
 
 # -- subcommands --------------------------------------------------------------
 
-def _load(args) -> tuple[RunConfig, str]:
-    """The config with its `--set` overrides, resolved, and the checked output directory."""
+def _load(args) -> tuple[RunConfig, str, int]:
+    """The config with its `--set` overrides, resolved, the checked output directory
+    and the CPU cap."""
     data = apply_overrides(load_json_config(args.config), args.set or [])
     cfg = resolve_run_config(data, os.path.dirname(os.path.abspath(args.config)))
-    return cfg, _output_dir(args.output_dir or cfg.data["output"]["directory"])
+    return cfg, _output_dir(args.output_dir or cfg.data["output"]["directory"]), _workers()
 
 
 def cmd_simulate(args) -> int:
-    cfg, out_dir = _load(args)
-    for p in _write_simulate_artifacts(cfg, run_simulate(cfg), out_dir):
+    cfg, out_dir, workers = _load(args)
+    for p in _write_simulate_artifacts(cfg, run_simulate(cfg), out_dir, workers):
         print(p)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    cfg, out_dir = _load(args)
-    result = run_verify(cfg)
-    for p in _write_verify_artifacts(cfg, result, out_dir):
+    cfg, out_dir, workers = _load(args)
+    result = run_verify(cfg, workers)
+    for p in _write_verify_artifacts(cfg, result, out_dir, workers):
         print(p)
     if not result["verify_report"]["pass"]:
         print("verification FAILED; report retained", file=sys.stderr)

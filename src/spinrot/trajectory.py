@@ -279,11 +279,13 @@ def check_sample_cap(samples: float, step: float, key: str) -> None:
     """The one sample-cap test: ConfigError, naming `key = step`, above MAX_SAMPLES samples.
 
     MAX_SAMPLES is read here, at call time. samples is a float, inf for a
-    subnormal step, so the count cannot overflow.
+    subnormal step, so the count cannot overflow; from 1e15 on it is printed
+    to four digits, not as an integer of up to 309 digits.
     """
     if not samples <= MAX_SAMPLES:  # also true for inf and nan
+        count = f"{samples:.0f}" if samples < 1e15 else f"{samples:.4g}"
         raise ConfigError(
-            f"{key} = {float(step)!r} gives {samples:.0f} samples, above the cap of {MAX_SAMPLES}")
+            f"{key} = {float(step)!r} gives {count} samples, above the cap of {MAX_SAMPLES}")
 
 
 def _grid_steps(t0: float, t_end: float, step: float) -> int:

@@ -334,6 +334,22 @@ def test_grid_above_sample_cap_is_config_error(tmp_path, capsys, command, over, 
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("key", ["integrator.step", "oracle.step"])
+def test_huge_sample_count_is_printed_in_four_digits(tmp_path, capsys, key):
+    # 10 periods of the demo over a step of 1e-300 is 1.2566e302 samples: printed to four
+    # digits, where "%.0f" gave 303 of them
+    path = write_config(tmp_path, demo_config(integrator={"step": 0.01, "periods": 10.0}))
+    assert main(["verify", "--config", path, "--set", f"{key}=1e-300",
+                 "--output-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: {key} = 1e-300 gives 1.257e+302 samples, above the cap of 4000000\n")
+    from spinrot.trajectory import check_sample_cap
+    with pytest.raises(ConfigError, match="gives 999999999999999 samples"):
+        check_sample_cap(1e15 - 1, 1e-9, "step")
+    with pytest.raises(ConfigError, match=r"gives 1e\+15 samples"):
+        check_sample_cap(1e15, 1e-9, "step")
+
+
 def test_simulate_no_solution_exit_code(tmp_path):
     cfg = demo_config(
         trajectory={"kind": "constant_precession", "omega0": 1.0,
@@ -707,42 +723,122 @@ def test_run_verify_matches_per_sigma_reference(tmp_path, case, sigmas):
         assert np.array_equal(got_phase, phase)
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids os.fork returns in this process, with the fork threshold at one row."""
+    from spinrot import io_utils
+    pids = []
+
+    def recording_fork(_fork=os.fork):
+        pid = _fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(io_utils, "_MIN_FORK_ROWS", 1)
+    return pids
+
+
+@pytest.mark.parametrize("sigmas", [[0.5, -0.5], [-0.5]])
+@pytest.mark.parametrize("case", sorted(_VERIFY_CASES))
+def test_run_verify_with_the_oracle_in_a_child_is_bit_identical(tmp_path, forks, case, sigmas):
+    # with two workers, a fixed-step run propagates its chain in a forked child while it
+    # integrates; an adaptive one propagates here
+    from spinrot.cli import run_verify
+    cfg = resolve_run_config(dict(_VERIFY_CASES[case](tmp_path), sigmas=sigmas), str(tmp_path))
+    want = run_verify(cfg)
+    assert not forks
+    got = run_verify(cfg, 2)
+    assert len(forks) == (0 if cfg.adaptive else 1)
+    assert got["verify_report"] == want["verify_report"]
+    assert list(got["verify_series"]) == sigmas
+    for s, (run, fid, phase) in want["verify_series"].items():
+        got_run, got_fid, got_phase = got["verify_series"][s]
+        assert np.array_equal(got_run.t, run.t) and np.array_equal(got_run.states, run.states)
+        assert (got_run.step, got_run.unitarity_defect, got_run.under_resolved) == (
+            run.step, run.unitarity_defect, run.under_resolved)
+        assert np.array_equal(got_fid, fid) and np.array_equal(got_phase, phase)
+
+
+@pytest.mark.parametrize("where", ["child", "parent"])
+def test_failure_beside_the_oracle_child_is_raised_and_reaped(tmp_path, monkeypatch, forks,
+                                                              where):
+    # the child's exception is raised in the parent once the pipeline is done; a pipeline
+    # that fails kills the child; either way the child is reaped
+    from spinrot import cli
+    from spinrot.errors import SingularityError
+    if where == "child":
+        def failing(*args, **kwargs):
+            raise ValueError("cannot thin the oracle grid")
+        monkeypatch.setattr(cli, "propagate", failing)
+        error = pytest.raises(ValueError, match="cannot thin the oracle grid")
+    else:
+        def failing(*args, **kwargs):
+            raise SingularityError("lambda reached the guard band", time=0.5)
+        monkeypatch.setattr(cli, "integrate_auxiliary", failing)
+        error = pytest.raises(SingularityError, match="guard band")
+    cfg = resolve_run_config(_VERIFY_CASES["pass"](tmp_path), str(tmp_path))
+    with error:
+        cli.run_verify(cfg, 2)
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(forks[0], os.WNOHANG)
+
+
 @pytest.mark.parametrize("case,grids", [("pass", 1), ("fail", 2), ("aligned_pass", 1),
                                         ("aligned_fail", 2), ("tabulated_pass", 1)])
 def test_verify_propagates_once_per_grid(tmp_path, monkeypatch, case, grids):
     # the step propagators are built in blocks, but every step of every grid
     # gets exactly one; one chain serves every sigma, whichever sigmas are
     # listed, and is compared once with the one set of spin-up LR states;
-    # a failing verdict adds the half-step grid
-    from spinrot import cli, oracle
-    steps, rows, calls = [], [], {"lr_states": 0, "fidelity": 0}
+    # a failing verdict adds the half-step grid. Each call is appended to a
+    # file, so a chain propagated in a forked child counts too: with two
+    # workers (and the fork threshold at one row) a fixed-step run's chain
+    # runs in a child, and the half-step rerun in this process
+    from spinrot import cli, io_utils, oracle
+    log = tmp_path / "calls.log"
+
+    def record(*fields):
+        with open(log, "a") as fh:
+            fh.write(" ".join(map(str, fields)) + "\n")
 
     def counted_propagate(*args, _fn=cli.propagate, **kwargs):
         run = _fn(*args, **kwargs)
-        steps.append((run.t.size - 1) * kwargs["thin"])
+        record("steps", (run.t.size - 1) * kwargs["thin"], os.getpid())
         return run
 
     def counted_propagators(omegas, dt, _fn=oracle.spin_rotation_propagators):
-        rows.append(len(omegas))
+        record("rows", len(omegas), os.getpid())
         return _fn(omegas, dt)
 
-    for name in calls:
+    for name in ("lr_states", "fidelity"):
         def counted(*args, _fn=getattr(cli, name), _name=name, **kwargs):
-            calls[_name] += 1
+            record(_name, 1, os.getpid())
             return _fn(*args, **kwargs)
         monkeypatch.setattr(cli, name, counted)
     monkeypatch.setattr(cli, "propagate", counted_propagate)
     monkeypatch.setattr(oracle, "spin_rotation_propagators", counted_propagators)
-    for sigmas in ([0.5, -0.5], [-0.5], [0.5]):
-        steps.clear()
-        rows.clear()
-        calls.update(dict.fromkeys(calls, 0))
-        path = write_config(tmp_path, dict(_VERIFY_CASES[case](tmp_path), sigmas=sigmas))
-        code = main(["verify", "--config", path, "--output-dir", str(tmp_path / "out")])
-        assert code == (0 if grids == 1 else 4)
-        assert len(steps) == calls["fidelity"] == grids
-        assert calls["lr_states"] == 1
-        assert sum(rows) == sum(steps)
+    monkeypatch.setattr(io_utils, "_MIN_FORK_ROWS", 1)
+    for workers in ("1", "2"):
+        monkeypatch.setenv("SPINROT_WORKERS", workers)
+        for sigmas in ([0.5, -0.5], [-0.5], [0.5]):
+            log.write_text("")
+            cfg = dict(_VERIFY_CASES[case](tmp_path), sigmas=sigmas)
+            path = write_config(tmp_path, cfg)
+            code = main(["verify", "--config", path, "--output-dir", str(tmp_path / "out")])
+            assert code == (0 if grids == 1 else 4)
+            calls = {"steps": [], "rows": [], "lr_states": [], "fidelity": []}
+            pids = {}
+            for line in log.read_text().splitlines():
+                name, value, pid = line.split()
+                calls[name].append(int(value))
+                pids.setdefault(name, []).append(int(pid))
+            assert len(calls["steps"]) == len(calls["fidelity"]) == grids
+            assert len(calls["lr_states"]) == 1
+            assert sum(calls["rows"]) == sum(calls["steps"])
+            in_child = workers == "2" and not cfg["integrator"].get("adaptive", False)
+            assert [p != os.getpid() for p in pids["steps"]] == [in_child] + [False] * (grids - 1)
 
 
 def test_verify_reports_under_resolved_oracle(tmp_path):
@@ -762,6 +858,23 @@ def test_verify_reports_under_resolved_oracle(tmp_path):
                      "--output-dir", str(out)]) == 0
     report = json.loads((out / "demo_verify_report.json").read_text())
     assert report["oracle_under_resolved"] is False
+
+
+def test_under_resolved_warning_of_a_forked_oracle_reaches_the_caller(tmp_path, forks):
+    # the child records the propagator's warning and the parent issues it again, so a
+    # filter set here applies to it as to an in-process run
+    from spinrot.cli import run_verify
+    cfg = resolve_run_config(demo_config(integrator={"step": 0.2, "periods": 0.5}, oracle={
+        "enabled": True, "step": 0.2, "method": "exponential_product"}), str(tmp_path))
+    for workers in (1, 2):  # the forked chain's warning, then the half-step rerun's
+        with pytest.warns(UserWarning, match="under-resolved") as record:
+            assert run_verify(cfg, workers)["verify_report"]["oracle_under_resolved"] is True
+        assert ["under-resolved" in str(w.message) for w in record] == [True, True]
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", message=".*under-resolved", category=UserWarning)
+        with pytest.raises(UserWarning, match="under-resolved"):
+            run_verify(cfg, 2)
+    assert len(forks) == 2
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify"])
@@ -940,6 +1053,26 @@ def test_bad_output_key_is_config_error(tmp_path, monkeypatch, capsys, command, 
     else:
         reason = "must not be empty"
     assert capsys.readouterr().err == f"config error: output.{key} {reason}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "sweep.json"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify", "sweep"])
+@pytest.mark.parametrize("value,reason", [
+    ("0", "must be >= 1"), ("-2", "must be >= 1"), ("two", "must be an integer, got 'two'"),
+    ("1.5", "must be an integer, got '1.5'"), ("", "must be an integer, got ''")])
+def test_bad_worker_count_is_config_error(tmp_path, monkeypatch, capsys, command, value,
+                                          reason):
+    # SPINROT_WORKERS caps the CPUs of all three commands: one reader, checked before any
+    # integration
+    from spinrot import cli
+    monkeypatch.setattr(cli, "integrate_auxiliary", lambda *a, **k: pytest.fail("integrated"))
+    monkeypatch.setenv("SPINROT_WORKERS", value)
+    path = write_config(tmp_path, demo_config())
+    spath = tmp_path / "sweep.json"
+    spath.write_text(json.dumps({"sweep": [{"path": "trajectory.Omega", "values": [0.5]}]}))
+    argv = [command, "--config", path, "--output-dir", str(tmp_path / "o")]
+    assert main(argv + (["--sweep", str(spath)] if command == "sweep" else [])) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: SPINROT_WORKERS {reason}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "sweep.json"]
 
 

@@ -25,6 +25,7 @@ them: `PYTHONPATH=src python tests/test_golden.py`.
 import copy
 import csv
 import json
+import os
 import pathlib
 import sys
 import warnings
@@ -212,10 +213,15 @@ def compare(got, want, omega0):
 
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
-    """Every case run once: name -> (codes, output dir, omega0)."""
+    """Every case run once: name -> (codes, output dir, omega0).
+
+    SPINROT_WORKERS is taken from the environment, 2 where it is unset, so
+    the README demos (12,567 rows) run their oracle and write their CSV
+    slices in forked children; CI runs the test with 1 as well.
+    """
     root = tmp_path_factory.mktemp("golden")
     mp = pytest.MonkeyPatch()
-    mp.setenv("SPINROT_WORKERS", "1")
+    mp.setenv("SPINROT_WORKERS", os.environ.get("SPINROT_WORKERS", "2"))
     try:
         yield {name: run_case(name, root / name) for name in CASES}
     finally:
@@ -259,7 +265,6 @@ def test_compare_flags_a_change_beyond_the_tolerance():
 
 
 if __name__ == "__main__":
-    import os
     import tempfile
     os.environ["SPINROT_WORKERS"] = "1"
     GOLDEN.mkdir(exist_ok=True)

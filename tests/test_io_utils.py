@@ -8,6 +8,7 @@ reference, each file on its own values.
 import csv
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -199,12 +200,15 @@ def test_no_rows(out_dir, columns):
 
 
 def test_columns_of_unequal_length_rejected(out_dir):
-    # within a file or across the files of a pass; no file is created
+    # within a file or across the files of a pass, where a file of no columns has no
+    # rows; no file is created
     path, sibling = out_dir / "ragged.csv", out_dir / "ragged_sibling.csv"
     with pytest.raises(ValueError, match="columns differ in length"):
         write_csv(path, ["t", "x"], [np.zeros(513), np.zeros(512)])
     with pytest.raises(ValueError, match="columns differ in length"):
         write_csv(path, ["t"], [np.zeros(512)], siblings=[(sibling, ["t"], [np.zeros(513)])])
+    with pytest.raises(ValueError, match="columns differ in length"):  # a file of no columns
+        write_csv(path, ["t"], [np.zeros(512)], siblings=[(sibling, [], [])])
     assert not path.exists() and not sibling.exists()
 
 
@@ -303,3 +307,110 @@ def test_simulate_and_verify_artifacts_match_reference_rows(tmp_path):
         ref = tmp_path / f"reference_{name}"
         _reference_write_csv(ref, header, zip(*[c.tolist() for c in cols]), comments)
         assert (out / name).read_bytes() == ref.read_bytes(), name
+
+
+# -- row slices formatted in forked children ---------------------------------------
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids os.fork returns in this process, recorded in order."""
+    pids = []
+
+    def recording_fork(_fork=os.fork):
+        pid = _fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def _assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def _sliced_files(n):
+    """Three files of n rows: shared, negated and copied columns, zeros of both signs every
+    13 rows, which a copy y + 0.0 takes with one sign mended, and a NaN in the last row."""
+    rng = np.random.default_rng(n)
+    t = np.linspace(0.0, 0.01 * n, n)
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    y = np.resize(np.array(SPECIAL_FLOATS[3:]), n)  # -0.0, 0.0, 5e-324, ...
+    if n:
+        x[-1] = math.nan
+    return [("a.csv", ["t", "x", "y"], [t, x, y]),
+            ("b.csv", ["t", "neg_y", "y_plus_zero", "neg_x"], [t, -y, y + 0.0, -x]),
+            ("c.csv", ["t"], [t.copy()])]
+
+
+@pytest.mark.parametrize("n", [0, 1, 127, 128, 129, 385, 12567])
+def test_forked_slices_give_the_one_process_bytes(tmp_path, monkeypatch, forks, n):
+    # with the fork threshold at one row every pass of more than one 128-row block
+    # forks, one child per slice after the first; no part file is left beside the files
+    from spinrot import io_utils
+    monkeypatch.setattr(io_utils, "_MIN_FORK_ROWS", 1)
+    files = _sliced_files(n)
+    comments = ["config_sha256=abc"]
+    want = {name: _reference(tmp_path, name, header, cols, comments)
+            for name, header, cols in files}
+    (first, header, cols), *siblings = files
+    for workers in (1, 2, 3):
+        out = tmp_path / str(workers)
+        out.mkdir()
+        forks.clear()
+        write_csv(out / first, header, cols, comments, workers=workers,
+                  siblings=[(out / name, h, c) for name, h, c in siblings])
+        assert len(forks) == max(0, min(workers, -(-n // 128)) - 1)
+        _assert_reaped(forks)
+        assert sorted(os.listdir(out)) == sorted(want)
+        assert {name: (out / name).read_bytes() for name in want} == want
+
+
+def test_fork_parts_rule(monkeypatch):
+    # the README demo's 12,567 rows fork; the tabulated CI config's 2,001 do not
+    from spinrot.io_utils import _MIN_FORK_ROWS, fork_parts
+    assert _MIN_FORK_ROWS == 4096
+    assert [fork_parts(12567, w) for w in (1, 2, 3, 4)] == [1, 2, 3, 3]
+    assert [fork_parts(rows, 2) for rows in (0, 2001, 8191, 8192)] == [1, 1, 1, 2]
+    monkeypatch.delattr(os, "fork")
+    assert fork_parts(12567, 2) == 1
+
+
+def _child_fails(monkeypatch, how):
+    """Make _block_text fail in a forked child (how: "raise", "exit") or in the parent,
+    whose children then sleep."""
+    from spinrot import io_utils
+    parent = os.getpid()
+
+    def failing(*args, _fn=io_utils._block_text):
+        if (os.getpid() == parent) is (how == "parent"):
+            if how == "exit":
+                os._exit(3)
+            raise OSError(28, "No space left on device")
+        if how == "parent":
+            time.sleep(60)
+        return _fn(*args)
+
+    monkeypatch.setattr(io_utils, "_block_text", failing)
+    monkeypatch.setattr(io_utils, "_MIN_FORK_ROWS", 1)
+
+
+@pytest.mark.parametrize("how,error", [("raise", "No space left"), ("exit", "without its result"),
+                                       ("parent", "No space left")])
+def test_failed_slice_raises_and_leaves_no_part_file(tmp_path, monkeypatch, forks, how, error):
+    # a child's exception is raised in the parent, a child that dies is reported, and a
+    # parent that fails kills its children; every child is reaped, and the temporary files
+    # the slices went to are never visible
+    _child_fails(monkeypatch, how)
+    (name, header, cols), *siblings = _sliced_files(1000)
+    start = time.perf_counter()
+    with pytest.raises(OSError, match=error):
+        write_csv(tmp_path / name, header, cols, workers=3,
+                  siblings=[(tmp_path / n, h, c) for n, h, c in siblings])
+    assert time.perf_counter() - start < 30.0  # the sleeping children were killed
+    assert len(forks) == 2
+    _assert_reaped(forks)
+    assert sorted(os.listdir(tmp_path)) == ["a.csv", "b.csv", "c.csv"]
