@@ -14,8 +14,7 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import ExitStack, nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -27,7 +26,7 @@ from .config import (RunConfig, apply_overrides, config_sha256,
 from .errors import (ConfigError, NoSolutionError, OutOfDomainError,
                      SingularityError, SpinRotError)
 from .invariant import integrate_auxiliary, lvn_residual_samples, lvn_residual_series
-from .io_utils import fork_parts, forked, write_csv, write_json, write_rows
+from .io_utils import can_fork, fork_parts, forked, write_csv, write_json, write_rows
 from .oracle import fidelity, propagate
 from .phases import accumulate_phases, berry_limit_check, lr_states
 from .spectroscopy import spectral_shift
@@ -270,7 +269,8 @@ def _validate_sweep_spec(spec: dict) -> dict:
     unknown = set(spec) - {"schema_version", "sweep", "sigma"}
     if unknown:
         raise ConfigError(f"sweep spec: unknown keys {sorted(unknown)}")
-    if spec.get("schema_version", 1) != 1:
+    version = spec.get("schema_version", 1)
+    if isinstance(version, bool) or version != 1:
         raise ConfigError("sweep spec: unsupported schema_version")
     dims = spec.get("sweep", [])
     if not isinstance(dims, list):
@@ -294,13 +294,11 @@ def _sweep_grid(dims: list) -> list[list[tuple[str, object]]]:
     points: list[list[tuple[str, object]]] = [[]]
     for d in dims:
         points = [p + [(d["path"], v)] for p in points for v in d["values"]]
-    if not dims:
-        points = []
-    return points
+    return points if dims else []
 
 
 def _sweep_point(payload: tuple) -> dict:
-    """One grid point -> one row dict. Top-level for process pools."""
+    """One grid point -> one row dict; `run_sweep` calls it by name in every process."""
     base_data, assignments, sigma, base_dir = payload
     row = {c: None for c in SWEEP_COLUMNS}
     for path, value in assignments:
@@ -358,21 +356,30 @@ def _workers() -> int:
 
 
 def _worker_count(n_points: int) -> int:
-    return max(1, min(_workers(), n_points))
+    """Processes for n_points sweep points: at most the CPU cap, one per point, 1 without fork."""
+    return max(1, min(_workers(), n_points if can_fork() else 1))
 
 
 def run_sweep(base_data: dict, spec: dict, base_dir: str = ".") -> list[dict]:
-    """Evaluate every grid point; row order follows the grid definition."""
+    """Evaluate every grid point; row order follows the grid definition.
+
+    w processes take interleaved slices payloads[k::w], which balance a grid's ragged step
+    counts: the parent runs slice 0, forked children (`io_utils.forked`) the rest.
+    """
     parsed = _validate_sweep_spec(spec)
-    points = _sweep_grid(parsed["dims"])
-    payloads = [(base_data, p, parsed["sigma"], base_dir) for p in points]
-    if not payloads:
-        return []
-    workers = _worker_count(len(payloads))
-    if workers == 1 or len(payloads) <= 2:
-        return [_sweep_point(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_sweep_point, payloads))
+    payloads = [(base_data, p, parsed["sigma"], base_dir) for p in _sweep_grid(parsed["dims"])]
+    w = _worker_count(len(payloads))
+    rows: list = [None] * len(payloads)
+
+    def rows_of(k):
+        return [_sweep_point(p) for p in payloads[k::w]]
+
+    with ExitStack() as stack:
+        children = [stack.enter_context(forked(lambda k=k: rows_of(k))) for k in range(1, w)]
+        rows[::w] = rows_of(0)
+        for k, child in enumerate(children, 1):
+            rows[k::w] = child()
+    return rows
 
 
 # -- subcommands --------------------------------------------------------------

@@ -84,7 +84,7 @@ def _expect_keys(obj: dict, where: str, required: set, optional: set) -> None:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
 
 
-def _number(obj, where, *, minimum=None, positive=False, exclusive=False):
+def _number(obj, where, *, minimum=None, positive=False):
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ConfigError(f"{where} must be a number, got {obj!r}")
     v = float(obj)
@@ -92,7 +92,7 @@ def _number(obj, where, *, minimum=None, positive=False, exclusive=False):
         raise ConfigError(f"{where} must be finite, got {obj!r}")
     if positive and v <= 0.0:
         raise ConfigError(f"{where} must be > 0, got {v}")
-    if minimum is not None and (v < minimum or (exclusive and v == minimum)):
+    if minimum is not None and v < minimum:
         raise ConfigError(f"{where} must be >= {minimum}, got {v}")
     return v
 
@@ -101,7 +101,8 @@ def validate_run_config(data: dict) -> dict:
     """Validate and normalize a raw config dict (defaults filled in)."""
     _expect_keys(data, "config", {"schema_version", "trajectory", "integrator"},
                  {"initial_conditions", "sigmas", "oracle", "verify", "output", "scenario"})
-    if data["schema_version"] != SCHEMA_VERSION:
+    # True == 1 in Python: a boolean is refused, not run as version 1
+    if isinstance(data["schema_version"], bool) or data["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(
             f"unsupported schema_version {data['schema_version']!r}; expected {SCHEMA_VERSION}")
 

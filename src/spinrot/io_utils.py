@@ -21,6 +21,10 @@ each later slice is formatted by a forked child (`forked`) into unnamed
 temporary files, which the parent then appends in order. So every file
 holds the bytes of the one-process pass, and a failed child leaves no
 file of its own behind.
+
+`forked` is the package's one way to use another CPU: `verify` also runs
+its oracle in it, and `sweep` its interleaved slices of grid points.
+Where `can_fork` is false, every command runs in one process.
 """
 
 from __future__ import annotations
@@ -46,10 +50,15 @@ _BLOCK = 128
 _MIN_FORK_ROWS = 4096
 
 
+def can_fork() -> bool:
+    """Whether this platform has os.fork; where it has not, every command runs in one process."""
+    return hasattr(os, "fork")
+
+
 def fork_parts(rows: int, workers: int) -> int:
     """Processes to share `rows` output rows: at most `workers`, each with at least
-    _MIN_FORK_ROWS rows; 1, no fork, where os.fork is missing."""
-    return max(1, min(workers, rows // _MIN_FORK_ROWS)) if hasattr(os, "fork") else 1
+    _MIN_FORK_ROWS rows; 1, no fork, where `can_fork` is false."""
+    return max(1, min(workers, rows // _MIN_FORK_ROWS)) if can_fork() else 1
 
 
 @contextlib.contextmanager

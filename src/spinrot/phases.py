@@ -216,20 +216,3 @@ def lr_states(sol: AuxiliarySolution, history: PhaseHistory) -> np.ndarray:
     if history.sigma < 0:
         v = time_reverse(v)
     return np.exp(-1j * history.phi_total)[:, None] * v
-
-
-def quadrature_error_estimate(y: np.ndarray, t: np.ndarray) -> float:
-    """Richardson error bar for the Simpson integral of y over t.
-
-    Compares the full-resolution Simpson result with the one on every
-    second sample; for a fourth-order rule the difference over 15 bounds
-    the fine-grid error.
-    """
-    y = np.asarray(y, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if y.size < 5:
-        raise ValueError("need at least 5 samples for a Richardson estimate")
-    n = y.size if y.size % 2 == 1 else y.size - 1  # odd count: clean halving
-    fine = _simpson_weights(t[:n]) @ y[:n]
-    coarse = _simpson_weights(t[:n:2]) @ y[:n:2]
-    return abs(fine - coarse) / 15.0

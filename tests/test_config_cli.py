@@ -230,22 +230,26 @@ def test_simulate_zero_coupling(tmp_path):
         assert entry["phi_geo_final"] == 0.0
 
 
-@pytest.mark.parametrize("integrator", [
-    {"step": 0.02, "periods": 0.5},
-    {"step": 0.01, "periods": 10.0, "adaptive": True},  # the README demo, adaptive
-], ids=["short", "adaptive-demo"])
-def test_simulate_deterministic_bytes(tmp_path, integrator):
-    path = write_config(tmp_path, demo_config(integrator=integrator))
+@pytest.mark.parametrize("case", ["short", "adaptive-demo", "tabulated", "disordered",
+                                  "ordered"])
+def test_simulate_deterministic_bytes(tmp_path, case):
+    # every config the project ships, the CI spline drive and both presets among them,
+    # reruns to the same bytes in every file simulate and verify write
+    if case in ("disordered", "ordered"):
+        path = str(tmp_path / "preset.json")
+        assert main(["scenario", case, "--out", path]) == 0
+    elif case == "tabulated":
+        path = write_config(tmp_path, _smooth_table_config(tmp_path))
+    else:
+        path = write_config(tmp_path, demo_config(integrator={
+            "short": {"step": 0.02, "periods": 0.5},
+            "adaptive-demo": {"step": 0.01, "periods": 10.0, "adaptive": True}}[case]))
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["simulate", "--config", path, "--output-dir", str(out1)]) == 0
-    assert main(["simulate", "--config", path, "--output-dir", str(out2)]) == 0
-    codes = [main(["verify", "--config", path, "--output-dir", str(out)])
-             for out in (out1, out2)]
-    assert codes[0] == codes[1] == 0
-    for name in ("demo_aux.csv", "demo_phases_up.csv", "demo_phases_down.csv",
-                 "demo_summary.json", "demo_verify_up.csv", "demo_verify_down.csv",
-                 "demo_verify_report.json"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    for out in (out1, out2):
+        assert main(["simulate", "--config", path, "--output-dir", str(out)]) == 0
+        assert main(["verify", "--config", path, "--output-dir", str(out)]) == 0
+    assert len(list(out1.iterdir())) == 7
+    _same_artifacts(out1, out2)
 
 
 def test_residuals_computed_once_where_written(tmp_path, monkeypatch):
@@ -885,6 +889,24 @@ def test_retired_oracle_method_is_config_error(tmp_path, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command,where", [("simulate", "config"), ("verify", "config"),
+                                           ("sweep", "config"), ("sweep", "spec")])
+def test_boolean_schema_version_is_config_error(tmp_path, capsys, command, where):
+    # True == 1: it once ran as version 1, with the digest of 1
+    cfg = demo_config()
+    spec = {"sweep": [{"path": "trajectory.Omega", "values": [0.5]}]}
+    (cfg if where == "config" else spec)["schema_version"] = True
+    argv = [command, "--config", write_config(tmp_path, cfg),
+            "--output-dir", str(tmp_path / "o")]
+    if command == "sweep":
+        argv += ["--sweep", write_config(tmp_path, spec, "sweep.json")]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: unsupported schema_version True; expected 1\n" if where == "config"
+        else "config error: sweep spec: unsupported schema_version\n")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("enabled", ["false", 0, 1, None])
 @pytest.mark.parametrize("command", ["simulate", "verify"])
 def test_oracle_enabled_must_be_boolean(tmp_path, capsys, command, enabled):
@@ -1131,6 +1153,75 @@ def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
         (tmp_path / "parallel" / "demo_sweep.csv").read_bytes()
 
 
+def _ragged_sweep(tmp_path):
+    """Config and spec paths of an 8-point grid: four Omega, so four step counts, each with
+    a theta = 0 point that has no precession-consistent start."""
+    cfg = demo_config(integrator={"step": 0.05, "periods": 0.5})
+    del cfg["oracle"]
+    spec = {"sweep": [{"path": "trajectory.Omega", "values": [0.25, 0.5, 1.0, 2.0]},
+                      {"path": "trajectory.theta", "values": [0.6, 0.0]}]}
+    return write_config(tmp_path, cfg), write_config(tmp_path, spec, "sweep.json")
+
+
+def test_sweep_bytes_with_1_2_and_3_workers(tmp_path, monkeypatch, forks):
+    # w processes take interleaved slices of unequal work; the rows come back in grid order
+    path, spath = _ragged_sweep(tmp_path)
+    csv_bytes = []
+    for workers in (1, 2, 3):
+        monkeypatch.setenv("SPINROT_WORKERS", str(workers))
+        forks.clear()
+        out = tmp_path / f"workers_{workers}"
+        assert main(["sweep", "--config", path, "--sweep", spath, "--output-dir", str(out)]) == 0
+        assert len(forks) == workers - 1
+        for pid in forks:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+        csv_bytes.append((out / "demo_sweep.csv").read_bytes())
+    assert csv_bytes[1] == csv_bytes[0] and csv_bytes[2] == csv_bytes[0]
+    rows = read_csv_rows(tmp_path / "workers_1" / "demo_sweep.csv")
+    assert [r["status"] for r in rows] == ["ok", "no-solution"] * 4
+    assert [float(r["trajectory.Omega"]) for r in rows] == [0.25, 0.25, 0.5, 0.5,
+                                                            1.0, 1.0, 2.0, 2.0]
+
+
+@pytest.mark.parametrize("where", ["child", "parent"])
+def test_sweep_point_error_is_raised_and_children_reaped(tmp_path, monkeypatch, forks, where):
+    # an error no row records, raised by a point of a child's slice (the second point) or
+    # of the parent's (the first), reaches the caller; every child is reaped
+    from spinrot import cli
+    path, spath = _ragged_sweep(tmp_path)
+    point, parent = cli._sweep_point, os.getpid()
+    failing = cli._sweep_grid(json.loads(pathlib.Path(spath).read_text())["sweep"])[
+        1 if where == "child" else 0]
+
+    def sweep_point(payload):
+        if payload[1] == failing:
+            raise RuntimeError(f"point failed in the {'parent' if os.getpid() == parent else 'child'}")
+        return point(payload)
+
+    monkeypatch.setattr(cli, "_sweep_point", sweep_point)
+    monkeypatch.setenv("SPINROT_WORKERS", "3")
+    base = json.loads(pathlib.Path(path).read_text())
+    spec = json.loads(pathlib.Path(spath).read_text())
+    with pytest.raises(RuntimeError, match=f"point failed in the {where}"):
+        cli.run_sweep(base, spec, str(tmp_path))
+    assert len(forks) == 2
+    for pid in forks:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def test_sweep_without_fork_runs_in_one_process(tmp_path, monkeypatch):
+    from spinrot import cli
+    path, spath = _ragged_sweep(tmp_path)
+    monkeypatch.setenv("SPINROT_WORKERS", "3")
+    monkeypatch.delattr(os, "fork")
+    assert cli._worker_count(8) == 1
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", path, "--sweep", spath, "--output-dir", str(out)]) == 0
+    assert len(read_csv_rows(out / "demo_sweep.csv")) == 8
+
+
 # -- scenario --------------------------------------------------------------------------
 
 def test_scenario_export_and_run(tmp_path, monkeypatch):
@@ -1290,6 +1381,13 @@ def test_console_entry_point(tmp_path):
     proc = _run_module_cli("simulate", "--config", bad, "--output-dir", str(out))
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     assert "config error" in proc.stderr
+
+
+def test_cli_import_loads_no_process_pool():
+    proc = _run_child_python("-c", "import sys, spinrot.cli; print(sorted(m for m in sys.modules"
+                             " if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_every_export_resolves():

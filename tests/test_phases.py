@@ -13,7 +13,7 @@ from spinrot import phases
 from spinrot.invariant import (AuxiliarySolution, integrate_auxiliary,
                                solve_precession_lambda)
 from spinrot.phases import (_cumulative_simpson, _simpson_weights, accumulate_phases,
-                            berry_limit_check, lr_states, quadrature_error_estimate)
+                            berry_limit_check, lr_states)
 from spinrot.spin_algebra import validate_sigma
 from spinrot.trajectory import OmegaTrajectory
 
@@ -261,16 +261,6 @@ def test_simpson_beats_trapezoid_by_h2():
     # Simpson result is orders of magnitude closer
     assert ratios[-1] > 100.0
     assert ratios[-1] > ratios[0]
-
-
-def test_richardson_error_estimate_bounds_error():
-    t = np.linspace(0.0, 3.0, 601)
-    y = np.sin(2.0 * t) * np.exp(0.1 * t)
-    exact = (np.exp(0.3) * (0.1 * math.sin(6.0) - 2.0 * math.cos(6.0)) + 2.0) / (4.01)
-    est = quadrature_error_estimate(y, t)
-    actual = abs(simpson(y, x=t) - exact)
-    assert actual <= 10.0 * est  # same order of magnitude
-    assert est < 1e-8
 
 
 def _assert_ports_equal_scipy(n, random_grid, rows, seed):
