@@ -233,8 +233,8 @@ def test_simulate_zero_coupling(tmp_path):
 @pytest.mark.parametrize("case", ["short", "adaptive-demo", "tabulated", "disordered",
                                   "ordered"])
 def test_simulate_deterministic_bytes(tmp_path, case):
-    # every config the project ships, the CI spline drive and both presets among them,
-    # reruns to the same bytes in every file simulate and verify write
+    # the demo, the CI spline drive and both presets rerun to the same bytes in every
+    # file simulate and verify write
     if case in ("disordered", "ordered"):
         path = str(tmp_path / "preset.json")
         assert main(["scenario", case, "--out", path]) == 0
@@ -1174,8 +1174,7 @@ def test_sweep_point_error_is_raised_and_children_reaped(tmp_path, monkeypatch, 
     from spinrot import cli
     path, spath = _ragged_sweep(tmp_path)
     point, parent = cli._sweep_point, os.getpid()
-    failing = cli._sweep_grid(json.loads(pathlib.Path(spath).read_text())["sweep"])[
-        1 if where == "child" else 0]
+    failing = [("trajectory.Omega", 0.25), ("trajectory.theta", 0.0 if where == "child" else 0.6)]
 
     def sweep_point(payload):
         if payload[1] == failing:
@@ -1185,10 +1184,8 @@ def test_sweep_point_error_is_raised_and_children_reaped(tmp_path, monkeypatch, 
 
     monkeypatch.setattr(cli, "_sweep_point", sweep_point)
     monkeypatch.setenv("SPINROT_WORKERS", "3")
-    base = json.loads(pathlib.Path(path).read_text())
-    spec = json.loads(pathlib.Path(spath).read_text())
     with pytest.raises(RuntimeError, match=f"point failed in the {where}"):
-        cli.run_sweep(base, spec, str(tmp_path))
+        main(["sweep", "--config", path, "--sweep", spath, "--output-dir", str(tmp_path / "o")])
     assert len(forks) == 2
     for pid in forks:
         with pytest.raises(ChildProcessError):
