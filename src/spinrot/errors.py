@@ -14,7 +14,7 @@ class OutOfDomainError(SpinRotError, ValueError):
 
 
 class SingularityError(SpinRotError, ArithmeticError):
-    """Invariant angle hit the cot(lambda) guard during integration."""
+    """The invariant's lambda reached a pole's guard band, or gamma turned too far in one step."""
 
     def __init__(self, message: str, time: float | None = None):
         super().__init__(message)

@@ -18,9 +18,11 @@ Equivalently I = n . S with n = (sin lam cos gamma, sin lam sin gamma, cos lam).
 With [a.S, b.S] = i (a x b).S the LvN residual dI/dt - i [I, H] is
 (dn/dt + n x w).S, whose Frobenius norm is |dn/dt + n x w| / sqrt(2).
 
-cot(lam) makes lam = 0 and lam = pi singular; integration runs inside a
-guard band and aborts (rather than regularizing) if the solution reaches
-it, since a clipped cot corrupts dgamma/dt and with it the geometric phase.
+cot(lam) makes lam = 0 and lam = pi singular in the angle ODEs, so
+`integrate_auxiliary` steps n instead, by the same condition dn/dt = w x n,
+in a frame turning about z with the drive, and reads the angles off each
+sample. It aborts (rather than regularizing) when a sample's lam enters a
+guard band around a pole, or gamma turns by more than pi/2 in one step.
 
 The special cone solution: for th const and ph = Omega t, the angles
 lam = const, gamma = Omega t solve the system exactly when
@@ -31,18 +33,18 @@ relation for the cone angle lam.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NoSolutionError, SingularityError
 from .io_utils import write_csv
-from .trajectory import OmegaTrajectory, _grid_steps, check_sample_cap, omega_from_angles
+from .trajectory import (KIND_CONSTANT_PRECESSION, OmegaTrajectory, _grid_steps, check_sample_cap,
+                         omega_from_angles)
 
-EPS_LAMBDA = 1e-6  # guard band (rad) around the cot(lambda) singularities
+EPS_LAMBDA = 1e-6  # guard band (rad) around the poles lambda = 0 and lambda = pi
 
-_BLOCK = 512  # RK4 steps per kernel chain, their drive samples from one vectorized call
+_BLOCK = 1024  # RK4 steps per block; 2048 is 5% faster but holds 0.7 MB more at once
 
 
 @dataclass
@@ -78,131 +80,106 @@ class AuxiliarySolution:
         write_csv(path, *self.csv_table(residual), comments)
 
 
-def _guard_error(lam: float, eps_lambda: float, t: float) -> SingularityError:
-    return SingularityError(
-        f"lambda = {lam:.6g} reached the cot(lambda) guard "
-        f"(eps = {eps_lambda:g}) at t = {t:.12g}", time=t)
+def _frame(traj: OmegaTrajectory, t0: float, t_end: float) -> tuple[float, float]:
+    """(c, rate) of the frame angle alpha(t) = c + rate t: a cone's ph, bit for bit, or from
+    ph(t0) at a table's mean rate over the run, whose domain on [t0, t_end] is checked here."""
+    if traj.kind == KIND_CONSTANT_PRECESSION:
+        return traj.params["phi0"], traj.params["Omega"]
+    ph0, ph1 = traj.angles(np.array([t0, t_end]))[1]
+    rate = (ph1 - ph0) / (t_end - t0) if t_end != t0 else 0.0
+    return ph0 - rate * t0, rate
 
 
-def _rk4_step(t, lam, gam, h, a, b, c, w0, eps, lam_out, gam_out, starts=None):
-    """A chain of RK4 steps, one per entry of the step times t; returns the last result.
+def _cross(b: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """b x v, component by component, for b of shape (3, N) and v of shape (3, 3, N)."""
+    bx, by, bz = b
+    x, y, z = v
+    return np.stack((by * z - bz * y, bz * x - bx * z, bx * y - by * x))
 
-    a, b, c are the drive's (sin th, cos th, ph) lists at t, t + h/2 and
-    t + h. Step k starts from the result of step k - 1, the first from
-    (lam, gam), or, given starts = (lams, gams), from (lams[k], gams[k]).
-    Each result is appended to lam_out and gam_out. Every stage's lambda,
-    the start's included, must sit inside the cot guard band; the first
-    that does not raises, after the results before it were appended.
+
+def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b per sample for 3x3 matrices in component form, a[i, j, ...] and b[j, k, ...].
+
+    Elementwise products, not np.matmul: matrices this small gain nothing
+    from BLAS, whose first call maps some 0.4 MB of its code and buffers.
     """
-    sin, cos = math.sin, math.cos
-    hi = math.pi - eps
-    hh, h6 = 0.5 * h, h / 6.0
-    sa, ca, pa = a
-    sb, cb, pb = b
-    sc, cc, pc = c
-    lams, gams = starts if starts is not None else (None, None)
-    put_lam, put_gam = lam_out.append, gam_out.append
-    for k in range(len(t)):
-        if lams is not None:
-            lam, gam = lams[k], gams[k]
-        if not eps < lam < hi:
-            raise _guard_error(lam, eps, t[k])
-        s = sa[k]
-        d = pa[k] - gam
-        k1l = w0 * s * sin(d)
-        k1g = w0 * (ca[k] - s * cos(d) * cos(lam) / sin(lam))
-        y = lam + hh * k1l
-        if not eps < y < hi:
-            raise _guard_error(y, eps, t[k] + hh)
-        s, co, ph = sb[k], cb[k], pb[k]
-        d = ph - (gam + hh * k1g)
-        k2l = w0 * s * sin(d)
-        k2g = w0 * (co - s * cos(d) * cos(y) / sin(y))
-        y = lam + hh * k2l
-        if not eps < y < hi:
-            raise _guard_error(y, eps, t[k] + hh)
-        d = ph - (gam + hh * k2g)
-        k3l = w0 * s * sin(d)
-        k3g = w0 * (co - s * cos(d) * cos(y) / sin(y))
-        y = lam + h * k3l
-        if not eps < y < hi:
-            raise _guard_error(y, eps, t[k] + h)
-        s = sc[k]
-        d = pc[k] - (gam + h * k3g)
-        k4l = w0 * s * sin(d)
-        k4g = w0 * (cc[k] - s * cos(d) * cos(y) / sin(y))
-        lam, gam = (lam + h6 * (k1l + 2.0 * k2l + 2.0 * k3l + k4l),
-                    gam + h6 * (k1g + 2.0 * k2g + 2.0 * k3g + k4g))
-        put_lam(lam)
-        put_gam(gam)
-    return lam, gam
+    return a[:, 0, None] * b[0] + a[:, 1, None] * b[1] + a[:, 2, None] * b[2]
 
 
-def _drive_stages(traj: OmegaTrajectory, times: list) -> list:
-    """Per stage-time array, the drive's (sin th, cos th, ph) there as three float lists."""
-    q = np.stack(times)
-    th, ph = traj.angles(q.ravel())
-    th = np.reshape(th, q.shape)
-    return list(zip(np.sin(th).tolist(), np.cos(th).tolist(), np.reshape(ph, q.shape).tolist()))
+def _rk4_step(b1: np.ndarray, b2: np.ndarray, b3: np.ndarray, h: float) -> np.ndarray:
+    """The RK4 step matrices M of dn'/dt = b x n' for one block, shape (3, 3, N).
 
-
-def _interleave(x: list, y: list) -> list:
-    """[x0, y0, x1, y1, ...] for lists of one length."""
-    z = x + y
-    z[::2] = x
-    z[1::2] = y
-    return z
-
-
-def _adaptive_block(traj, tb, h, lk, gk, w0, eps, tol, may_halve, worst_rate, lam, gam):
-    """One block of adaptive steps from (lk, gk); appends the accepted samples to lam, gam.
-
-    The block's half steps run as one chain: its even samples are the
-    accepted ones, and each full step then runs from its accepted start.
-    A pass stops at its first guard hit. The outcomes are then read step by
-    step in the order of a step-by-step loop: the full step's guard, the
-    half steps' guards, the rate test, and (as the next step's start) the
-    accepted sample's guard. Returns (lk, gk, worst_rate, ok); ok is False
-    when a rate above tol calls for a halving, which may_halve allows.
+    b1, b2, b3 are b at each step's t, t + h/2 and t + h, shape (3, N).
+    RK4 runs on the three basis vectors at once: column j of M[..., k] is
+    step k's image of e_j.
     """
+    eye = np.eye(3)[:, :, None]
+    bx, by, bz = b1
+    zero = np.zeros_like(bx)
+    k1 = np.stack(((zero, -bz, by), (bz, zero, -bx), (-by, bx, zero)))  # b1 x e_j
+    k2 = _cross(b2, eye + (0.5 * h) * k1)
+    k3 = _cross(b2, eye + (0.5 * h) * k2)
+    k4 = _cross(b3, eye + h * k3)
+    return eye + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def _block_steps(traj: OmegaTrajectory, tg: np.ndarray, h: float, c: float, rate: float,
+                 adaptive: bool) -> tuple:
+    """(th, ph, m, full) of the steps between the grid points tg.
+
+    One `traj.angles` call samples tg and the stage times between its
+    points; th, ph are the drive's angles at tg. m[k] takes step k's start
+    to its sample: the RK4 step, or in adaptive mode the product of two
+    half steps, when full holds the whole steps (else None).
+    """
+    tb = tg[:-1]
     mid = tb + 0.5 * h
-    a, b, c, aq, bq, c2 = _drive_stages(
-        traj, [tb, mid, tb + h, tb + 0.25 * h, mid + 0.25 * h, mid + 0.5 * h])
-    tl = tb.tolist()
-    acc_l, acc_g = array("d", [lk]), array("d", [gk])
-    half_hit = full_hit = None
-    half = [tuple(map(_interleave, x, y)) for x, y in ((a, b), (aq, bq), (b, c2))]
-    try:
-        _rk4_step(_interleave(tl, mid.tolist()), lk, gk, 0.5 * h, *half, w0, eps, acc_l, acc_g)
-    except SingularityError as hit:
-        half_hit = hit
-    nf = min(len(tl), (len(acc_l) + 1) // 2)  # the steps whose start the chain reached
-    full_l, full_g = array("d"), array("d")
-    try:
-        _rk4_step(tl[:nf], lk, gk, h, a, b, c, w0, eps, full_l, full_g,
-                  starts=(acc_l[:2 * nf:2], acc_g[:2 * nf:2]))
-    except SingularityError as hit:
-        full_hit = hit
-    for k in range(nf):
-        if k == len(full_l):
-            raise full_hit
-        if 2 * k + 2 >= len(acc_l):
-            raise half_hit
-        lk, gk = acc_l[2 * k + 2], acc_g[2 * k + 2]
-        err = max(abs(full_l[k] - lk), abs(full_g[k] - gk))
-        rate = err / abs(h)
-        worst_rate = max(worst_rate, rate)
-        if rate > tol and may_halve:
-            return lk, gk, worst_rate, False
-        lam.append(lk)
-        gam.append(gk)
-    return lk, gk, worst_rate, True
+    times = np.concatenate([tg, mid, tb + 0.25 * h, mid + 0.25 * h] if adaptive else [tg, mid])
+    th, ph = traj.angles(times)
+    s = traj.omega0 * np.sin(th)
+    d = ph - (c + rate * times)
+    b = np.stack((s * np.cos(d), s * np.sin(d), traj.omega0 * np.cos(th) - rate))
+    n = len(tb)
+    start, end, centre = b[:, :n], b[:, 1:n + 1], b[:, n + 1:2 * n + 1]
+    full = _rk4_step(start, centre, end, h)
+    if not adaptive:
+        return th[:n + 1], ph[:n + 1], full, None
+    first = _rk4_step(start, b[:, 2 * n + 1:3 * n + 1], centre, 0.5 * h)
+    second = _rk4_step(centre, b[:, 3 * n + 1:], end, 0.5 * h)
+    return th[:n + 1], ph[:n + 1], _compose(second, first), full
+
+
+def _chain(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The vectors after each step, (3, N), of the steps m (3, 3, N) applied in turn to v.
+
+    A blocked two-level product: the running products inside sub-blocks
+    of about sqrt(N/4) steps, then the sub-blocks' start vectors one after
+    the other, then each running product applied to its start. (A product
+    across the sub-blocks costs about as much as ten start-vector steps.)
+    """
+    n = m.shape[2]
+    s = math.isqrt(n // 4) + 1
+    q = -(-n // s)
+    p = np.empty((3, 3, q * s))
+    p[:, :, :n] = m
+    p[:, :, n:] = np.eye(3)[:, :, None]
+    p = p.reshape(3, 3, q, s).transpose(3, 0, 1, 2).copy()  # p[i]: step i of every sub-block
+    for i in range(1, s):
+        p[i] = _compose(p[i], p[i - 1])
+    starts = []
+    x, y, z = v
+    for r0, r1, r2 in np.moveaxis(p[-1], 2, 0).tolist():
+        starts.append((x, y, z))
+        x, y, z = (r0[0] * x + r0[1] * y + r0[2] * z, r1[0] * x + r1[1] * y + r1[2] * z,
+                   r2[0] * x + r2[1] * y + r2[2] * z)
+    out = _compose(p.transpose(1, 2, 0, 3), np.array(starts).T[:, None])[:, 0]  # (3, s, q)
+    return out.transpose(0, 2, 1).reshape(3, q * s)[:, :n]
 
 
 def integrate_auxiliary(traj: OmegaTrajectory, lambda0: float, gamma0: float,
                         t_end: float, step: float, *, t0: float = 0.0,
                         adaptive: bool = False, max_halvings: int = 16) -> AuxiliarySolution:
-    """Integrate the auxiliary angle ODEs with fixed-step RK4.
+    """Integrate the auxiliary angle ODEs by fixed-step RK4 on the Bloch vector.
 
     Parameters
     ----------
@@ -214,31 +191,34 @@ def integrate_auxiliary(traj: OmegaTrajectory, lambda0: float, gamma0: float,
         Final time and requested step magnitude. Backward runs (t_end < t0)
         are supported; the step count is n = rint(|t_end - t0| / step).
     adaptive : bool
-        When set, each step is also taken as two half steps; if the
-        worst-case local error rate max|y_h - y_{h/2}| / |h| ever exceeds
-        1e-9 * w0 (the accuracy at which the dense output keeps the
-        invariant condition), the whole run is rerun at half the step,
-        preserving the uniform output grid, at most `max_halvings` times.
+        When set, each step is also taken as two half steps, which give the
+        sample; if a local error rate |(M_h - M_{h/2} M_{h/2}) n'| / |h|, an
+        error in n, not in (lambda, gamma), exceeds 1e-9 * w0 (at which the
+        dense output keeps the invariant condition), the whole run is rerun
+        at half the step, on the same output grid, at most `max_halvings` times.
 
-    The drive is never evaluated per RK4 stage. The grid is walked in
-    blocks of `_BLOCK` steps; for each block one vectorized `traj.angles`
-    call samples the drive at every stage time of its steps (the same
-    floats t_k + h/2, t_k + h, ... the step arithmetic produces), and one
-    `_rk4_step` call runs the block's steps as a chain, doing only the
-    (lambda, gamma) arithmetic on Python floats. An adaptive block has
-    half as many steps: its half steps run as one chain, then each full
-    step from its accepted start, and the outcomes are read in step order
-    (`_adaptive_block`). The cot guard still applies to every stage's
-    lambda and to every accepted sample. A tabulated drive checks its
-    domain once, on [t0, t_end], before the first step. One more vectorized call samples the drive on
-    the output grid; those angles are kept on the solution, and the stored
-    rates are the right-hand side evaluated on them.
+    n' = R_z(-alpha) n, the invariant's direction in the frame turned about
+    z by alpha(t) (`_frame`), obeys dn'/dt = b x n', b = w' - (dalpha/dt) z.
+    That ODE is linear, so each RK4 step is a 3x3 matrix of b at t, t + h/2
+    and t + h (`_rk4_step`). Per block of `_BLOCK` steps (adaptive: half as
+    many), one `traj.angles` call samples the grid points and stage times,
+    the matrices come from whole-array operations, and the samples are
+    their running products applied to the vector carried in (`_chain`).
+    Then lam = atan2(hypot(n'x, n'y), n'z) and gamma = alpha + psi, with
+    psi = atan2(n'y, n'x) unwrapped from gamma0 - alpha(t0), both as
+    increments from the start (a sample equal to the start gives lambda0
+    and gamma0 back). The drive's angles on the grid are kept on the
+    solution, and the stored rates are the angle ODEs' right-hand side on
+    them.
 
     Raises
     ------
     SingularityError
-        If lambda0 starts inside the cot guard band (EPS_LAMBDA from 0 or
-        pi), or lambda reaches it; the message names the time.
+        If lambda0 starts inside the guard band (EPS_LAMBDA from 0 or pi),
+        or at the first sample whose lambda is inside it or whose gamma
+        turned by more than pi/2 since the sample before (then its unwrapping
+        is ambiguous), naming its time; in adaptive mode after a halving the
+        step's error rate calls for.
     OutOfDomainError
         If [t0, t_end] leaves a tabulated drive's domain.
     ValueError
@@ -249,47 +229,69 @@ def integrate_auxiliary(traj: OmegaTrajectory, lambda0: float, gamma0: float,
     if not (eps_lambda < lambda0 < math.pi - eps_lambda):
         raise SingularityError(
             f"lambda0 = {lambda0!r} outside the integrable band "
-            f"({eps_lambda:g}, pi - {eps_lambda:g}) of the cot(lambda) guard", time=t0)
+            f"({eps_lambda:g}, pi - {eps_lambda:g}) of the pole guard", time=t0)
     w0 = traj.omega0
     tol = 1e-9 * w0
-    traj.angles(np.array([t0, t_end]))  # a tabulated drive checks its domain here, once
+    c, rate = _frame(traj, t0, t_end)
     n = _grid_steps(t0, t_end, step)
-    size = (_BLOCK + 1) // 2 if adaptive else _BLOCK  # a half-step chain of about _BLOCK steps
+    psi0 = gamma0 - (c + rate * t0)
+    v0 = np.array([math.sin(lambda0) * math.cos(psi0), math.sin(lambda0) * math.sin(psi0),
+                   math.cos(lambda0)])
+    lam_0, a_0 = math.atan2(math.hypot(v0[0], v0[1]), v0[2]), math.atan2(v0[1], v0[0])
     halvings = 0
     while True:
         t = np.linspace(t0, t_end, n + 1)
         h = (t_end - t0) / n if n else step
-        lam = array("d", [lambda0])
-        gam = array("d", [gamma0])
-        lk, gk = lambda0, gamma0
+        lam, gam, th, ph = (np.empty(n + 1) for _ in range(4))
+        lam[0], gam[0] = lambda0, gamma0
+        if not n:
+            th, ph = traj.angles(t)
+        v, a_prev, winding = v0, a_0, 0.0
         worst_rate = 0.0
-        ok = True
+        size = (_BLOCK + 1) // 2 if adaptive else _BLOCK  # an adaptive step holds three matrices
         for k0 in range(0, n, size):
-            tb = t[k0:min(k0 + size, n)]
+            k1 = min(k0 + size, n)
+            th[k0:k1 + 1], ph[k0:k1 + 1], m, full = _block_steps(
+                traj, t[k0:k1 + 1], h, c, rate, adaptive)
+            nb = _chain(m, v)
+            x, y, z = nb
+            a = np.arctan2(y, x)
+            d = np.diff(a, prepend=a_prev)
+            wraps = np.rint(d / (2.0 * math.pi))
+            turn = d - 2.0 * math.pi * wraps  # gamma's turn since the sample before
+            winding = winding + np.cumsum(wraps)
+            lb = lambda0 + (np.arctan2(np.hypot(x, y), z) - lam_0)
+            lam[k0 + 1:k1 + 1] = lb
+            gam[k0 + 1:k1 + 1] = (c + rate * t[k0 + 1:k1 + 1]) + (
+                psi0 + ((a - a_0) - 2.0 * math.pi * winding))
+            bad = np.flatnonzero(~((eps_lambda < lb) & (lb < math.pi - eps_lambda))
+                                 | (np.abs(turn) > 0.5 * math.pi))
             if adaptive:
-                lk, gk, worst_rate, ok = _adaptive_block(
-                    traj, tb, h, lk, gk, w0, eps_lambda, tol, halvings < max_halvings,
-                    worst_rate, lam, gam)
-                if not ok:
+                err = _compose(full - m, np.column_stack((v, nb[:, :-1]))[:, None])[:, 0]
+                rates = np.sqrt(np.sum(err * err, axis=0)) / abs(h)
+                worst_rate = max(worst_rate, float(rates.max()))
+                over = np.flatnonzero(rates > tol)
+                if halvings < max_halvings and over.size and not (bad.size and bad[0] < over[0]):
                     break
-            else:
-                lk, gk = _rk4_step(tb.tolist(), lk, gk, h,
-                                   *_drive_stages(traj, [tb, tb + 0.5 * h, tb + h]),
-                                   w0, eps_lambda, lam, gam)
-        if ok:
+            if bad.size:
+                j = bad[0]
+                tj = float(t[k0 + 1 + j])
+                if eps_lambda < lb[j] < math.pi - eps_lambda:
+                    msg = f"gamma turned by {turn[j]:.6g} rad in one step, beyond pi/2"
+                else:
+                    pole = "0" if lb[j] < 1.0 else "pi"
+                    msg = f"lambda came within {eps_lambda:g} of the pole at {pole}"
+                raise SingularityError(f"{msg} at t = {tj:.12g}", time=tj)
+            v, a_prev, winding = nb[:, -1], a[-1], winding[-1]
+        else:
             break
         n *= 2
         halvings += 1
         check_sample_cap(n + 1, abs(t_end - t0) / n, "halved step")
-    if not (eps_lambda < lk < math.pi - eps_lambda):  # each other sample was a step's start
-        raise _guard_error(lk, eps_lambda, float(t[n]))
     meta = {}
     if adaptive and worst_rate > tol:
         meta["error_rate_tol_exceeded"] = True
 
-    lam = np.array(lam)
-    gam = np.array(gam)
-    th, ph = traj.angles(t)
     s_th = np.sin(th)
     d = ph - gam
     lam_dot = w0 * s_th * np.sin(d)

@@ -623,6 +623,34 @@ def test_shipped_configs_verify(tmp_path, case):
         assert "phase_mismatch_at_half_step_rad" not in entry
 
 
+_NEAR_POLE_STEP = 0.00697
+
+
+def _near_pole_config(k):
+    """A cone whose lambda passes within 0.0047 of pi, at the step 0.00697 / k."""
+    return demo_config(
+        trajectory={"kind": "constant_precession", "omega0": 1.670,
+                    "Omega": 1.230, "theta": 1.066, "phi0": 3.192},
+        initial_conditions={"lambda0": 1.811, "gamma0": 4.539},
+        integrator={"step": _NEAR_POLE_STEP / k, "t_end": 10.0 / 1.670},
+        oracle={"enabled": True, "step": _NEAR_POLE_STEP / (4 * k),
+                "method": "exponential_product"})
+
+
+def test_near_pole_run_verifies_at_fourth_order(tmp_path):
+    # the angle RK4 that stepped cot(lambda) was 1.2e-6 off here, and verify exited 4
+    worst = []
+    for k in (1, 2, 4):
+        path = write_config(tmp_path, _near_pole_config(k), name=f"config{k}.json")
+        out = tmp_path / f"out{k}"
+        if k == 1:
+            assert main(["simulate", "--config", path, "--output-dir", str(out)]) == 0
+        assert main(["verify", "--config", path, "--output-dir", str(out)]) == 0
+        report = json.loads((out / "demo_verify_report.json").read_text())
+        worst.append(max(e["max_overlap_phase_rad"] for e in report["per_sigma"].values()))
+    assert worst[0] / worst[1] >= 14.0 and worst[1] / worst[2] >= 14.0, worst
+
+
 def test_verify_static_field_exact(tmp_path):
     cfg = demo_config(
         trajectory={"kind": "constant_precession", "omega0": 1.0,

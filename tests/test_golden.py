@@ -237,6 +237,11 @@ def test_golden_numbers(outputs, name):
     assert not errors, "\n".join(errors[:20])
 
 
+def test_golden_files_stay_under_200_kb():
+    # each rewrite of the golden files must keep the whole set small
+    assert sum(path.stat().st_size for path in GOLDEN.iterdir()) < 200_000
+
+
 def test_spin_down_alone_matches_the_two_sigma_run(outputs):
     # the oracle run and states of sigma = -1/2 do not depend on sigma = +1/2 being asked
     body = {name: (outputs[name][1] / "demo_verify_down.csv").read_text().splitlines()[1:]

@@ -293,22 +293,49 @@ def test_solution_carries_grid_drive_angles():
         assert np.array_equal(sol.theta, th) and np.array_equal(sol.phi, ph)
 
 
-# -- integration: the stage-table loop against a per-stage reference -------------
+# -- integration: the blocked scheme against a per-step reference ----------------
 
-def _reference_rk4_step(traj, t, lam, gam, h, eps):
-    k1l, k1g = auxiliary_rhs(traj, t, lam, gam, eps)
-    k2l, k2g = auxiliary_rhs(traj, t + 0.5 * h, lam + 0.5 * h * k1l, gam + 0.5 * h * k1g, eps)
-    k3l, k3g = auxiliary_rhs(traj, t + 0.5 * h, lam + 0.5 * h * k2l, gam + 0.5 * h * k2g, eps)
-    k4l, k4g = auxiliary_rhs(traj, t + h, lam + h * k3l, gam + h * k3g, eps)
-    return (lam + (h / 6.0) * (k1l + 2.0 * k2l + 2.0 * k3l + k4l),
-            gam + (h / 6.0) * (k1g + 2.0 * k2g + 2.0 * k3g + k4g))
+def _reference_frame(traj, t0, t_end):
+    """(c, rate) of the frame angle alpha(t) = c + rate t that the integrator turns with."""
+    if traj.kind == "constant_precession":
+        return traj.params["phi0"], traj.params["Omega"]
+    ph0, ph1 = traj.angles_scalar(t0)[1], traj.angles_scalar(t_end)[1]
+    rate = (ph1 - ph0) / (t_end - t0) if t_end != t0 else 0.0
+    return ph0 - rate * t0, rate
+
+
+def _reference_rk4_step(traj, frame, t, t_next, n, h):
+    """One RK4 step of dn'/dt = b x n', b = w' - rate z, from n at t to t_next = t + h."""
+    c, rate = frame
+
+    def b(s):
+        th, ph = traj.angles_scalar(s)
+        d = ph - (c + rate * s)
+        w0 = traj.omega0
+        return np.array([w0 * math.sin(th) * math.cos(d), w0 * math.sin(th) * math.sin(d),
+                         w0 * math.cos(th) - rate])
+
+    b2 = b(t + 0.5 * h)
+    k1 = np.cross(b(t), n)
+    k2 = np.cross(b2, n + 0.5 * h * k1)
+    k3 = np.cross(b2, n + 0.5 * h * k2)
+    k4 = np.cross(b(t_next), n + h * k3)
+    return n + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _reference_integrate(traj, lambda0, gamma0, t_end, step, *, t0=0.0,
                          adaptive=False, max_halvings=16, eps=EPS_LAMBDA):
-    """Scalar RK4 loop that samples the drive at every stage through auxiliary_rhs."""
+    """Plain per-step loop of the co-rotating Bloch-vector RK4, the drive sampled per stage.
+
+    Per step: the step (adaptive: also its two half steps, which give the
+    sample, and the rate test), then the sample's guards: lambda inside
+    the band, and a turn of gamma of at most pi/2.
+    """
     tol = 1e-9 * traj.omega0
+    frame = _reference_frame(traj, t0, t_end)
+    c, rate = frame
     n = max(1, round(abs(t_end - t0) / step))
+    psi0 = gamma0 - (c + rate * t0)
     halvings = 0
     while True:
         t = np.linspace(t0, t_end, n + 1)
@@ -316,23 +343,32 @@ def _reference_integrate(traj, lambda0, gamma0, t_end, step, *, t0=0.0,
         lam = np.empty(n + 1)
         gam = np.empty(n + 1)
         lam[0], gam[0] = lambda0, gamma0
+        v = np.array([math.sin(lambda0) * math.cos(psi0), math.sin(lambda0) * math.sin(psi0),
+                      math.cos(lambda0)])
+        psi, a = psi0, math.atan2(v[1], v[0])
         worst_rate = 0.0
         ok = True
         for k in range(n):
             tk = t[k]
             if adaptive:
-                full = _reference_rk4_step(traj, tk, lam[k], gam[k], h, eps)
-                hl, hg = _reference_rk4_step(traj, tk, lam[k], gam[k], 0.5 * h, eps)
-                lam[k + 1], gam[k + 1] = _reference_rk4_step(traj, tk + 0.5 * h, hl, hg,
-                                                             0.5 * h, eps)
-                rate = max(abs(full[0] - lam[k + 1]), abs(full[1] - gam[k + 1])) / abs(h)
-                worst_rate = max(worst_rate, rate)
-                if rate > tol and halvings < max_halvings:
+                mid = tk + 0.5 * h
+                full = _reference_rk4_step(traj, frame, tk, t[k + 1], v, h)
+                v = _reference_rk4_step(traj, frame, tk, mid, v, 0.5 * h)
+                v = _reference_rk4_step(traj, frame, mid, t[k + 1], v, 0.5 * h)
+                rate_k = np.linalg.norm(full - v) / abs(h)
+                worst_rate = max(worst_rate, rate_k)
+                if rate_k > tol and halvings < max_halvings:
                     ok = False
                     break
             else:
-                lam[k + 1], gam[k + 1] = _reference_rk4_step(traj, tk, lam[k], gam[k], h, eps)
-            assert eps < lam[k + 1] < math.pi - eps
+                v = _reference_rk4_step(traj, frame, tk, t[k + 1], v, h)
+            a_next = math.atan2(v[1], v[0])
+            turn = (a_next - a + math.pi) % (2.0 * math.pi) - math.pi
+            psi, a = psi + turn, a_next
+            lam[k + 1] = math.atan2(math.hypot(v[0], v[1]), v[2])
+            gam[k + 1] = c + rate * t[k + 1] + psi
+            if not eps < lam[k + 1] < math.pi - eps or abs(turn) > 0.5 * math.pi:
+                raise SingularityError(f"reference guard at t = {t[k + 1]}", time=t[k + 1])
         if ok:
             break
         n *= 2
@@ -340,7 +376,7 @@ def _reference_integrate(traj, lambda0, gamma0, t_end, step, *, t0=0.0,
     rates = np.array([auxiliary_rhs(traj, t[k], lam[k], gam[k], eps) for k in range(n + 1)])
     meta = {"error_rate_tol_exceeded": True} if adaptive and worst_rate > tol else {}
     return dict(t=t, lam=lam, gamma=gam, lam_dot=rates[:, 0], gamma_dot=rates[:, 1],
-                n_halvings=halvings, max_error_rate=worst_rate, meta=meta)
+                n_halvings=halvings, max_error_rate=worst_rate, meta=meta, h=h)
 
 
 def _tabulated_500():
@@ -351,7 +387,7 @@ def _tabulated_500():
 REFERENCE_CASES = {
     "locked-cone": (_precession, (math.pi / 2.0, 0.0, 2.0 * 2.0 * math.pi / OM, 0.01), {}),
     "off-cone-backward": (_precession, (1.2, 0.3, 0.0, 0.01), {"t0": 6.0}),
-    # 600 steps of h = -0.01: the half-step chain crosses a block edge backward in time
+    # 600 steps of h = -0.01, backward in time through the block loop
     "off-cone-backward-adaptive": (_precession, (1.2, 0.3, 0.0, 0.01), {"t0": 6.0, "adaptive": True}),
     "tabulated-adaptive": (_tabulated_500, (1.0, 0.2, 9.6, 0.2), {"adaptive": True}),
     "tabulated-fixed": (lambda: spline_drive(W0, lambda t: 1.0 + 0.2 * np.sin(t),
@@ -364,8 +400,11 @@ REFERENCE_CASES = {
 
 @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
 def test_stage_table_matches_per_stage_reference(case):
-    # tolerance fixed from float64 rounding: the stage-table loop takes sin/cos
-    # of the drive angle from numpy, the reference from math
+    # tolerances fixed from float64 rounding: the blocked scheme multiplies
+    # step matrices in another order than the loop applies its steps, takes
+    # sin/cos of the drive angle from numpy, not math, and unwraps gamma in
+    # closed form, not by a running sum. The error rate is a difference of
+    # two O(1) vectors divided by h, so it is held to a few ulps of 1 over h.
     make, args, kwargs = REFERENCE_CASES[case]
     traj = make()
     sol = integrate_auxiliary(traj, *args, **kwargs)
@@ -375,7 +414,8 @@ def test_stage_table_matches_per_stage_reference(case):
     assert sol.n_samples == ref["t"].size
     assert sol.n_halvings == ref["n_halvings"]
     assert sol.meta == ref["meta"]
-    assert sol.max_error_rate == pytest.approx(ref["max_error_rate"], rel=1e-9, abs=0.0)
+    assert sol.max_error_rate == pytest.approx(ref["max_error_rate"], rel=0.0,
+                                               abs=1e-14 / abs(ref["h"]))
     assert np.array_equal(sol.t, ref["t"])
     for key in ("lam", "gamma", "lam_dot", "gamma_dot"):
         y, y_ref = getattr(sol, key), ref[key]
@@ -383,52 +423,62 @@ def test_stage_table_matches_per_stage_reference(case):
 
 
 def _x_field():
-    # w along x: a start in the y-z plane circles through the poles of lambda
+    # w along x: n circles about x, through a pole of lambda from a start in the y-z plane
     return OmegaTrajectory.constant_precession(1.0, 0.0, math.pi / 2.0, 0.0)
 
 
-# case: (drive, args, kwargs, the time that the guard message names, or None)
+# case: (drive, args, kwargs, the guard's (first word, time) in its message, or None)
 BLOCK_CASES = {
     "cone-forward": (_precession, (1.2, 0.3, 12.0, 0.01), {}, None),
     "cone-backward": (_precession, (1.2, 0.3, 0.0, 0.01), {"t0": 12.0}, None),
     "spline-adaptive": (lambda: spline_drive(W0, lambda t: 1.0 + 0.2 * np.sin(t),
                                              lambda t: 0.7 * t, 5.0, 501),
                         (1.1, 0.0, 5.0, 0.05), {"adaptive": True}, None),
-    # lambda reaches the pole at step 600
-    "fixed-guard": (_x_field, (0.3, math.pi / 2.0, 8.0, 0.0005), {}, "0.3"),
-    # only the last sample is inside the guard band, none of the stages
-    "fixed-guard-last-sample": (lambda: OmegaTrajectory.constant_precession(1.0, -0.19, 1.89),
-                                (2.21, -1.51, 1.0, 0.05), {}, "1"),
-    # the first step's rate test fails before the coarse run's step near t = 0.3
-    # hits the guard, so the run halves twice and passes the pole
-    "adaptive-rate-before-guard": (_x_field, (0.3, math.pi / 2.0 - 0.01, 1.0, 0.02),
+    # lambda reaches the pole at step 600, in the second block of 512
+    "fixed-guard": (_x_field, (0.3, math.pi / 2.0, 8.0, 0.0005), {}, ("lambda", "0.3")),
+    # only the last sample is inside the guard band: lambda = 5e-8 at t = 1
+    "fixed-guard-last-sample": (_x_field, (1.0, math.pi / 2.0, 1.0, 0.05), {}, ("lambda", "1")),
+    # n passes 0.0089 from the pole: at h = 0.04 gamma turns by 2.3 rad in one step
+    "fixed-turn-guard": (_x_field, (0.3, math.pi / 2.0 - 0.03, 1.0, 0.04), {},
+                         ("gamma", "0.32")),
+    # the same run, adaptive: the first step's rate test fails before the
+    # sample at t = 0.32, so the run halves twice and passes the pole
+    "adaptive-rate-before-guard": (_x_field, (0.3, math.pi / 2.0 - 0.03, 1.0, 0.04),
                                    {"adaptive": True, "max_halvings": 2}, None),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
 def test_block_size_changes_no_bit(case, monkeypatch):
-    # the steps run as chains of one block each; where the blocks end must not
-    # show in the samples, the halvings, the error rate or the guard message
-    make, args, kwargs, guard_time = BLOCK_CASES[case]
+    # the samples chain block to block, and the blocked product reassociates
+    # within a block, so the samples may move by rounding with the block
+    # size; the halvings, the flags and the guard message may not
+    make, args, kwargs, guard = BLOCK_CASES[case]
     outcomes = []
-    for block in (1, 3, 512):
+    for block in (1, 3, invariant._BLOCK):
         monkeypatch.setattr(invariant, "_BLOCK", block)
         try:
-            sol = integrate_auxiliary(make(), *args, **kwargs)
+            outcomes.append(integrate_auxiliary(make(), *args, **kwargs))
         except SingularityError as err:
             outcomes.append(str(err))
-        else:
-            outcomes.append((sol.lam.tobytes(), sol.gamma.tobytes(), sol.n_halvings,
-                             sol.max_error_rate))
-    if guard_time is None:
+    if guard is None:
         assert not isinstance(outcomes[0], str), outcomes[0]
     else:
-        assert outcomes[0].endswith(f"at t = {guard_time}"), outcomes[0]
+        assert outcomes[0].startswith(guard[0]), outcomes[0]
+        assert outcomes[0].endswith(f"at t = {guard[1]}"), outcomes[0]
+        assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+        return
     if case == "adaptive-rate-before-guard":
-        assert outcomes[0][2] == 2
-    assert outcomes[1] == outcomes[0]
-    assert outcomes[2] == outcomes[0]
+        assert outcomes[0].n_halvings == 2
+        with pytest.raises(SingularityError, match="^gamma turned .* at t = 0.32$"):
+            integrate_auxiliary(make(), *args, adaptive=True, max_halvings=0)
+    first = outcomes[0]
+    for sol in outcomes[1:]:
+        assert (sol.n_halvings, sol.meta) == (first.n_halvings, first.meta)
+        assert sol.max_error_rate == pytest.approx(first.max_error_rate, rel=1e-9, abs=1e-13)
+        for key in ("lam", "gamma"):
+            y, y_ref = getattr(sol, key), getattr(first, key)
+            assert np.all(np.abs(y - y_ref) <= 1e-13 * np.maximum(1.0, np.abs(y_ref))), key
 
 
 # -- LvN residual -----------------------------------------------------------------
