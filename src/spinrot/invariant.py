@@ -100,8 +100,8 @@ def _cross(b: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b per sample for 3x3 matrices in component form, a[i, j, ...] and b[j, k, ...].
 
-    Elementwise products, not np.matmul: matrices this small gain nothing
-    from BLAS, whose first call maps some 0.4 MB of its code and buffers.
+    Elementwise products, not np.matmul, whose first BLAS call maps some
+    0.4 MB of code and buffers, for matrices too small to gain from it.
     """
     return a[:, 0, None] * b[0] + a[:, 1, None] * b[1] + a[:, 2, None] * b[2]
 
@@ -217,8 +217,8 @@ def integrate_auxiliary(traj: OmegaTrajectory, lambda0: float, gamma0: float,
         If lambda0 starts inside the guard band (EPS_LAMBDA from 0 or pi),
         or at the first sample whose lambda is inside it or whose gamma
         turned by more than pi/2 since the sample before (then its unwrapping
-        is ambiguous), naming its time; in adaptive mode after a halving the
-        step's error rate calls for.
+        is ambiguous), naming its time; in adaptive mode only if the step's
+        error rate calls for no halving.
     OutOfDomainError
         If [t0, t_end] leaves a tabulated drive's domain.
     ValueError

@@ -434,7 +434,7 @@ BLOCK_CASES = {
     "spline-adaptive": (lambda: spline_drive(W0, lambda t: 1.0 + 0.2 * np.sin(t),
                                              lambda t: 0.7 * t, 5.0, 501),
                         (1.1, 0.0, 5.0, 0.05), {"adaptive": True}, None),
-    # lambda reaches the pole at step 600, in the second block of 512
+    # lambda reaches the pole at step 600
     "fixed-guard": (_x_field, (0.3, math.pi / 2.0, 8.0, 0.0005), {}, ("lambda", "0.3")),
     # only the last sample is inside the guard band: lambda = 5e-8 at t = 1
     "fixed-guard-last-sample": (_x_field, (1.0, math.pi / 2.0, 1.0, 0.05), {}, ("lambda", "1")),
@@ -452,7 +452,8 @@ BLOCK_CASES = {
 def test_block_size_changes_no_bit(case, monkeypatch):
     # the samples chain block to block, and the blocked product reassociates
     # within a block, so the samples may move by rounding with the block
-    # size; the halvings, the flags and the guard message may not
+    # size, and the error rate by rounding over h; the halvings, the flags
+    # and the guard message may not
     make, args, kwargs, guard = BLOCK_CASES[case]
     outcomes = []
     for block in (1, 3, invariant._BLOCK):
