@@ -20,9 +20,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import scenario as scenario_mod
-from .config import (RunConfig, apply_overrides, config_sha256,
-                     load_json_config, resolve_run_config, set_path,
-                     validate_run_config)
+from .config import (RunConfig, _validate_sweep_spec, apply_overrides, config_sha256,
+                     load_json_config, resolve_run_config, set_path, validate_run_config)
 from .errors import (ConfigError, NoSolutionError, OutOfDomainError,
                      SingularityError, SpinRotError)
 from .invariant import integrate_auxiliary, lvn_residual_samples, lvn_residual_series
@@ -201,7 +200,7 @@ def run_verify(cfg: RunConfig, workers: int = 1) -> dict:
     ones the integrated grid gives.
     """
     oracle_cfg = cfg.data.get("oracle")
-    if not oracle_cfg or not oracle_cfg.get("enabled", True):
+    if not (oracle_cfg and oracle_cfg["enabled"]):
         raise ConfigError("verify requires an enabled oracle section")
     early = _early_oracle_args(cfg, workers)
     with nullcontext() if early is None else forked(lambda: _run_oracle(cfg, early)) as child:
@@ -261,33 +260,6 @@ def _write_verify_artifacts(cfg: RunConfig, result: dict, out_dir: str,
 SWEEP_COLUMNS = ["omega0", "Omega", "theta", "lambda0", "t_end",
                  "phi_dyn_T", "phi_geo_T", "phi_total_T", "berry_reference",
                  "shift_ev", "lvn_max_residual", "status", "error"]
-
-
-def _validate_sweep_spec(spec: dict) -> dict:
-    if not isinstance(spec, dict):
-        raise ConfigError("sweep spec must be an object")
-    unknown = set(spec) - {"schema_version", "sweep", "sigma"}
-    if unknown:
-        raise ConfigError(f"sweep spec: unknown keys {sorted(unknown)}")
-    version = spec.get("schema_version", 1)
-    if isinstance(version, bool) or version != 1:
-        raise ConfigError("sweep spec: unsupported schema_version")
-    dims = spec.get("sweep", [])
-    if not isinstance(dims, list):
-        raise ConfigError("sweep spec: 'sweep' must be a list")
-    for i, d in enumerate(dims):
-        if not isinstance(d, dict) or set(d) != {"path", "values"}:
-            raise ConfigError("sweep entries must be {path, values}")
-        if not isinstance(d["path"], str):
-            raise ConfigError(f"sweep path {d['path']!r} must be a string")
-        if not isinstance(d["values"], list):
-            raise ConfigError(f"sweep values for {d.get('path')!r} must be a list")
-        if d["path"] in [e["path"] for e in dims[:i]]:
-            raise ConfigError(f"sweep path {d['path']!r} is listed twice")
-    sigma = spec.get("sigma", 0.5)
-    if sigma not in (0.5, -0.5):
-        raise ConfigError(f"sweep sigma must be +-0.5, got {sigma!r}")
-    return {"dims": dims, "sigma": float(sigma)}
 
 
 def _sweep_grid(dims: list) -> list[list[tuple[str, object]]]:
@@ -361,13 +333,12 @@ def _worker_count(n_points: int) -> int:
 
 
 def run_sweep(base_data: dict, spec: dict, base_dir: str = ".") -> list[dict]:
-    """Evaluate every grid point; row order follows the grid definition.
+    """Evaluate every grid point of a validated sweep spec; rows follow the grid's order.
 
     w processes take interleaved slices payloads[k::w], which balance a grid's ragged step
     counts: the parent runs slice 0, forked children (`io_utils.forked`) the rest.
     """
-    parsed = _validate_sweep_spec(spec)
-    payloads = [(base_data, p, parsed["sigma"], base_dir) for p in _sweep_grid(parsed["dims"])]
+    payloads = [(base_data, p, spec["sigma"], base_dir) for p in _sweep_grid(spec["sweep"])]
     w = _worker_count(len(payloads))
     rows: list = [None] * len(payloads)
 
@@ -418,10 +389,11 @@ def cmd_sweep(args) -> int:
     # validate the base config once up front; grid points revalidate their variants
     cfg = resolve_run_config(base, base_dir)
     out_dir = _output_dir(args.output_dir or cfg.data["output"]["directory"])
-    rows = run_sweep(base, spec, base_dir)
+    parsed = _validate_sweep_spec(spec)
+    rows = run_sweep(base, parsed, base_dir)
     os.makedirs(out_dir, exist_ok=True)
     prefix = cfg.data["output"]["prefix"]
-    sweep_cols = [d["path"] for d in spec.get("sweep", [])]
+    sweep_cols = [d["path"] for d in parsed["sweep"]]
     cols = sweep_cols + [c for c in SWEEP_COLUMNS if c not in sweep_cols]
     path = os.path.join(out_dir, f"{prefix}_sweep.csv")
     comments = [f"config_sha256={cfg.sha256}", f"sweep_sha256={config_sha256(spec)}"]

@@ -1,7 +1,8 @@
-"""Run-configuration schema, validation and hashing.
+"""Run-config and sweep-spec schemas, validation and hashing.
 
-One JSON document drives every CLI subcommand. Unknown keys are rejected
-at every level so that typos fail loudly before any numerics run.
+One JSON document drives every CLI subcommand, and a sweep spec `sweep`;
+one walker checks both against one table of fields. Unknown keys are
+rejected at every level so that typos fail loudly before any numerics run.
 
 Schema (version 1):
 
@@ -11,9 +12,9 @@ Schema (version 1):
         "kind": "constant_precession" | "tabulated",
         "omega0": float >= 0,
         # constant_precession:
-        "Omega": float, "theta": float in [0, pi], "phi0": float (default 0),
+        "Omega": float, "theta": float in [0, pi], "phi0": float (each default 0),
         # tabulated:
-        "csv_path": str   # header t,theta,phi; resolved against the config dir
+        "csv_path": nonempty str  # header t,theta,phi; resolved against the config dir
       },
       "initial_conditions": "aligned" | "precession-consistent"
                             | {"lambda0": float, "gamma0": float},
@@ -24,17 +25,21 @@ Schema (version 1):
         "adaptive": bool (default false)
       },
       "oracle": {                    # optional; enables cmd_verify
-        "enabled": bool,
+        "enabled": bool (default true),
         "step": float > 0,           # rounded to an integer divisor of step
         "method": "exponential_product"  # the only method, and the default
       },
       "verify": {                    # optional tolerance overrides
-        "min_fidelity": float, "max_phase_mismatch_rad": float
+        "min_fidelity": float in [0, 1] (default 1 - 1e-8),
+        "max_phase_mismatch_rad": float >= 0 (default 1e-6)
       },
       "output": {"directory": nonempty str (default "."),
                  "prefix": str (default "run")},  # a file-name stem: no '/', '\\' or NUL
       "scenario": str | null        # provenance tag only
     }
+
+Sweep spec: {"schema_version": 1 (the default), "sigma": 0.5 | -0.5 (default 0.5),
+"sweep": [{"path": dotted config key, each once, "values": list}, ...] (default [])}.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -51,8 +57,6 @@ from .io_utils import canonical_json
 from .trajectory import OmegaTrajectory
 
 SCHEMA_VERSION = 1
-
-_DEFAULT_VERIFY = {"min_fidelity": 1.0 - 1e-8, "max_phase_mismatch_rad": 1e-6}
 
 
 def config_sha256(data: dict, table_sha256: str | None = None) -> str:
@@ -73,148 +77,165 @@ def load_json_config(path) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
 
-def _expect_keys(obj: dict, where: str, required: set, optional: set) -> None:
+_REQUIRED = object()  # default of a field that must be given
+_ABSENT = object()    # default of a field that, not given, stays out of the result
+
+
+def _any(value, where):
+    return value
+
+
+def _number(bound="", ok=lambda v: True):
+    """Check of a finite number, returned as a float, for which `ok` (`bound` in words) holds."""
+    def check(value, where):
+        # the bound on abs refuses nan, inf and an int beyond the floats before float() sees it
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not abs(value) <= sys.float_info.max or not ok(float(value))):
+            raise ConfigError(f"{where} must be a finite number{bound}, got {value!r}")
+        return float(value)
+    return check
+
+
+_REAL = _number()
+_POSITIVE = _number(" > 0", lambda v: v > 0.0)
+_NONNEGATIVE = _number(" >= 0", lambda v: v >= 0.0)
+
+
+def _instance(cls, what):
+    def check(value, where):
+        if not isinstance(value, cls):
+            raise ConfigError(f"{where} must be {what}, got {value!r}")
+        return value
+    return check
+
+
+_BOOLEAN, _STRING = _instance(bool, "a boolean"), _instance(str, "a string")
+_LIST = _instance(list, "a list")
+
+
+def _nonempty(value, where):
+    if not _STRING(value, where):
+        raise ConfigError(f"{where} must not be empty")
+    return value
+
+
+def _choice(*options):
+    def check(value, where):
+        if value not in options:
+            raise ConfigError(f"{where} {value!r} not recognized")
+        return value
+    return check
+
+
+def _list(item):
+    return lambda value, where: [item(v, f"{where}[{i}]")
+                                 for i, v in enumerate(_LIST(value, where))]
+
+
+def _table(name):
+    return lambda value, where: _walk(value, name, where)
+
+
+def _trajectory(value, where):
+    """`kind` names the table, so a field of the other kind is an unknown key."""
+    tabulated = isinstance(value, dict) and value.get("kind") == "tabulated"
+    return _walk(value, "tabulated" if tabulated else "constant_precession", where)
+
+
+def _initial_conditions(value, where):
+    if isinstance(value, str):
+        return _choice("aligned", "precession-consistent")(value, where)
+    return _walk(value, "initial_conditions", where)
+
+
+# object -> {field: (check, default)}; check(value, where) returns the normalized value,
+# and a default other than _REQUIRED or _ABSENT goes through the check too
+_FIELDS = {
+    "config": {
+        "schema_version": (_any, _REQUIRED), "trajectory": (_trajectory, _REQUIRED),
+        "initial_conditions": (_initial_conditions, "aligned"),
+        "sigmas": (_list(_choice(0.5, -0.5)), [0.5, -0.5]),
+        "integrator": (_table("integrator"), _REQUIRED), "oracle": (_table("oracle"), _ABSENT),
+        "verify": (_table("verify"), {}), "output": (_table("output"), {}),
+        "scenario": (_any, None)},
+    "constant_precession": {
+        "kind": (_choice("constant_precession"), _REQUIRED),
+        "omega0": (_NONNEGATIVE, _REQUIRED), "Omega": (_REAL, 0.0),
+        "theta": (_number(" in [0, pi]", lambda v: 0.0 <= v <= math.pi), 0.0),
+        "phi0": (_REAL, 0.0)},
+    "tabulated": {
+        "kind": (_choice("tabulated"), _REQUIRED), "omega0": (_NONNEGATIVE, _REQUIRED),
+        "csv_path": (_nonempty, _REQUIRED)},
+    "initial_conditions": {"lambda0": (_REAL, _REQUIRED), "gamma0": (_REAL, _REQUIRED)},
+    "integrator": {
+        "step": (_POSITIVE, _REQUIRED), "t_end": (_POSITIVE, _ABSENT),
+        "periods": (_POSITIVE, _ABSENT), "adaptive": (_BOOLEAN, False)},
+    "oracle": {
+        "enabled": (_BOOLEAN, True), "step": (_POSITIVE, _REQUIRED),
+        "method": (_choice("exponential_product"), "exponential_product")},
+    "verify": {
+        "min_fidelity": (_number(" in [0, 1]", lambda v: 0.0 <= v <= 1.0), 1.0 - 1e-8),
+        "max_phase_mismatch_rad": (_NONNEGATIVE, 1e-6)},
+    "output": {"directory": (_nonempty, "."), "prefix": (_STRING, "run")},
+    "sweep spec": {
+        "schema_version": (_any, 1), "sweep": (_list(_table("sweep entry")), []),
+        "sigma": (_choice(0.5, -0.5), 0.5)},
+    "sweep entry": {"path": (_STRING, _REQUIRED), "values": (_LIST, _REQUIRED)},
+}
+
+
+def _walk(obj, name: str, where: str = "") -> dict:
+    """obj checked against `_FIELDS[name]`, defaults filled in; `where` is its dotted path."""
+    fields = _FIELDS[name]
     if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object, got {type(obj).__name__}")
-    missing = required - set(obj)
+        raise ConfigError(f"{where or name} must be an object, got {type(obj).__name__}")
+    missing = [k for k, (_, d) in fields.items() if d is _REQUIRED and k not in obj]
     if missing:
-        raise ConfigError(f"{where}: missing required keys {sorted(missing)}")
-    unknown = set(obj) - required - optional
+        raise ConfigError(f"{where or name}: missing required keys {sorted(missing)}")
+    unknown = obj.keys() - fields.keys()
     if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-
-
-def _number(obj, where, *, minimum=None, positive=False):
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {obj!r}")
-    v = float(obj)
-    if not math.isfinite(v):
-        raise ConfigError(f"{where} must be finite, got {obj!r}")
-    if positive and v <= 0.0:
-        raise ConfigError(f"{where} must be > 0, got {v}")
-    if minimum is not None and v < minimum:
-        raise ConfigError(f"{where} must be >= {minimum}, got {v}")
-    return v
+        raise ConfigError(f"{where or name}: unknown keys {sorted(unknown)}")
+    prefix = f"{where}." if where else ""
+    return {key: check(value, prefix + key) for key, (check, default) in fields.items()
+            if (value := obj.get(key, default)) is not _ABSENT}
 
 
 def validate_run_config(data: dict) -> dict:
     """Validate and normalize a raw config dict (defaults filled in)."""
-    _expect_keys(data, "config", {"schema_version", "trajectory", "integrator"},
-                 {"initial_conditions", "sigmas", "oracle", "verify", "output", "scenario"})
-    # True == 1 in Python: a boolean is refused, not run as version 1
-    if isinstance(data["schema_version"], bool) or data["schema_version"] != SCHEMA_VERSION:
-        raise ConfigError(
-            f"unsupported schema_version {data['schema_version']!r}; expected {SCHEMA_VERSION}")
-
-    out: dict = {"schema_version": SCHEMA_VERSION}
-
-    traj = data["trajectory"]
-    _expect_keys(traj, "trajectory", {"kind", "omega0"},
-                 {"Omega", "theta", "phi0", "csv_path"})
-    kind = traj["kind"]
-    omega0 = _number(traj["omega0"], "trajectory.omega0", minimum=0.0)
-    if kind == "constant_precession":
-        if "csv_path" in traj:
-            raise ConfigError("trajectory.csv_path is only for kind 'tabulated'")
-        theta = _number(traj.get("theta", 0.0), "trajectory.theta")
-        if not (0.0 <= theta <= math.pi):
-            raise ConfigError(f"trajectory.theta must lie in [0, pi], got {theta}")
-        out["trajectory"] = {
-            "kind": kind, "omega0": omega0,
-            "Omega": _number(traj.get("Omega", 0.0), "trajectory.Omega"),
-            "theta": theta,
-            "phi0": _number(traj.get("phi0", 0.0), "trajectory.phi0"),
-        }
-    elif kind == "tabulated":
-        if "csv_path" not in traj:
-            raise ConfigError("trajectory.csv_path required for kind 'tabulated'")
-        for bad in ("Omega", "theta", "phi0"):
-            if bad in traj:
-                raise ConfigError(f"trajectory.{bad} is not valid for kind 'tabulated'")
-        out["trajectory"] = {"kind": kind, "omega0": omega0,
-                             "csv_path": str(traj["csv_path"])}
-    else:
-        raise ConfigError(
-            f"trajectory.kind must be 'constant_precession' or 'tabulated', got {kind!r}")
-
-    ic = data.get("initial_conditions", "aligned")
-    if isinstance(ic, str):
-        if ic not in ("aligned", "precession-consistent"):
-            raise ConfigError(f"initial_conditions {ic!r} not recognized")
-        if ic == "precession-consistent" and kind != "constant_precession":
-            raise ConfigError("'precession-consistent' requires a constant_precession trajectory")
-        out["initial_conditions"] = ic
-    else:
-        _expect_keys(ic, "initial_conditions", {"lambda0", "gamma0"}, set())
-        out["initial_conditions"] = {
-            "lambda0": _number(ic["lambda0"], "initial_conditions.lambda0"),
-            "gamma0": _number(ic["gamma0"], "initial_conditions.gamma0"),
-        }
-
-    sigmas = data.get("sigmas", [0.5, -0.5])
-    if not isinstance(sigmas, list) or not sigmas:
-        raise ConfigError("sigmas must be a nonempty list")
-    for s in sigmas:
-        if s not in (0.5, -0.5):
-            raise ConfigError(f"sigmas entries must be +-0.5, got {s!r}")
-    if len(set(sigmas)) != len(sigmas):
-        raise ConfigError("sigmas entries must be unique")
-    out["sigmas"] = [float(s) for s in sigmas]
-
-    integ = data["integrator"]
-    _expect_keys(integ, "integrator", {"step"}, {"t_end", "periods", "adaptive"})
-    has_t_end = "t_end" in integ
-    has_periods = "periods" in integ
-    if has_t_end == has_periods:
+    if isinstance(data, dict):  # a null oracle or verify section is an absent one
+        data = {k: v for k, v in data.items() if v is not None or k not in ("oracle", "verify")}
+    out = _walk(data, "config")
+    version = out["schema_version"]
+    if isinstance(version, bool) or version != SCHEMA_VERSION:  # True == 1 in Python
+        raise ConfigError(f"unsupported schema_version {version!r}; expected {SCHEMA_VERSION}")
+    out["schema_version"] = SCHEMA_VERSION  # 1.0 is version 1, and hashes as 1
+    traj, integ, sigmas = out["trajectory"], out["integrator"], out["sigmas"]
+    cone = traj["kind"] == "constant_precession"
+    if out["initial_conditions"] == "precession-consistent" and not cone:
+        raise ConfigError("'precession-consistent' requires a constant_precession trajectory")
+    if not sigmas or len(set(sigmas)) != len(sigmas):
+        raise ConfigError(f"sigmas must be a nonempty list of distinct entries, got {sigmas}")
+    if ("t_end" in integ) == ("periods" in integ):
         raise ConfigError("integrator: exactly one of t_end / periods is required")
-    out["integrator"] = {"step": _number(integ["step"], "integrator.step", positive=True),
-                         "adaptive": bool(integ.get("adaptive", False))}
-    if not isinstance(integ.get("adaptive", False), bool):
-        raise ConfigError("integrator.adaptive must be a boolean")
-    if has_t_end:
-        out["integrator"]["t_end"] = _number(integ["t_end"], "integrator.t_end", positive=True)
-    else:
-        if kind != "constant_precession" or out["trajectory"]["Omega"] == 0.0:
-            raise ConfigError("integrator.periods requires constant_precession with Omega != 0")
-        out["integrator"]["periods"] = _number(integ["periods"], "integrator.periods", positive=True)
-
-    if "oracle" in data and data["oracle"] is not None:
-        orc = data["oracle"]
-        _expect_keys(orc, "oracle", {"step"}, {"enabled", "method"})
-        method = orc.get("method", "exponential_product")
-        if method != "exponential_product":
-            raise ConfigError(f"oracle.method {method!r} not recognized")
-        enabled = orc.get("enabled", True)
-        if not isinstance(enabled, bool):
-            raise ConfigError(f"oracle.enabled must be a boolean, got {enabled!r}")
-        out["oracle"] = {"enabled": enabled,
-                         "step": _number(orc["step"], "oracle.step", positive=True),
-                         "method": method}
-
-    ver = dict(_DEFAULT_VERIFY)
-    if "verify" in data and data["verify"] is not None:
-        _expect_keys(data["verify"], "verify", set(),
-                     {"min_fidelity", "max_phase_mismatch_rad"})
-        for key in data["verify"]:
-            ver[key] = _number(data["verify"][key], f"verify.{key}")
-    out["verify"] = ver
-
-    outp = data.get("output", {})
-    _expect_keys(outp, "output", set(), {"directory", "prefix"})
-    out["output"] = {"directory": outp.get("directory", "."), "prefix": outp.get("prefix", "run")}
-    for key, value in out["output"].items():
-        if not isinstance(value, str):
-            raise ConfigError(f"output.{key} must be a string, got {value!r}")
-    if not out["output"]["directory"]:
-        raise ConfigError("output.directory must not be empty")
+    if "periods" in integ and (not cone or traj["Omega"] == 0.0):
+        raise ConfigError("integrator.periods requires constant_precession with Omega != 0")
     if set(out["output"]["prefix"]) & set("/\\\0"):
         raise ConfigError("output.prefix must be a file-name stem without '/', '\\' or NUL, "
                           f"got {out['output']['prefix']!r}")
+    if out["scenario"] is not None and not isinstance(out["scenario"], str):
+        raise ConfigError(f"scenario must be a string or null, got {out['scenario']!r}")
+    return out
 
-    scen = data.get("scenario")
-    if scen is not None and not isinstance(scen, str):
-        raise ConfigError(f"scenario must be a string or null, got {scen!r}")
-    out["scenario"] = scen
+
+def _validate_sweep_spec(spec: dict) -> dict:
+    """Validate and normalize a sweep spec; no path may be listed twice."""
+    out = _walk(spec, "sweep spec")
+    if isinstance(out["schema_version"], bool) or out["schema_version"] != 1:
+        raise ConfigError("sweep spec: unsupported schema_version")
+    paths = [entry["path"] for entry in out["sweep"]]
+    for i, path in enumerate(paths):
+        if path in paths[:i]:
+            raise ConfigError(f"sweep path {path!r} is listed twice")
     return out
 
 
@@ -275,9 +296,7 @@ def resolve_run_config(data: dict, base_dir: str = ".") -> RunConfig:
         traj = OmegaTrajectory.constant_precession(
             tr["omega0"], tr["Omega"], tr["theta"], tr["phi0"])
     else:
-        path = tr["csv_path"]
-        if not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
+        path = os.path.join(base_dir, tr["csv_path"])  # an absolute csv_path stays as it is
         try:
             with open(path, "rb") as fh:
                 table_sha256 = hashlib.sha256(fh.read()).hexdigest()

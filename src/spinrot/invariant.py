@@ -195,7 +195,8 @@ def integrate_auxiliary(traj: OmegaTrajectory, lambda0: float, gamma0: float,
         sample; if a local error rate |(M_h - M_{h/2} M_{h/2}) n'| / |h|, an
         error in n, not in (lambda, gamma), exceeds 1e-9 * w0 (at which the
         dense output keeps the invariant condition), the whole run is rerun
-        at half the step, on the same output grid, at most `max_halvings` times.
+        at half the step, at most `max_halvings` times, and sampled on the
+        last grid: each halving doubles the samples (2^k n + 1 after k).
 
     n' = R_z(-alpha) n, the invariant's direction in the frame turned about
     z by alpha(t) (`_frame`), obeys dn'/dt = b x n', b = w' - (dalpha/dt) z.

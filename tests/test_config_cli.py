@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import spinrot
+from spinrot import config
 from spinrot.cli import EXIT_CONFIG, main
 from spinrot.config import (apply_overrides, config_sha256, resolve_run_config,
                             validate_run_config)
@@ -91,6 +92,69 @@ def test_schema_violations():
     for cfg in bad:
         with pytest.raises(ConfigError):
             validate_run_config(cfg)
+
+
+def _number_fields():
+    """(object, field) of every number in the schema table, read off the table itself."""
+    fields = [(name, key) for name, table in config._FIELDS.items()
+              for key, (check, _) in table.items() if check.__qualname__.startswith("_number.")]
+    assert fields, "no number check found in config._FIELDS"
+    return fields
+
+
+def _config_with(name, key, value):
+    """A valid config but for `key` of its `name` object set to value, and that key's path."""
+    cfg = demo_config(initial_conditions={"lambda0": 1.0, "gamma0": 0.0}, verify={})
+    if name == "tabulated":
+        cfg.update(trajectory={"kind": "tabulated", "omega0": 1.0, "csv_path": "t.csv"},
+                   integrator={"step": 0.01, "t_end": 1.0})
+    where = "trajectory" if name in ("constant_precession", "tabulated") else name
+    if key == "t_end":
+        del cfg["integrator"]["periods"]
+    cfg[where][key] = value
+    return cfg, f"{where}.{key}"
+
+
+@pytest.mark.parametrize("value", [True, "1", math.inf, 10 ** 400])
+@pytest.mark.parametrize("name,key", _number_fields(), ids=lambda v: v)
+def test_number_field_refuses_what_is_not_a_finite_number(name, key, value):
+    # True == 1 in Python, yet it is no number; float(10 ** 400) raises OverflowError, which
+    # once left the CLI as a traceback
+    valid, path = _config_with(name, key, 0.5)
+    assert validate_run_config(valid)
+    with pytest.raises(ConfigError, match=rf"^{path} must be a finite number"):
+        validate_run_config(_config_with(name, key, value)[0])
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify", "sweep"])
+@pytest.mark.parametrize("csv_path", [None, 3, ""])
+def test_csv_path_must_be_a_nonempty_string(tmp_path, capsys, command, csv_path):
+    # null was once read as the file 'None' beside the config, and 3 as '3'
+    cfg = demo_config(trajectory={"kind": "tabulated", "omega0": 1.0, "csv_path": csv_path},
+                      initial_conditions="aligned", integrator={"step": 0.01, "t_end": 1.0})
+    spath = tmp_path / "sweep.json"
+    spath.write_text(json.dumps({"sweep": [{"path": "integrator.step", "values": [0.02]}]}))
+    argv = [command, "--config", write_config(tmp_path, cfg), "--output-dir", str(tmp_path / "o")]
+    assert main(argv + (["--sweep", str(spath)] if command == "sweep" else [])) == EXIT_CONFIG
+    reason = "must not be empty" if csv_path == "" else f"must be a string, got {csv_path!r}"
+    assert capsys.readouterr().err == f"config error: trajectory.csv_path {reason}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "sweep.json"]
+
+
+@pytest.mark.parametrize("key,value,bound", [
+    ("min_fidelity", -1, "in [0, 1]"), ("min_fidelity", 1.5, "in [0, 1]"),
+    ("max_phase_mismatch_rad", -1, ">= 0"), ("max_phase_mismatch_rad", -1e-300, ">= 0")])
+def test_verify_tolerances_are_bounded(tmp_path, capsys, key, value, bound):
+    # min_fidelity -1 once passed every run's fidelity test, and a negative mismatch bound
+    # failed every verify (exit 4) whatever the numbers
+    path = write_config(tmp_path, demo_config(verify={key: value}))
+    assert main(["verify", "--config", path, "--output-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        f"config error: verify.{key} must be a finite number {bound}, got {value!r}\n"
+    assert not (tmp_path / "o").exists()
+    for edge in ({"min_fidelity": 0, "max_phase_mismatch_rad": 0}, {"min_fidelity": 1}):
+        assert validate_run_config(demo_config(verify=edge))["verify"] == \
+            {"min_fidelity": 1.0 - 1e-8, "max_phase_mismatch_rad": 1e-6, **edge}
 
 
 def test_periods_requires_precession():
