@@ -21,7 +21,8 @@ import numpy as np
 
 from . import scenario as scenario_mod
 from .config import (RunConfig, _validate_sweep_spec, apply_overrides, config_sha256,
-                     load_json_config, resolve_run_config, set_path, validate_run_config)
+                     load_json_config, path_keys, resolve_run_config, set_path,
+                     validate_run_config)
 from .errors import (ConfigError, NoSolutionError, OutOfDomainError,
                      SingularityError, SpinRotError)
 from .invariant import integrate_auxiliary, lvn_residual_samples, lvn_residual_series
@@ -390,6 +391,9 @@ def cmd_sweep(args) -> int:
     cfg = resolve_run_config(base, base_dir)
     out_dir = _output_dir(args.output_dir or cfg.data["output"]["directory"])
     parsed = _validate_sweep_spec(spec)
+    if parsed["sigma"] not in cfg.sigmas and not any(
+            path_keys(d["path"])[:1] == ["sigmas"] for d in parsed["sweep"]):
+        raise ConfigError(f"sweep sigma {parsed['sigma']} not in config sigmas {cfg.sigmas}")
     rows = run_sweep(base, parsed, base_dir)
     os.makedirs(out_dir, exist_ok=True)
     prefix = cfg.data["output"]["prefix"]

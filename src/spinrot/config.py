@@ -323,9 +323,14 @@ def apply_overrides(data: dict, assignments: list[str]) -> dict:
     return out
 
 
+def path_keys(path: str) -> list[str]:
+    """The keys of a dotted config path, as `set_path` reads them."""
+    return [k for k in path.strip().split(".") if k]
+
+
 def set_path(data: dict, path: str, value, what: str) -> None:
     """Set the dotted `path` of data to value, creating missing objects; errors name `what`."""
-    keys = [k for k in path.strip().split(".") if k]
+    keys = path_keys(path)
     if not keys:
         raise ConfigError(f"{what} has an empty key path")
     node = data

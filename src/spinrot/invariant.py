@@ -123,22 +123,40 @@ def _rk4_step(b1: np.ndarray, b2: np.ndarray, b3: np.ndarray, h: float) -> np.nd
     return eye + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
+def _field(w0: float, th: np.ndarray, ph: np.ndarray, times: np.ndarray, c: float,
+           rate: float) -> np.ndarray:
+    """b = w' - rate z, shape (3, N), from the drive's angles th, ph at times.
+
+    w' is w(t) turned by -alpha(t) = -(c + rate t) about z.
+    """
+    s = w0 * np.sin(th)
+    d = ph - (c + rate * times)
+    return np.stack((s * np.cos(d), s * np.sin(d), w0 * np.cos(th) - rate))
+
+
+def _field_is_static(traj: OmegaTrajectory) -> bool:
+    """Whether b is one vector at every time: a cone's, (w0 sin th, 0, w0 cos th - Omega).
+
+    In a cone's frame ph - (c + rate t) is a float expression minus
+    itself, exactly 0, so every step of a pass has the same matrix.
+    """
+    return traj.kind == KIND_CONSTANT_PRECESSION
+
+
 def _block_steps(traj: OmegaTrajectory, tg: np.ndarray, h: float, c: float, rate: float,
                  adaptive: bool) -> tuple:
-    """(th, ph, m, full) of the steps between the grid points tg.
+    """(th, ph, m, dm) of the steps between the grid points tg.
 
     One `traj.angles` call samples tg and the stage times between its
     points; th, ph are the drive's angles at tg. m[k] takes step k's start
     to its sample: the RK4 step, or in adaptive mode the product of two
-    half steps, when full holds the whole steps (else None).
+    half steps, when dm is the whole step minus m (else None).
     """
     tb = tg[:-1]
     mid = tb + 0.5 * h
     times = np.concatenate([tg, mid, tb + 0.25 * h, mid + 0.25 * h] if adaptive else [tg, mid])
     th, ph = traj.angles(times)
-    s = traj.omega0 * np.sin(th)
-    d = ph - (c + rate * times)
-    b = np.stack((s * np.cos(d), s * np.sin(d), traj.omega0 * np.cos(th) - rate))
+    b = _field(traj.omega0, th, ph, times, c, rate)
     n = len(tb)
     start, end, centre = b[:, :n], b[:, 1:n + 1], b[:, n + 1:2 * n + 1]
     full = _rk4_step(start, centre, end, h)
@@ -146,26 +164,60 @@ def _block_steps(traj: OmegaTrajectory, tg: np.ndarray, h: float, c: float, rate
         return th[:n + 1], ph[:n + 1], full, None
     first = _rk4_step(start, b[:, 2 * n + 1:3 * n + 1], centre, 0.5 * h)
     second = _rk4_step(centre, b[:, 3 * n + 1:], end, 0.5 * h)
-    return th[:n + 1], ph[:n + 1], _compose(second, first), full
+    m = _compose(second, first)
+    return th[:n + 1], ph[:n + 1], m, full - m
 
 
-def _chain(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The vectors after each step, (3, N), of the steps m (3, 3, N) applied in turn to v.
+def _static_steps(b: np.ndarray, h: float, adaptive: bool, n: int) -> tuple:
+    """(powers, dm) of a pass whose field is the one column b, shape (3, 1).
 
+    Every step of the pass is one matrix M, as `_block_steps` forms it, and
+    dm is its whole step minus M in adaptive mode (else None). powers holds
+    M, M^2, ..., M^s, shape (s, 3, 3, 1), each the product `_chain` forms,
+    for the sub-block length s of a block of n steps, the pass's longest.
+    """
+    full = _rk4_step(b, b, b, h)
+    m, dm = full, None
+    if adaptive:
+        half = _rk4_step(b, b, b, 0.5 * h)
+        m = _compose(half, half)
+        dm = full - m
+    powers = np.empty((_sub_block(n), 3, 3, 1))
+    powers[0] = m
+    for i in range(1, len(powers)):
+        powers[i] = _compose(m, powers[i - 1])
+    return powers, dm
+
+
+def _sub_block(n: int) -> int:
+    """Steps per sub-block of `_chain` for a block of n steps."""
+    return math.isqrt(n // 4) + 1
+
+
+def _chain(m: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """The vectors after each of n steps, (3, n), of the steps m applied in turn to v.
+
+    m is the steps, shape (3, 3, n), or, when all are one matrix, its
+    powers from `_static_steps`, shape (s', 3, 3, 1) with s' at least the
+    sub-block length, whose prefix is broadcast over the sub-blocks.
     A blocked two-level product: the running products inside sub-blocks
-    of about sqrt(N/4) steps, then the sub-blocks' start vectors one after
+    of about sqrt(n/4) steps, then the sub-blocks' start vectors one after
     the other, then each running product applied to its start. (A product
     across the sub-blocks costs about as much as ten start-vector steps.)
+    A last sub-block shorter than the others is padded; its samples past
+    the n-th are dropped, so the padding's products are never used.
     """
-    n = m.shape[2]
-    s = math.isqrt(n // 4) + 1
+    s = _sub_block(n)
     q = -(-n // s)
-    p = np.empty((3, 3, q * s))
-    p[:, :, :n] = m
-    p[:, :, n:] = np.eye(3)[:, :, None]
-    p = p.reshape(3, 3, q, s).transpose(3, 0, 1, 2).copy()  # p[i]: step i of every sub-block
-    for i in range(1, s):
-        p[i] = _compose(p[i], p[i - 1])
+    if m.ndim == 4:
+        p = np.broadcast_to(m[:s], (s, 3, 3, q))
+    else:
+        p = np.empty((3, 3, q * s))
+        p[:, :, :n] = m
+        p[:, :, n:] = np.eye(3)[:, :, None]
+        p = p.reshape(3, 3, q, s).transpose(3, 0, 1, 2).copy()  # p[i]: step i of every sub-block
+        for i in range(1, s):
+            p[i] = _compose(p[i], p[i - 1])
     starts = []
     x, y, z = v
     for r0, r1, r2 in np.moveaxis(p[-1], 2, 0).tolist():
@@ -205,6 +257,10 @@ def integrate_auxiliary(traj: OmegaTrajectory, lambda0: float, gamma0: float,
     many), one `traj.angles` call samples the grid points and stage times,
     the matrices come from whole-array operations, and the samples are
     their running products applied to the vector carried in (`_chain`).
+    A cone's b is one vector at every time (`_field_is_static`): per pass
+    (the run, or one halving) its one step matrix and that matrix's powers
+    are built once (`_static_steps`), bit for bit the matrices and products
+    of the per-step scheme, and a block samples the drive on its grid only.
     Then lam = atan2(hypot(n'x, n'y), n'z) and gamma = alpha + psi, with
     psi = atan2(n'y, n'x) unwrapped from gamma0 - alpha(t0), both as
     increments from the start (a sample equal to the start gives lambda0
@@ -239,6 +295,7 @@ def integrate_auxiliary(traj: OmegaTrajectory, lambda0: float, gamma0: float,
     v0 = np.array([math.sin(lambda0) * math.cos(psi0), math.sin(lambda0) * math.sin(psi0),
                    math.cos(lambda0)])
     lam_0, a_0 = math.atan2(math.hypot(v0[0], v0[1]), v0[2]), math.atan2(v0[1], v0[0])
+    static = _field_is_static(traj)
     halvings = 0
     while True:
         t = np.linspace(t0, t_end, n + 1)
@@ -250,42 +307,57 @@ def integrate_auxiliary(traj: OmegaTrajectory, lambda0: float, gamma0: float,
         v, a_prev, winding = v0, a_0, 0.0
         worst_rate = 0.0
         size = (_BLOCK + 1) // 2 if adaptive else _BLOCK  # an adaptive step holds three matrices
-        for k0 in range(0, n, size):
-            k1 = min(k0 + size, n)
-            th[k0:k1 + 1], ph[k0:k1 + 1], m, full = _block_steps(
-                traj, t[k0:k1 + 1], h, c, rate, adaptive)
-            nb = _chain(m, v)
-            x, y, z = nb
-            a = np.arctan2(y, x)
-            d = np.diff(a, prepend=a_prev)
-            wraps = np.rint(d / (2.0 * math.pi))
-            turn = d - 2.0 * math.pi * wraps  # gamma's turn since the sample before
-            winding = winding + np.cumsum(wraps)
-            lb = lambda0 + (np.arctan2(np.hypot(x, y), z) - lam_0)
-            lam[k0 + 1:k1 + 1] = lb
-            gam[k0 + 1:k1 + 1] = (c + rate * t[k0 + 1:k1 + 1]) + (
-                psi0 + ((a - a_0) - 2.0 * math.pi * winding))
-            bad = np.flatnonzero(~((eps_lambda < lb) & (lb < math.pi - eps_lambda))
-                                 | (np.abs(turn) > 0.5 * math.pi))
-            if adaptive:
-                err = _compose(full - m, np.column_stack((v, nb[:, :-1]))[:, None])[:, 0]
-                rates = np.sqrt(np.sum(err * err, axis=0)) / abs(h)
-                worst_rate = max(worst_rate, float(rates.max()))
-                over = np.flatnonzero(rates > tol)
-                if halvings < max_halvings and over.size and not (bad.size and bad[0] < over[0]):
-                    break
-            if bad.size:
-                j = bad[0]
-                tj = float(t[k0 + 1 + j])
-                if eps_lambda < lb[j] < math.pi - eps_lambda:
-                    msg = f"gamma turned by {turn[j]:.6g} rad in one step, beyond pi/2"
+        steps = None
+        # a pass that may yet be halved can overflow: its rate and pole tests, not numpy's
+        # warnings, refuse the inf and nan
+        may_halve = adaptive and halvings < max_halvings
+        with np.errstate(**({"over": "ignore", "invalid": "ignore"} if may_halve else {})):
+            for k0 in range(0, n, size):
+                k1 = min(k0 + size, n)
+                tg = t[k0:k1 + 1]
+                if static:
+                    th[k0:k1 + 1], ph[k0:k1 + 1] = traj.angles(tg)
+                    if steps is None:  # from the pass's first block, its longest
+                        b = _field(w0, th[:1], ph[:1], tg[:1], c, rate)
+                        steps = _static_steps(b, h, adaptive, k1 - k0)
+                    m, dm = steps
                 else:
-                    pole = "0" if lb[j] < 1.0 else "pi"
-                    msg = f"lambda came within {eps_lambda:g} of the pole at {pole}"
-                raise SingularityError(f"{msg} at t = {tj:.12g}", time=tj)
-            v, a_prev, winding = nb[:, -1], a[-1], winding[-1]
-        else:
-            break
+                    th[k0:k1 + 1], ph[k0:k1 + 1], m, dm = _block_steps(traj, tg, h, c, rate,
+                                                                       adaptive)
+                nb = _chain(m, v, k1 - k0)
+                x, y, z = nb
+                a = np.arctan2(y, x)
+                d = np.diff(a, prepend=a_prev)
+                wraps = np.rint(d / (2.0 * math.pi))
+                turn = d - 2.0 * math.pi * wraps  # gamma's turn since the sample before
+                winding = winding + np.cumsum(wraps)
+                lb = lambda0 + (np.arctan2(np.hypot(x, y), z) - lam_0)
+                lam[k0 + 1:k1 + 1] = lb
+                gam[k0 + 1:k1 + 1] = (c + rate * t[k0 + 1:k1 + 1]) + (
+                    psi0 + ((a - a_0) - 2.0 * math.pi * winding))
+                bad = np.flatnonzero(~((eps_lambda < lb) & (lb < math.pi - eps_lambda))
+                                     | (np.abs(turn) > 0.5 * math.pi))
+                if adaptive:
+                    err = _compose(dm, np.column_stack((v, nb[:, :-1]))[:, None])[:, 0]
+                    rates = np.sqrt(np.sum(err * err, axis=0)) / abs(h)
+                    rates[np.isnan(rates)] = np.inf  # an undefined error exceeds any tolerance
+                    worst_rate = max(worst_rate, float(rates.max()))
+                    over = np.flatnonzero(rates > tol)
+                    if (halvings < max_halvings and over.size
+                            and not (bad.size and bad[0] < over[0])):
+                        break
+                if bad.size:
+                    j = bad[0]
+                    tj = float(t[k0 + 1 + j])
+                    if eps_lambda < lb[j] < math.pi - eps_lambda:
+                        msg = f"gamma turned by {turn[j]:.6g} rad in one step, beyond pi/2"
+                    else:
+                        pole = "0" if lb[j] < 1.0 else "pi"
+                        msg = f"lambda came within {eps_lambda:g} of the pole at {pole}"
+                    raise SingularityError(f"{msg} at t = {tj:.12g}", time=tj)
+                v, a_prev, winding = nb[:, -1], a[-1], winding[-1]
+            else:
+                break
         n *= 2
         halvings += 1
         check_sample_cap(n + 1, abs(t_end - t0) / n, "halved step")

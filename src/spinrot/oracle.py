@@ -17,7 +17,8 @@ solution are meaningful down to ~1e-12. The global error is O(h^4)
 `propagate` takes one state. The spin-down run of a spin-up run is its
 `spin_algebra.time_reverse`, so no second state is propagated. The step
 times, field samples and step propagators are built per block of 2048
-steps, and the under-resolution test reads the same node samples. Block
+steps, the fields component by component (shape (3, N)), and the
+under-resolution test reads the same node samples. Block
 times are formed as `np.linspace` forms them, so every step sees the same
 floats as in one whole-grid pass.
 
@@ -84,8 +85,9 @@ def _turn_per_step(w1: np.ndarray, w2: np.ndarray, c: np.ndarray) -> np.ndarray:
     on a cone 2 sqrt(3) asin(sin th sin(Omega step / (2 sqrt(3)))), which is
     |Omega| sin th step to O(step^2).
     """
-    return math.sqrt(3.0) * np.arctan2(np.linalg.norm(c, axis=-1),
-                                       np.einsum("ij,ij->i", w1, w2))
+    (x1, y1, z1), (x2, y2, z2), (cx, cy, cz) = w1.T, w2.T, c.T
+    return math.sqrt(3.0) * np.arctan2(np.sqrt(cx * cx + cy * cy + cz * cz),
+                                       x1 * x2 + y1 * y2 + z1 * z2)
 
 
 def under_resolved(omega0: float, w1: np.ndarray, w2: np.ndarray, c: np.ndarray,
@@ -93,6 +95,16 @@ def under_resolved(omega0: float, w1: np.ndarray, w2: np.ndarray, c: np.ndarray,
     """max(omega0 |step|, max turn per step) >= 0.1: under ~63 steps per turn of either angle."""
     turn = float(_turn_per_step(w1, w2, c).max(initial=0.0))
     return max(omega0 * abs(step), turn) >= 0.1
+
+
+def _field_at(traj: OmegaTrajectory, t: np.ndarray) -> np.ndarray:
+    """w at the times t, shape (3, N): `traj.omega(t)` transposed, bit for bit."""
+    th, ph = traj.angles(t)
+    s = np.sin(th)
+    w = np.empty((3, t.size))
+    w[0], w[1], w[2] = s * np.cos(ph), s * np.sin(ph), np.cos(th)
+    w *= traj.omega0
+    return w
 
 
 def propagate(traj: OmegaTrajectory, psi0: np.ndarray, t_end: float, step: float,
@@ -122,12 +134,14 @@ def propagate(traj: OmegaTrajectory, psi0: np.ndarray, t_end: float, step: float
     coarse = under_resolved(traj.omega0, *np.zeros((3, 0, 3)), h)  # a run with no steps
     for k in range(0, n, _BLOCK):
         tk = np.arange(k, min(k + _BLOCK, n)) * h + t0  # the step starts, as np.linspace forms them
-        w1 = traj.omega(tk + (0.5 - _GAUSS_OFFSET) * h)
-        w2 = traj.omega(tk + (0.5 + _GAUSS_OFFSET) * h)
-        c = np.cross(w2, w1)
-        coarse = coarse or under_resolved(traj.omega0, w1, w2, c, h)
+        w1 = _field_at(traj, tk + (0.5 - _GAUSS_OFFSET) * h)
+        w2 = _field_at(traj, tk + (0.5 + _GAUSS_OFFSET) * h)
+        c = np.empty_like(w1)  # w2 x w1
+        c[0], c[1], c[2] = (w2[1] * w1[2] - w2[2] * w1[1], w2[2] * w1[0] - w2[0] * w1[2],
+                            w2[0] * w1[1] - w2[1] * w1[0])
+        coarse = coarse or under_resolved(traj.omega0, w1.T, w2.T, c.T, h)
         v = 0.5 * (w1 + w2) + (math.sqrt(3.0) / 12.0 * h) * c
-        a, b = _prefix_products(*spin_rotation_propagators(v, h))
+        a, b = _prefix_products(*spin_rotation_propagators(v.T, h))
         # constructed unitaries: the products' defect probes the rounding they accumulate
         defect = max(defect, float(np.abs(
             a.real ** 2 + a.imag ** 2 + b.real ** 2 + b.imag ** 2 - 1.0).max()))

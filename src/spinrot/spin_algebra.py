@@ -55,12 +55,11 @@ def spin_rotation_propagators(omegas: np.ndarray, dt: float) -> tuple[np.ndarray
     With a = |w| dt / 2 and unit direction n = w/|w|:
     U = cos(a) 1 - i sin(a) (n . sigma_pauli).
     """
-    omegas = np.asarray(omegas, dtype=float)
-    wn = np.linalg.norm(omegas, axis=1)
+    wx, wy, wz = np.asarray(omegas, dtype=float).T
+    wn = np.sqrt(wx * wx + wy * wy + wz * wz)  # np.linalg.norm's sum, in its order
     a = 0.5 * wn * dt
     c = np.cos(a)
     # sin(a)/|w|, with the w -> 0 limit dt/2 (finite, multiplies zero components)
     safe = np.where(wn == 0.0, 1.0, wn)
     s = np.where(wn == 0.0, 0.5 * dt, np.sin(a) / safe)
-    wx, wy, wz = omegas[:, 0], omegas[:, 1], omegas[:, 2]
     return c - 1j * s * wz, -1j * s * (wx - 1j * wy)

@@ -1217,6 +1217,38 @@ def test_sweep_repeated_path_rejected(tmp_path, monkeypatch, capsys):
     assert ran == [] and not out.exists()
 
 
+def test_sweep_sigma_outside_config_sigmas_rejected(tmp_path, monkeypatch, capsys):
+    # every point would run and then be marked config-invalid: refused once,
+    # before any point integrates, and no output directory is made
+    from spinrot import cli
+    ran = []
+    monkeypatch.setattr(cli, "run_pipeline", lambda cfg: ran.append(cfg))
+    path = write_config(tmp_path, demo_config(sigmas=[0.5]))
+    spath = write_config(tmp_path, {"sigma": -0.5, "sweep": [
+        {"path": "trajectory.Omega", "values": [0.25, 0.5]}]}, "sweep.json")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", path, "--sweep", spath,
+                 "--output-dir", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        "config error: sweep sigma -0.5 not in config sigmas [0.5]\n"
+    assert ran == [] and not out.exists()
+
+
+def test_sweep_of_sigmas_checks_the_sigma_per_point(tmp_path, monkeypatch):
+    # a sweep that sets sigmas decides the spec's sigma point by point
+    monkeypatch.setenv("SPINROT_WORKERS", "1")
+    cfg = demo_config(sigmas=[0.5], integrator={"step": 0.05, "periods": 0.5})
+    del cfg["oracle"]
+    path = write_config(tmp_path, cfg)
+    spath = write_config(tmp_path, {"sigma": -0.5, "sweep": [
+        {"path": " sigmas", "values": [[0.5], [-0.5]]}]}, "sweep.json")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", path, "--sweep", spath, "--output-dir", str(out)]) == 0
+    rows = read_csv_rows(out / "demo_sweep.csv")
+    assert [r["status"] for r in rows] == ["config-invalid", "ok"]
+    assert rows[0]["error"] == "sweep sigma -0.5 not in config sigmas"
+
+
 def test_sweep_empty_grid(tmp_path):
     path = write_config(tmp_path, demo_config(integrator={"step": 0.05, "periods": 0.5}))
     spath = tmp_path / "sweep.json"

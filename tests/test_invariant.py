@@ -1,6 +1,7 @@
 """Auxiliary ODE integration, invariant construction, residual checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -480,6 +481,115 @@ def test_block_size_changes_no_bit(case, monkeypatch):
         for key in ("lam", "gamma"):
             y, y_ref = getattr(sol, key), getattr(first, key)
             assert np.all(np.abs(y - y_ref) <= 1e-13 * np.maximum(1.0, np.abs(y_ref))), key
+
+
+# -- a cone's pass: one step matrix, its powers broadcast over the sub-blocks -----
+
+def _cone(w0=W0, Om=OM, th=1.0, ph0=0.3):
+    return OmegaTrajectory.constant_precession(w0, Om, th, ph0)
+
+
+_RK4_STEP = invariant._rk4_step
+_DISORDERED = (1e11, 159500978894.36554, math.pi / 2.0)  # the disordered preset's cone
+
+# case: (drive, args, kwargs); at step 0.01, t_end 10.24, 10.25 and 20.49 are 1024,
+# 1025 and 2049 steps: one whole block, one step past it and one past two
+STATIC_CASES = {
+    "locked": (_precession, (math.pi / 2.0, 0.0, 2.0 * 2.0 * math.pi / OM, 0.01), {}),
+    "aligned": (_precession, (TH, 0.0, 2.0 * 2.0 * math.pi / OM, 0.01), {}),
+    "backward": (_cone, (1.2, 0.3, 0.0, 0.01), {"t0": 12.0}),
+    "backward-adaptive": (_cone, (1.2, 0.3, 0.0, 0.01), {"t0": 6.0, "adaptive": True}),
+    "adaptive-halvings": (_cone, (1.4, 0.0, 5.0, 0.5), {"adaptive": True}),
+    "adaptive-overflow": (lambda: _cone(1.0, 40.0, 1.0, 0.0), (1.0, 0.0, 20.0, 20.0),
+                          {"adaptive": True}),
+    "Omega-zero": (lambda: _cone(Om=0.0), (0.7, 0.2, 5.0, 0.01), {}),
+    "theta-zero": (lambda: _cone(th=0.0), (0.7, 0.2, 5.0, 0.01), {}),
+    "steps-1": (_cone, (0.7, 0.2, 0.01, 0.01), {}),
+    "steps-1024": (_cone, (0.7, 0.2, 10.24, 0.01), {}),
+    "steps-1025": (_cone, (0.7, 0.2, 10.25, 0.01), {}),
+    "steps-2049": (_cone, (0.7, 0.2, 20.49, 0.01), {}),
+    "steps-2049-adaptive": (_cone, (0.7, 0.2, 20.49, 0.01), {"adaptive": True}),
+    "disordered": (lambda: _cone(*_DISORDERED, 0.0), (1.0, 0.0, 2e-11, 3e-14), {}),
+    "turn-guard": (_x_field, (0.3, math.pi / 2.0 - 0.03, 1.0, 0.04), {}),
+    "pole-guard": (_x_field, (0.3, math.pi / 2.0, 8.0, 0.0005), {}),
+}
+
+
+def _run_counting_steps(monkeypatch, make, args, kwargs):
+    """(solution or SingularityError message, calls of `_rk4_step`) of one run."""
+    calls = []
+
+    def counted(*a, _fn=_RK4_STEP):
+        calls.append(a[0].shape[1])
+        return _fn(*a)
+
+    monkeypatch.setattr(invariant, "_rk4_step", counted)
+    try:
+        return integrate_auxiliary(make(), *args, **kwargs), calls
+    except SingularityError as err:
+        return str(err), calls
+
+
+@pytest.mark.parametrize("case", sorted(STATIC_CASES))
+def test_cone_path_is_the_general_path_bit_for_bit(case, monkeypatch):
+    # a cone's field in its frame is one vector, so each pass builds one RK4
+    # matrix (adaptive: and one half step) and its powers; forced through the
+    # per-step matrices of a general drive, the run gives the same bits
+    make, args, kwargs = STATIC_CASES[case]
+    cone, cone_calls = _run_counting_steps(monkeypatch, make, args, kwargs)
+    monkeypatch.setattr(invariant, "_field_is_static", lambda traj: False)
+    general, _ = _run_counting_steps(monkeypatch, make, args, kwargs)
+    assert set(cone_calls) == {1}
+    if isinstance(general, str):
+        assert case.endswith("guard") and cone == general
+        return
+    per_pass = 2 if kwargs.get("adaptive") else 1
+    assert len(cone_calls) == per_pass * (general.n_halvings + 1)
+    for key in ("t", "lam", "gamma", "lam_dot", "gamma_dot", "theta", "phi"):
+        assert np.array_equal(getattr(cone, key), getattr(general, key)), key
+    assert (cone.n_halvings, cone.max_error_rate, cone.meta, cone.step) == (
+        general.n_halvings, general.max_error_rate, general.meta, general.step)
+
+
+def test_passes_halved_away_warn_nothing():
+    # far too coarse: the passes before the last overflow, and the rate test
+    # halves them away without a numpy warning; the kept pass, at the end of
+    # the budget, exceeds the tolerance and is flagged
+    traj = OmegaTrajectory.constant_precession(1.0, 40.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = integrate_auxiliary(traj, 1.0, 0.0, 20.0, 20.0, adaptive=True)
+    assert sol.n_halvings == 16 and sol.n_samples == 2**16 + 1
+    assert sol.meta == {"error_rate_tol_exceeded": True}
+    assert 1e-9 < sol.max_error_rate < 1e-8
+
+
+@pytest.mark.parametrize("static", [True, False])
+def test_nan_error_rate_counts_as_exceeded(static, monkeypatch):
+    # a nan in the first whole step leaves the samples finite and every error
+    # rate nan; nan > tol is false, so the rate test reads a nan as inf: the pass
+    # is halved, or, with no halving left, kept and flagged with an infinite rate
+    calls = []
+
+    def nan_first_step(b1, b2, b3, h, _fn=invariant._rk4_step):
+        m = _fn(b1, b2, b3, h)
+        calls.append(h)
+        if len(calls) == 1:
+            m[0, 0] = np.nan
+        return m
+
+    monkeypatch.setattr(invariant, "_field_is_static", lambda traj: static)
+    monkeypatch.setattr(invariant, "_rk4_step", nan_first_step)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = integrate_auxiliary(_cone(), 1.2, 0.3, 2.0, 0.01, adaptive=True)
+        assert (sol.n_halvings, sol.meta) == (1, {})
+        assert sol.max_error_rate <= 1e-9 * W0
+        calls.clear()
+        sol = integrate_auxiliary(_cone(), 1.2, 0.3, 2.0, 0.01, adaptive=True, max_halvings=0)
+    assert np.isfinite(sol.lam).all()
+    assert (sol.n_halvings, sol.max_error_rate, sol.meta) == (
+        0, math.inf, {"error_rate_tol_exceeded": True})
 
 
 # -- LvN residual -----------------------------------------------------------------
