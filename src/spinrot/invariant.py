@@ -343,8 +343,7 @@ def integrate_auxiliary(traj: OmegaTrajectory, lambda0: float, gamma0: float,
                     rates[np.isnan(rates)] = np.inf  # an undefined error exceeds any tolerance
                     worst_rate = max(worst_rate, float(rates.max()))
                     over = np.flatnonzero(rates > tol)
-                    if (halvings < max_halvings and over.size
-                            and not (bad.size and bad[0] < over[0])):
+                    if may_halve and over.size and not (bad.size and bad[0] < over[0]):
                         break
                 if bad.size:
                     j = bad[0]
