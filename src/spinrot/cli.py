@@ -272,7 +272,7 @@ def _sweep_grid(dims: list) -> list[list[tuple[str, object]]]:
 
 def _sweep_point(payload: tuple) -> dict:
     """One grid point -> one row dict; `run_sweep` calls it by name in every process."""
-    base_data, assignments, sigma, base_dir = payload
+    base_data, assignments, sigma, base_dir, base = payload
     row = {c: None for c in SWEEP_COLUMNS}
     for path, value in assignments:
         row[path] = value
@@ -282,7 +282,11 @@ def _sweep_point(payload: tuple) -> dict:
         data = json.loads(json.dumps(base_data))
         for path, value in assignments:
             set_path(data, path, value, f"sweep path {path!r}")
-        cfg = resolve_run_config(data, base_dir)
+        if base is not None and data.get("trajectory") == base_data.get("trajectory"):
+            # no swept path touched the drive: take the base's, so a table is read once
+            cfg = RunConfig(validate_run_config(data), base.trajectory, base.table_sha256)
+        else:
+            cfg = resolve_run_config(data, base_dir)
         result = run_pipeline(cfg)
         residual = float(lvn_residual_samples(result["sol"]).max())
         summary = result["summary"]
@@ -333,24 +337,44 @@ def _worker_count(n_points: int) -> int:
     return max(1, min(_workers(), n_points if can_fork() else 1))
 
 
-def run_sweep(base_data: dict, spec: dict, base_dir: str = ".") -> list[dict]:
+def run_sweep(base_data: dict, spec: dict, base_dir: str = ".",
+              base: RunConfig | None = None) -> list[dict]:
     """Evaluate every grid point of a validated sweep spec; rows follow the grid's order.
 
-    w processes take interleaved slices payloads[k::w], which balance a grid's ragged step
-    counts: the parent runs slice 0, forked children (`io_utils.forked`) the rest.
+    base is base_data resolved, if the caller has it: a point whose swept
+    paths leave the trajectory as it is takes base's drive and table digest.
+
+    Points are claimed as they go: before any fork, each chunk of
+    consecutive points writes its number, one byte, into a pipe, and the
+    parent and its forked children (`io_utils.forked`) read one byte at a
+    time until it is empty, so a process on a faster CPU or with shorter
+    points claims more. At most 256 chunks, so the bytes fit in the pipe;
+    up to 256 points, one point per chunk. Each process returns (index,
+    row) pairs, put back in grid order.
     """
-    payloads = [(base_data, p, spec["sigma"], base_dir) for p in _sweep_grid(spec["sweep"])]
-    w = _worker_count(len(payloads))
-    rows: list = [None] * len(payloads)
+    payloads = [(base_data, p, spec["sigma"], base_dir, base) for p in _sweep_grid(spec["sweep"])]
+    n = len(payloads)
+    size = max(1, -(-n // 256))
+    r, w = os.pipe()
+    try:
+        os.write(w, bytes(range(-(-n // size))))
+    finally:
+        os.close(w)
 
-    def rows_of(k):
-        return [_sweep_point(p) for p in payloads[k::w]]
+    def claim():
+        pairs = []
+        while token := os.read(r, 1):
+            lo = token[0] * size
+            pairs += [(i, _sweep_point(payloads[i])) for i in range(lo, min(lo + size, n))]
+        return pairs
 
+    rows: list = [None] * n
     with ExitStack() as stack:
-        children = [stack.enter_context(forked(lambda k=k: rows_of(k))) for k in range(1, w)]
-        rows[::w] = rows_of(0)
-        for k, child in enumerate(children, 1):
-            rows[k::w] = child()
+        stack.callback(os.close, r)
+        children = [stack.enter_context(forked(claim)) for _ in range(1, _worker_count(n))]
+        for pairs in [claim()] + [child() for child in children]:
+            for i, row in pairs:
+                rows[i] = row
     return rows
 
 
@@ -394,7 +418,7 @@ def cmd_sweep(args) -> int:
     if parsed["sigma"] not in cfg.sigmas and not any(
             path_keys(d["path"])[:1] == ["sigmas"] for d in parsed["sweep"]):
         raise ConfigError(f"sweep sigma {parsed['sigma']} not in config sigmas {cfg.sigmas}")
-    rows = run_sweep(base, parsed, base_dir)
+    rows = run_sweep(base, parsed, base_dir, cfg)
     os.makedirs(out_dir, exist_ok=True)
     prefix = cfg.data["output"]["prefix"]
     sweep_cols = [d["path"] for d in parsed["sweep"]]

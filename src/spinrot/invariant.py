@@ -37,10 +37,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoSolutionError, SingularityError
+from .errors import ConfigError, NoSolutionError, SingularityError
 from .io_utils import write_csv
-from .trajectory import (KIND_CONSTANT_PRECESSION, OmegaTrajectory, _grid_steps, check_sample_cap,
-                         omega_from_angles)
+from .trajectory import KIND_CONSTANT_PRECESSION, OmegaTrajectory, _grid_steps, check_sample_cap
 
 EPS_LAMBDA = 1e-6  # guard band (rad) around the poles lambda = 0 and lambda = pi
 
@@ -94,7 +93,11 @@ def _cross(b: np.ndarray, v: np.ndarray) -> np.ndarray:
     """b x v, component by component, for b of shape (3, N) and v of shape (3, 3, N)."""
     bx, by, bz = b
     x, y, z = v
-    return np.stack((by * z - bz * y, bz * x - bx * z, bx * y - by * x))
+    out = np.empty(v.shape)  # filled in place: np.stack costs as much as the products
+    np.subtract(by * z, bz * y, out=out[0])
+    np.subtract(bz * x, bx * z, out=out[1])
+    np.subtract(bx * y, by * x, out=out[2])
+    return out
 
 
 def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -159,13 +162,29 @@ def _block_steps(traj: OmegaTrajectory, tg: np.ndarray, h: float, c: float, rate
     b = _field(traj.omega0, th, ph, times, c, rate)
     n = len(tb)
     start, end, centre = b[:, :n], b[:, 1:n + 1], b[:, n + 1:2 * n + 1]
-    full = _rk4_step(start, centre, end, h)
     if not adaptive:
-        return th[:n + 1], ph[:n + 1], full, None
+        _check_stable(h, b)
+        return th[:n + 1], ph[:n + 1], _rk4_step(start, centre, end, h), None
+    full = _rk4_step(start, centre, end, h)
     first = _rk4_step(start, b[:, 2 * n + 1:3 * n + 1], centre, 0.5 * h)
     second = _rk4_step(centre, b[:, 3 * n + 1:], end, 0.5 * h)
     m = _compose(second, first)
     return th[:n + 1], ph[:n + 1], m, full - m
+
+
+def _check_stable(h: float, b: np.ndarray) -> None:
+    """ConfigError when h |b| reaches 2 sqrt(2) at some column of b, shape (3, N).
+
+    dn'/dt = b x n' has eigenvalues 0 and +-i|b|, and RK4's stability
+    region meets the imaginary axis at 2 sqrt(2): beyond it the fixed-step
+    samples grow off the unit sphere. An adaptive pass is left to its rate
+    test, which halves such a pass.
+    """
+    x, y, z = b
+    hb = abs(h) * float(np.sqrt((x * x + y * y) + z * z).max())
+    if hb >= 2.0 * math.sqrt(2.0):
+        raise ConfigError(f"step = {abs(h):g} gives h*|b| = {hb:.4g}, "
+                          "beyond RK4's stability limit 2*sqrt(2)")
 
 
 def _static_steps(b: np.ndarray, h: float, adaptive: bool, n: int) -> tuple:
@@ -175,6 +194,9 @@ def _static_steps(b: np.ndarray, h: float, adaptive: bool, n: int) -> tuple:
     dm is its whole step minus M in adaptive mode (else None). powers holds
     M, M^2, ..., M^s, shape (s, 3, 3, 1), each the product `_chain` forms,
     for the sub-block length s of a block of n steps, the pass's longest.
+    The powers are multiplied in Python floats, each entry summed in
+    `_compose`'s order, so they hold its bits without its dozen numpy
+    calls per 3x3 product.
     """
     full = _rk4_step(b, b, b, h)
     m, dm = full, None
@@ -182,11 +204,15 @@ def _static_steps(b: np.ndarray, h: float, adaptive: bool, n: int) -> tuple:
         half = _rk4_step(b, b, b, 0.5 * h)
         m = _compose(half, half)
         dm = full - m
-    powers = np.empty((_sub_block(n), 3, 3, 1))
-    powers[0] = m
-    for i in range(1, len(powers)):
-        powers[i] = _compose(m, powers[i - 1])
-    return powers, dm
+    else:
+        _check_stable(h, b)
+    rows = m[:, :, 0].tolist()
+    powers = [rows]
+    for _ in range(1, _sub_block(n)):
+        p = powers[-1]
+        powers.append([[r[0] * p[0][k] + r[1] * p[1][k] + r[2] * p[2][k] for k in range(3)]
+                       for r in rows])
+    return np.array(powers)[..., None], dm
 
 
 def _sub_block(n: int) -> int:
@@ -280,7 +306,10 @@ def integrate_auxiliary(traj: OmegaTrajectory, lambda0: float, gamma0: float,
         If [t0, t_end] leaves a tabulated drive's domain.
     ValueError
         On a step that is not positive and finite; a ConfigError when the
-        first or a halved grid is above the sample cap.
+        first or a halved grid is above the sample cap, or when a fixed
+        step is beyond RK4's stability: h |b| at least 2 sqrt(2) at a
+        field sample of a block, checked before the block is stepped
+        (`_check_stable`).
     """
     eps_lambda = EPS_LAMBDA
     if not (eps_lambda < lambda0 < math.pi - eps_lambda):
@@ -400,24 +429,37 @@ def solve_precession_lambda(omega0: float, Omega: float, theta: float) -> float:
     return lam
 
 
-def _residual_norms(lam, gamma, lam_dot, gamma_dot, omegas) -> np.ndarray:
-    """|dI/dt - i[I, H]|_F = |dn/dt + n x w| / sqrt(2) over stacked samples."""
-    cl, sl = np.cos(lam), np.sin(lam)
-    cg, sg = np.cos(gamma), np.sin(gamma)
-    n = np.stack([sl * cg, sl * sg, cl], axis=-1)
-    dn = np.stack([lam_dot * cl * cg - gamma_dot * sl * sg,
-                   lam_dot * cl * sg + gamma_dot * sl * cg,
-                   -lam_dot * sl], axis=-1)
-    return np.linalg.norm(dn + np.cross(n, omegas), axis=-1) / math.sqrt(2.0)
+def _residual_norms(sol: AuxiliarySolution, lam_dot: np.ndarray,
+                    gamma_dot: np.ndarray) -> np.ndarray:
+    """|dI/dt - i[I, H]|_F = |dn/dt + n x w| / sqrt(2) at every sample, for the given rates.
 
-
-def _grid_omega(sol: AuxiliarySolution) -> np.ndarray:
-    return omega_from_angles(sol.traj.omega0, sol.theta, sol.phi)
+    w is formed from the solution's stored drive angles, and the sum in
+    component form: the bits of np.linalg.norm(dn + np.cross(n, w), axis=-1),
+    which sums the squares as (x^2 + y^2) + z^2.
+    """
+    cl, sl = np.cos(sol.lam), np.sin(sol.lam)
+    cg, sg = np.cos(sol.gamma), np.sin(sol.gamma)
+    s = np.sin(sol.theta)
+    w0 = sol.traj.omega0
+    wx, wy, wz = w0 * (s * np.cos(sol.phi)), w0 * (s * np.sin(sol.phi)), w0 * np.cos(sol.theta)
+    nx, ny = sl * cg, sl * sg
+    # each square is summed as soon as it is formed, in place: fewer arrays held at once
+    r = (lam_dot * cl * cg - gamma_dot * sl * sg) + (ny * wz - cl * wy)
+    r *= r
+    sq = (lam_dot * cl * sg + gamma_dot * sl * cg) + (cl * wx - nx * wz)
+    sq *= sq
+    r += sq
+    sq = -lam_dot * sl + (nx * wy - ny * wx)
+    sq *= sq
+    r += sq
+    np.sqrt(r, out=r)
+    r /= math.sqrt(2.0)
+    return r
 
 
 def lvn_residual_samples(sol: AuxiliarySolution) -> np.ndarray:
     """Residual at every sample using the stored (RHS-evaluated) rates."""
-    return _residual_norms(sol.lam, sol.gamma, sol.lam_dot, sol.gamma_dot, _grid_omega(sol))
+    return _residual_norms(sol, sol.lam_dot, sol.gamma_dot)
 
 
 def _fd_derivative_uniform(y: np.ndarray, h: float) -> np.ndarray:
@@ -444,4 +486,4 @@ def lvn_residual_series(sol: AuxiliarySolution) -> np.ndarray:
     """
     lam_fd = _fd_derivative_uniform(sol.lam, sol.step)
     gam_fd = _fd_derivative_uniform(sol.gamma, sol.step)
-    return _residual_norms(sol.lam, sol.gamma, lam_fd, gam_fd, _grid_omega(sol))
+    return _residual_norms(sol, lam_fd, gam_fd)

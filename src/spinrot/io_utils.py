@@ -23,8 +23,9 @@ holds the bytes of the one-process pass, and a failed child leaves no
 file of its own behind.
 
 `forked` is the package's one way to use another CPU: `verify` also runs
-its oracle in it, and `sweep` its interleaved slices of grid points.
-Where `can_fork` is false, every command runs in one process.
+its oracle in it, and `sweep` children that claim grid points from a
+shared pipe until it is empty. Where `can_fork` is false, every command
+runs in one process.
 """
 
 from __future__ import annotations

@@ -67,33 +67,42 @@ def _intervals(x: np.ndarray) -> np.ndarray:
     return dx
 
 
-def _first_interval_integrals(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    """Simpson integral over the first interval of each pair of intervals (eqn. 8)."""
-    x21, x32 = dx[..., :-1], dx[..., 1:]
+def _first_interval_integrals(y0, y1, y2, x21, x32, out: np.ndarray) -> None:
+    """Simpson integral over the first interval, x21 wide, of each pair of intervals x21,
+    x32 with samples y0, y1, y2 at their ends (eqn. 8), into out.
+
+    scipy's expression, its terms summed in its order, so its bits.
+    """
     x21_x31 = x21/(x21 + x32)
     x21x21_x31x32 = x21_x31 * (x21/x32)
-    return x21/6 * ((3 - x21_x31)*y[..., :-2] + (3 + x21x21_x31x32 + x21_x31)*y[..., 1:-1]
-                    - x21x21_x31x32*y[..., 2:])
+    np.multiply(3 - x21_x31, y0, out=out)
+    out += (3 + x21x21_x31x32 + x21_x31)*y1
+    out -= x21x21_x31x32*y2
+    out *= x21/6
 
 
 def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Running integral of y over the 1-D grid x along y's last axis, from 0.
 
-    scipy.integrate.cumulative_simpson(y, x=x, axis=-1, initial=0.0).
+    scipy.integrate.cumulative_simpson(y, x=x, axis=-1, initial=0.0). scipy
+    forms the first-interval integral of every pair of intervals, forwards
+    and backwards, and uses every other one; only those are formed here.
     """
     dx = _intervals(x)
+    out = np.zeros(y.shape)
+    run = out[..., 1:]  # each interval's integral, then their running sum, in place
     if y.shape[-1] < 3:  # the trapezoid rule
-        res = np.cumsum(dx * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1)
+        run[...] = dx * (y[..., 1:] + y[..., :-1]) / 2.0
     else:
-        h1 = _first_interval_integrals(y, dx)
-        h2 = _first_interval_integrals(y[..., ::-1], dx[::-1])[..., ::-1]
-        sub = np.empty(y.shape[:-1] + (y.shape[-1] - 1,))
-        sub[..., :-1:2] = h1[..., ::2]
-        sub[..., 1::2] = h2[..., ::2]
-        sub[..., -1] = h2[..., -1]  # the last interval has only a second-half formula
-        res = np.cumsum(sub, axis=-1)
-    # scipy adds the initial value, which turns -0.0 into 0.0
-    return np.concatenate((np.zeros(y.shape[:-1] + (1,)), res + 0.0), axis=-1)
+        y0, y1, y2, a, b = y[..., :-2:2], y[..., 1:-1:2], y[..., 2::2], dx[:-1:2], dx[1::2]
+        _first_interval_integrals(y0, y1, y2, a, b, run[..., :-1:2])
+        _first_interval_integrals(y2, y1, y0, b, a, run[..., 1::2])  # the second, backwards
+        if y.shape[-1] % 2 == 0:  # an odd count of intervals: the last has only a second half
+            _first_interval_integrals(y[..., -1:], y[..., -2:-1], y[..., -3:-2], dx[-1:],
+                                      dx[-2:-1], run[..., -1:])
+    np.cumsum(run, axis=-1, out=run)
+    run += 0.0  # scipy adds the initial value, which turns -0.0 into 0.0
+    return out
 
 
 def _simpson_weights(x: np.ndarray) -> np.ndarray:
@@ -147,43 +156,41 @@ def _phase_series(sol: AuxiliarySolution, sigma: float) -> tuple[np.ndarray, np.
     if sol.n_samples == 1:
         return np.zeros(1), np.zeros(1)
     if sol._phase_series is None:
-        dyn, geo = 0.5 * _dynamical_integral(sol), 0.5 * _geometric_integral(sol)
+        dyn, geo = (0.5 * x for x in _running_integrals(sol))
         dyn.flags.writeable = geo.flags.writeable = False
         sol._phase_series = (dyn, geo)
     dyn, geo = sol._phase_series
     return (dyn, geo) if sigma > 0 else (-dyn, -geo)
 
 
-def _dynamical_integral(sol: AuxiliarySolution) -> np.ndarray:
-    """The running dynamical phase at sigma = 1, from the solution's drive samples."""
-    integrand = sol.traj.omega0 * (
-        np.cos(sol.lam) * np.cos(sol.theta)
-        + np.sin(sol.lam) * np.sin(sol.theta) * np.cos(sol.gamma - sol.phi)
-    )
-    return _cumulative_simpson(integrand, sol.t)
+def _running_integrals(sol: AuxiliarySolution) -> tuple[np.ndarray, np.ndarray]:
+    """The running dynamical and geometric phases at sigma = 1, in one quadrature call.
 
-
-def _geometric_integral(sol: AuxiliarySolution) -> np.ndarray:
-    """The running geometric phase at sigma = 1.
-
-    Each maximal run of samples on one side of the chart threshold takes its
-    increments from that side's chart, both integrated over the whole grid;
-    neighbouring runs share their edge sample. A run that never crosses it
-    is the north chart alone.
+    The dynamical integrand comes from the solution's drive samples. The
+    geometric one takes its increments, on each maximal run of samples on
+    one side of the chart threshold, from that side's chart; neighbouring
+    runs share their edge sample. The south chart's integrand joins the
+    stack only when some sample is south; then a run that never crosses
+    the threshold is the north chart alone. Each row of the stack is
+    integrated as alone, bit for bit.
     """
-    cos_lam = np.cos(sol.lam)
-    north = _cumulative_simpson(sol.gamma_dot * (1.0 - cos_lam), sol.t)
+    cos_lam, sin_lam = np.cos(sol.lam), np.sin(sol.lam)
+    dyn = sol.traj.omega0 * (
+        cos_lam * np.cos(sol.theta) + sin_lam * np.sin(sol.theta) * np.cos(sol.gamma - sol.phi))
+    rows = [dyn, sol.gamma_dot * (1.0 - cos_lam)]
     south = cos_lam < -np.cos(np.pi / 4.0)
-    if not south.any():
-        return north
-    south_chart = 2.0 * (sol.gamma - sol.gamma[0]) - _cumulative_simpson(
-        sol.gamma_dot * (1.0 + cos_lam), sol.t)
+    if south.any():
+        rows.append(sol.gamma_dot * (1.0 + cos_lam))
+    dyn, north, *rest = _cumulative_simpson(np.stack(rows), sol.t)
+    if not rest:
+        return dyn, north
+    south_chart = 2.0 * (sol.gamma - sol.gamma[0]) - rest[0]
     edges = [0, *(np.flatnonzero(south[1:] != south[:-1]) + 1), sol.n_samples - 1]
     phase = np.zeros(sol.n_samples)
     for a, b in zip(edges[:-1], edges[1:]):
         chart = south_chart if south[a] else north
         phase[a:b + 1] = phase[a] + (chart[a:b + 1] - chart[a])
-    return phase
+    return dyn, phase
 
 
 def accumulate_phases(sol: AuxiliarySolution, traj: OmegaTrajectory, sigma: float) -> PhaseHistory:

@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -1271,7 +1272,7 @@ def _ragged_sweep(tmp_path):
 
 
 def test_sweep_parallel_matches_serial(tmp_path, monkeypatch, forks):
-    # w processes take interleaved slices of unequal work; the rows come back in grid order
+    # w processes claim points of unequal work as they go; the rows come back in grid order
     path, spath = _ragged_sweep(tmp_path)
     csv_bytes = []
     for workers in (1, 2, 3, 4):
@@ -1293,17 +1294,18 @@ def test_sweep_parallel_matches_serial(tmp_path, monkeypatch, forks):
 
 @pytest.mark.parametrize("where", ["child", "parent"])
 def test_sweep_point_error_is_raised_and_children_reaped(tmp_path, monkeypatch, forks, where):
-    # an error no row records, raised by a point of a child's slice (the second point) or
-    # of the parent's (the first), reaches the caller; every child is reaped
+    # an error no row records, raised by a point that runs in a child or in the parent,
+    # reaches the caller; every child is reaped. The other side's points are slowed, so the
+    # failing side claims a point while they run
     from spinrot import cli
     path, spath = _ragged_sweep(tmp_path)
     point, parent = cli._sweep_point, os.getpid()
-    failing = [("trajectory.Omega", 0.25), ("trajectory.theta", 0.0 if where == "child" else 0.6)]
 
     def sweep_point(payload):
-        if payload[1] == failing:
-            ran_in = "parent" if os.getpid() == parent else "child"
+        ran_in = "parent" if os.getpid() == parent else "child"
+        if ran_in == where:
             raise RuntimeError(f"point failed in the {ran_in}")
+        time.sleep(0.05)
         return point(payload)
 
     monkeypatch.setattr(cli, "_sweep_point", sweep_point)
@@ -1314,6 +1316,109 @@ def test_sweep_point_error_is_raised_and_children_reaped(tmp_path, monkeypatch, 
     for pid in forks:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
+
+
+def test_sweep_points_are_claimed_as_they_go(tmp_path, monkeypatch, forks):
+    # with the parent's points slowed, the child claims more of them; each point runs
+    # exactly once, and the file holds the one-process bytes
+    from spinrot import cli
+    path, spath = _ragged_sweep(tmp_path)
+    monkeypatch.setenv("SPINROT_WORKERS", "1")
+    assert main(["sweep", "--config", path, "--sweep", spath,
+                 "--output-dir", str(tmp_path / "one")]) == 0
+    log = tmp_path / "ran.log"
+    point, parent = cli._sweep_point, os.getpid()
+
+    def sweep_point(payload):
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        os.write(fd, f"{os.getpid()} {payload[1]}\n".encode())
+        os.close(fd)
+        if os.getpid() == parent:
+            time.sleep(0.05)
+        return point(payload)
+
+    monkeypatch.setattr(cli, "_sweep_point", sweep_point)
+    monkeypatch.setenv("SPINROT_WORKERS", "2")
+    assert main(["sweep", "--config", path, "--sweep", spath,
+                 "--output-dir", str(tmp_path / "two")]) == 0
+    assert len(forks) == 1
+    ran = [line.split(" ", 1) for line in log.read_text().splitlines()]
+    assert len(ran) == len({p for _, p in ran}) == 8
+    in_parent = sum(pid == str(parent) for pid, _ in ran)
+    assert in_parent < 8 - in_parent
+    assert (tmp_path / "two" / "demo_sweep.csv").read_bytes() == \
+        (tmp_path / "one" / "demo_sweep.csv").read_bytes()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("workers", [1, 3])
+def test_sweep_leaves_no_descriptor_open(tmp_path, monkeypatch, workers):
+    path, spath = _ragged_sweep(tmp_path)
+    monkeypatch.setenv("SPINROT_WORKERS", str(workers))
+    before = len(os.listdir("/proc/self/fd"))
+    assert main(["sweep", "--config", path, "--sweep", spath,
+                 "--output-dir", str(tmp_path / "out")]) == 0
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
+def test_tabulated_sweep_reads_its_table_once(tmp_path, monkeypatch):
+    # a point whose swept paths leave the trajectory as it is takes the base config's
+    # drive and table digest: one read of the CSV in all, and the rows of points resolved
+    # from scratch. A point that changes the drive reads the table again
+    from spinrot import cli
+    from spinrot.trajectory import OmegaTrajectory
+    monkeypatch.setenv("SPINROT_WORKERS", "1")
+    path = _tabulated_config(tmp_path, step=0.01, t_end=5.0)
+    calls = []
+    from_csv = OmegaTrajectory.from_csv.__func__
+    monkeypatch.setattr(OmegaTrajectory, "from_csv",
+                        classmethod(lambda cls, *a: calls.append(a) or from_csv(cls, *a)))
+
+    def sweep(values, name, **kwargs):
+        calls.clear()
+        spath = write_config(tmp_path, {"sweep": [{"path": name, "values": values}]}, "s.json")
+        out = tmp_path / f"out_{len(list(tmp_path.iterdir()))}"
+        assert main(["sweep", "--config", path, "--sweep", spath, "--output-dir", str(out)]) == 0
+        return len(calls), (out / "demo_sweep.csv").read_bytes()
+
+    steps = [0.01, 0.02, 0.04, 0.05]
+    reads, reused = sweep(steps, "integrator.step")
+    assert reads == 1
+    assert sweep([1.0, 2.0], "trajectory.omega0")[0] == 2
+    run_sweep = cli.run_sweep
+    monkeypatch.setattr(cli, "run_sweep", lambda data, spec, base_dir, base: run_sweep(
+        data, spec, base_dir))
+    assert sweep(steps, "integrator.step") == (5, reused)
+
+
+def _unstable_cone_config(**integrator):
+    """The cone w0 = 1, Omega = 40, theta = 1 from lambda0 = 1: |b| = 39.5."""
+    return demo_config(trajectory={"kind": "constant_precession", "omega0": 1.0,
+                                   "Omega": 40.0, "theta": 1.0, "phi0": 0.0},
+                       initial_conditions={"lambda0": 1.0, "gamma0": 0.0},
+                       integrator=integrator, oracle=None)
+
+
+def test_step_beyond_rk4_stability_is_config_invalid(tmp_path, capsys):
+    # 64 fixed steps over 20 s: h |b| = 12.3, past RK4's stability limit
+    path = write_config(tmp_path, _unstable_cone_config(step=0.3125, t_end=20.0))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--output-dir", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == ("config error: step = 0.3125 gives h*|b| = 12.33, "
+                                       "beyond RK4's stability limit 2*sqrt(2)\n")
+    assert not out.exists()
+
+
+def test_sweep_row_of_an_unstable_step_is_config_invalid(tmp_path, monkeypatch):
+    monkeypatch.setenv("SPINROT_WORKERS", "1")
+    path = write_config(tmp_path, _unstable_cone_config(step=0.01, t_end=2.0))
+    spath = write_config(tmp_path, {"sweep": [
+        {"path": "integrator.step", "values": [0.3125, 0.01]}]}, "sweep.json")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", path, "--sweep", spath, "--output-dir", str(out)]) == 0
+    rows = read_csv_rows(out / "demo_sweep.csv")
+    assert [r["status"] for r in rows] == ["config-invalid", "ok"]
+    assert rows[0]["error"].startswith("step = 0.333333 gives h*|b| = 13.")
 
 
 def test_sweep_without_fork_runs_in_one_process(tmp_path, monkeypatch):

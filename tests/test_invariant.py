@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from drives import S1, S2, S3, frame_matrix, spline_drive
 from spinrot import invariant
-from spinrot.errors import NoSolutionError, OutOfDomainError, SingularityError
+from spinrot.errors import ConfigError, NoSolutionError, OutOfDomainError, SingularityError
 from spinrot.invariant import (EPS_LAMBDA, AuxiliarySolution, integrate_auxiliary,
                                lvn_residual_samples, lvn_residual_series,
                                solve_precession_lambda)
@@ -592,6 +592,35 @@ def test_nan_error_rate_counts_as_exceeded(static, monkeypatch):
         0, math.inf, {"error_rate_tol_exceeded": True})
 
 
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_fixed_step_beyond_rk4_stability_is_refused(n):
+    # w0 = 1, Omega = 40, theta = 1: |b| = 39.5, so h |b| = 12.3, 6.2 and 3.1 at these
+    # counts, past 2 sqrt(2); the run used to return lambda 0.59 rad off, or trip the turn guard
+    traj = _precession(1.0, 40.0, 1.0)
+    hb = 20.0 / n * math.hypot(math.sin(1.0), math.cos(1.0) - 40.0)
+    with pytest.raises(ConfigError, match=(
+            rf"^step = {20.0 / n:g} gives h\*\|b\| = {hb:.4g}, "
+            r"beyond RK4's stability limit 2\*sqrt\(2\)$")):
+        integrate_auxiliary(traj, 1.0, 0.0, 20.0, 20.0 / n)
+
+
+def test_stability_limit_leaves_stable_and_adaptive_runs():
+    traj = _precession(1.0, 40.0, 1.0)
+    with pytest.raises(SingularityError, match="gamma turned"):  # h |b| = 1.5: stable
+        integrate_auxiliary(traj, 1.0, 0.0, 20.0, 20.0 / 512)
+    # adaptive: the rate test halves the unstable passes
+    sol = integrate_auxiliary(traj, 1.0, 0.0, 2.0, 0.3125, adaptive=True)
+    assert sol.n_halvings > 0 and np.isfinite(sol.lam).all()
+
+
+def test_tabulated_fixed_step_beyond_rk4_stability_is_refused():
+    # every field sample of the block counts: w0 = 40 makes |b| about 40
+    traj = spline_drive(40.0, lambda t: 1.0 + 0.2 * np.sin(t), lambda t: 0.7 * t, 5.0, 501)
+    with pytest.raises(ConfigError, match="beyond RK4's stability limit"):
+        integrate_auxiliary(traj, 1.1, 0.0, 5.0, 0.1)
+    assert integrate_auxiliary(traj, 1.1, 0.0, 5.0, 0.05).n_samples == 101
+
+
 # -- LvN residual -----------------------------------------------------------------
 
 def test_residual_zero_on_fixed_point():
@@ -649,6 +678,36 @@ def test_residual_samples_tiny_along_run():
     traj = _precession()
     sol = integrate_auxiliary(traj, 1.2, 0.3, 8.0, 0.01)
     assert lvn_residual_samples(sol).max() < 1e-10 * W0
+
+
+def _stacked_residual(sol, lam_dot, gamma_dot):
+    """|dn/dt + n x w| / sqrt(2) through np.stack, np.cross and np.linalg.norm."""
+    cl, sl = np.cos(sol.lam), np.sin(sol.lam)
+    cg, sg = np.cos(sol.gamma), np.sin(sol.gamma)
+    n = np.stack([sl * cg, sl * sg, cl], axis=-1)
+    dn = np.stack([lam_dot * cl * cg - gamma_dot * sl * sg,
+                   lam_dot * cl * sg + gamma_dot * sl * cg, -lam_dot * sl], axis=-1)
+    w = omega_from_angles(sol.traj.omega0, sol.theta, sol.phi)
+    return np.linalg.norm(dn + np.cross(n, w), axis=-1) / math.sqrt(2.0)
+
+
+RESIDUAL_CASES = {
+    # Omega = 2, theta = 0.6 locks at cos(lam) = -0.90, in the south chart
+    "south-chart-cone": lambda: integrate_auxiliary(
+        _precession(1.0, 2.0, 0.6), solve_precession_lambda(1.0, 2.0, 0.6), 0.0, 10.0, 0.01),
+    "tabulated": lambda: integrate_auxiliary(_tabulated_500(), 1.0, 0.2, 9.6, 0.02),
+    "zero-field": lambda: integrate_auxiliary(_precession(0.0, 0.0, 0.6), 1.0, 0.3, 5.0, 0.01),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RESIDUAL_CASES))
+def test_residuals_are_the_stacked_formula_bit_for_bit(case):
+    # the component form sums (x^2 + y^2) + z^2, as np.linalg.norm does
+    sol = RESIDUAL_CASES[case]()
+    assert lvn_residual_samples(sol).tobytes() == \
+        _stacked_residual(sol, sol.lam_dot, sol.gamma_dot).tobytes()
+    fd = [invariant._fd_derivative_uniform(y, sol.step) for y in (sol.lam, sol.gamma)]
+    assert lvn_residual_series(sol).tobytes() == _stacked_residual(sol, *fd).tobytes()
 
 
 def test_fd_residual_scales_fourth_order():
